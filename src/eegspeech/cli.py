@@ -2,9 +2,10 @@
 
 Verbs: synth, featurize, train, evaluate, crossval, plot.  Progress goes to
 standard error, results to files only.  Exit codes: 0 success, 2 bad
-configuration or arguments, 3 bad data, 4 training failure.  Seed and thread
-count resolve flag > environment (EEGSPEECH_SEED / EEGSPEECH_THREADS) >
-config file.
+configuration or arguments, 3 bad data, 4 training failure.  The seed
+resolves flag > environment (EEGSPEECH_SEED) > config file.  Each verb that
+reads a container preprocesses every trial and computes its covariance
+matrix once, whatever the number of tasks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import container as container_mod
 from . import covariance, metrics, networks, pipeline, plotting, synth
-from .config import TASK_IDS, RunConfig, load_config
+from .config import DEFAULT_TASK_TABLE, TASK_IDS, RunConfig, load_config
 from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn.checkpoint import write_bytes_atomic
 
@@ -28,7 +29,6 @@ EXIT_DATA = 3
 EXIT_TRAINING = 4
 
 SEED_ENV = "EEGSPEECH_SEED"
-THREADS_ENV = "EEGSPEECH_THREADS"
 
 
 def _progress(message: str) -> None:
@@ -48,16 +48,11 @@ def _env_int(name: str) -> int | None:
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else _env_int(SEED_ENV)
-    threads = args.threads if args.threads is not None else _env_int(THREADS_ENV)
     updates = {}
     if seed is not None:
         if seed < 0:
             raise ConfigError("seed must be >= 0")
         updates["seed"] = seed
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        updates["threads"] = threads
     if args.out is not None:
         updates["output_dir"] = args.out
     if args.tasks is not None:
@@ -86,17 +81,16 @@ def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else _env_int(SEED_ENV)
     if seed is None:
         seed = 0
-    if args.n_trials < 1:
-        raise ConfigError("--n-trials must be >= 1")
     if args.task not in TASK_IDS:
         raise ConfigError(f"unknown task {args.task!r}; choose from {list(TASK_IDS)}")
-    from .config import DEFAULT_TASK_TABLE
-
-    trials = synth.generate_synthetic_recordings(
-        args.n_trials, args.n_channels, args.n_subjects, args.separability, seed,
-        task_positives=DEFAULT_TASK_TABLE[args.task],
-        n_times=args.n_times, sample_rate_hz=args.sample_rate,
-        noise_scale=args.noise)
+    try:
+        trials = synth.generate_synthetic_recordings(
+            args.n_trials, args.n_channels, args.n_subjects, args.separability, seed,
+            task_positives=DEFAULT_TASK_TABLE[args.task],
+            n_times=args.n_times, sample_rate_hz=args.sample_rate,
+            noise_scale=args.noise)
+    except ValueError as exc:
+        raise ConfigError(f"synth: {exc}") from exc
     container_mod.write_container(args.out, name=f"synthetic-{args.task}",
                                   sample_rate_hz=args.sample_rate,
                                   channel_names=[f"ch{c:02d}" for c in range(args.n_channels)],
@@ -108,12 +102,11 @@ def cmd_synth(args) -> int:
 def cmd_featurize(args) -> int:
     cfg = _resolve_config(args)
     cont, recordings, ids = _load_recordings(args.container)
+    covs = pipeline.ccv_features(recordings, cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
-    for trial_id, rec in zip(ids, recordings):
-        cov = covariance.ccv_matrix(pipeline.preprocess(rec, cfg),
-                                    lag=cfg.covariance.lag)
+    for trial_id, cov in zip(ids, covs):
         filename = f"{trial_id}.cov"
         write_bytes_atomic(out / filename, covariance.covmatrix_to_bytes(cov))
         records.append({"trial_id": trial_id, "file": filename, "k": cov.k})
@@ -131,6 +124,7 @@ def cmd_featurize(args) -> int:
 def _run_protocol(args, mode: str) -> int:
     cfg = _resolve_config(args)
     cont, recordings, ids = _load_recordings(args.container)
+    covs = pipeline.ccv_features(recordings, cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.resolved.json", cfg.canonical_dict())
@@ -142,7 +136,7 @@ def _run_protocol(args, mode: str) -> int:
         task = pipeline.task_from_config(cfg, task_id)
         _progress(f"{mode}: task {task_id} on {len(recordings)} trials")
         bundles, report = pipeline.run_task(recordings, task, plan, cfg,
-                                            trial_ids=ids, threads=cfg.threads)
+                                            trial_ids=ids, covs=covs)
         task_dir = out / task_id
         task_dir.mkdir(parents=True, exist_ok=True)
         pipeline.write_report_json(report, task_dir / "report.json")
@@ -191,6 +185,7 @@ def cmd_evaluate(args) -> int:
     models = Path(args.models)
     if not models.is_dir():
         raise DataError(f"no model directory at {models}")
+    covs = pipeline.ccv_features(recordings, cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -205,7 +200,7 @@ def cmd_evaluate(args) -> int:
         plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
         _progress(f"evaluate: task {task_id} with {len(bundles)} fold bundle(s)")
         report = pipeline.evaluate_bundles(recordings, task, plan, cfg, bundles,
-                                           trial_ids=ids)
+                                           trial_ids=ids, covs=covs)
         task_dir = out / task_id
         task_dir.mkdir(parents=True, exist_ok=True)
         pipeline.write_report_json(report, task_dir / "report.json")
@@ -244,8 +239,6 @@ def _add_common(parser: argparse.ArgumentParser, *, config_required: bool) -> No
                         help="path to the JSON run configuration")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"override seed (also {SEED_ENV})")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads across folds (also {THREADS_ENV})")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--tasks", default=None,
                         help="comma-separated task subset, e.g. bilabial,nasal")

@@ -59,7 +59,6 @@ CONFIG_SCHEMA = {
     "required": ["seed", "tasks"],
     "properties": {
         "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
         "output_dir": {"type": "string", "minLength": 1},
         "tasks": {
             "type": "array",
@@ -144,7 +143,6 @@ class NetworkHyper:
 class RunConfig:
     seed: int
     tasks: tuple[str, ...]
-    threads: int = 1
     output_dir: str = "out"
     split_mode: str = "random_holdout"
     preprocessing: BandpassSpec = field(default_factory=BandpassSpec)
@@ -156,11 +154,10 @@ class RunConfig:
     task_table: dict = field(default_factory=lambda: {k: tuple(v) for k, v in DEFAULT_TASK_TABLE.items()})
 
     def canonical_dict(self) -> dict:
-        """Result-affecting settings only: operational knobs (output dir,
-        thread count) are excluded so they cannot change the fingerprint."""
+        """Result-affecting settings only: the output directory is excluded
+        so it cannot change the fingerprint."""
         out = asdict(self)
         del out["output_dir"]
-        del out["threads"]
         out["tasks"] = list(self.tasks)
         out["task_table"] = {k: list(v) for k, v in sorted(self.task_table.items())}
         return out
@@ -207,7 +204,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         return RunConfig(
             seed=raw["seed"],
             tasks=tuple(raw["tasks"]),
-            threads=raw.get("threads", 1),
             output_dir=raw.get("output_dir", "out"),
             split_mode=raw.get("split", {}).get("mode", "random_holdout"),
             preprocessing=BandpassSpec(

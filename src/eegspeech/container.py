@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .nn.checkpoint import write_bytes_atomic
 from .recording import PROMPTS, Recording
 
 MANIFEST_NAME = "manifest.json"
@@ -48,13 +49,6 @@ class TrialContainer:
     @property
     def data_path(self) -> Path:
         return self.root / DATA_NAME
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
 
 
 def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
@@ -99,9 +93,9 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
             for r in records
         ],
     }
-    _write_atomic(root / DATA_NAME, b"".join(chunks))
-    _write_atomic(root / MANIFEST_NAME,
-                  (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    write_bytes_atomic(root / DATA_NAME, b"".join(chunks))
+    write_bytes_atomic(root / MANIFEST_NAME,
+                       (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     return TrialContainer(name=str(name), sample_rate_hz=float(sample_rate_hz),
                           channel_names=channel_names, trials=tuple(records), root=root)
 
@@ -172,9 +166,14 @@ def load_samples(container: TrialContainer, record: TrialRecord) -> np.ndarray:
 
 
 def load_recording(container: TrialContainer, record: TrialRecord) -> Recording:
+    """One trial as a Recording; samples the Recording rejects (NaN or Inf
+    amplitudes, too few channels or time points) raise DataError."""
     if record.prompt not in PROMPTS:
         raise DataError(f"trial {record.trial_id!r}: unknown prompt {record.prompt!r}")
-    return Recording(subject_id=record.subject_id, prompt=record.prompt,
-                     samples=load_samples(container, record),
-                     sample_rate_hz=container.sample_rate_hz,
-                     channel_names=container.channel_names)
+    samples = load_samples(container, record)
+    try:
+        return Recording(subject_id=record.subject_id, prompt=record.prompt,
+                         samples=samples, sample_rate_hz=container.sample_rate_hz,
+                         channel_names=container.channel_names)
+    except ValueError as exc:
+        raise DataError(f"trial {record.trial_id!r}: {exc}") from exc

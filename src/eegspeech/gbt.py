@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
+from .nn.ops import sigmoid
 
 _MAGIC = b"GBT1"
 
@@ -170,15 +171,6 @@ def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, columns: np.ndarray,
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 @dataclass
 class Ensemble:
     config: GbtConfig
@@ -194,7 +186,7 @@ class Ensemble:
         return scores
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.raw_scores(x))
+        return sigmoid(self.raw_scores(x))
 
     def predict_class(self, x: np.ndarray) -> np.ndarray:
         return (self.predict_proba(x) >= 0.5).astype(np.int64)
@@ -225,7 +217,7 @@ def fit(x, y, config: GbtConfig) -> Ensemble:
     n_rows = max(1, int(round(config.subsample * n)))
     n_cols = max(1, int(round(config.colsample * n_features)))
     for _ in range(config.n_estimators):
-        probs = _sigmoid(scores)
+        probs = sigmoid(scores)
         g, h = grad_hess(probs, y)
         if config.subsample < 1.0:
             rows = np.sort(row_rng.choice(n, size=n_rows, replace=False))

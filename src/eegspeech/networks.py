@@ -10,6 +10,7 @@ latent code feeds the boosted-tree classifier at level 3.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import rng as rng_mod
 from .nn import Adam, LayerSpec, Network, build_network
 from .nn import ops
+from .nn.checkpoint import write_bytes_atomic
 
 # Architecture constants; the penultimate/latent widths are load-bearing for
 # the fusion arithmetic and are re-checked at build time.
@@ -25,6 +27,11 @@ CNN_PENULTIMATE = 128
 LSTM_PENULTIMATE = 1024
 FUSED_DIM = CNN_PENULTIMATE + LSTM_PENULTIMATE
 DAE_LATENT = 32
+
+#: Rows per eval-mode forward pass: the reference batch size.  One pass over
+#: a reference-scale corpus (about 1875 trials of 62x62 input) would hold
+#: about 10 GB of conv activations at once.
+EVAL_CHUNK = 64
 
 CNN_SPECS = [
     LayerSpec("conv2d", filters=32, kernel=3),
@@ -104,38 +111,48 @@ class EpochStats:
     accuracy: float
 
 
+def _eval_rows(net: Network, x: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """Eval-mode forward over a stack of rows, EVAL_CHUNK rows at a time,
+    up to and including layer ``stop``."""
+    return np.concatenate([net.forward(x[i:i + EVAL_CHUNK], train=False, stop=stop)
+                           for i in range(0, len(x), EVAL_CHUNK)])
+
+
 @dataclass
-class CnnModel:
+class _Branch:
+    """A level-1 classifier over a stack of square input matrices."""
+
     net: Network
     input_size: int
     feature_index: int
     trace: list[EpochStats] = field(default_factory=list)
 
-    def predict_proba(self, matrix: np.ndarray) -> np.ndarray:
-        return self.net.forward(matrix[None, None, :, :], train=False)[0]
+    def arrange(self, matrices) -> np.ndarray:
+        raise NotImplementedError
 
-    def penultimate(self, matrix: np.ndarray) -> np.ndarray:
-        outs = self.net.forward_collect(matrix[None, None, :, :])
-        return outs[self.feature_index][0]
+    def predict_proba(self, matrices) -> np.ndarray:
+        """Class probabilities, one row per input matrix."""
+        return _eval_rows(self.net, self.arrange(matrices))
+
+    def penultimate(self, matrices) -> np.ndarray:
+        return _eval_rows(self.net, self.arrange(matrices), self.feature_index)
 
 
 @dataclass
-class LstmModel:
-    net: Network
-    input_size: int
-    feature_index: int
+class CnnModel(_Branch):
+    def arrange(self, matrices) -> np.ndarray:
+        """A stack of square matrices as one-channel images."""
+        return np.asarray(matrices, dtype=np.float64)[:, None, :, :]
+
+
+@dataclass
+class LstmModel(_Branch):
     sequence_axis: str = "rows"
-    trace: list[EpochStats] = field(default_factory=list)
 
-    def _sequence(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix if self.sequence_axis == "rows" else matrix.T
-
-    def predict_proba(self, matrix: np.ndarray) -> np.ndarray:
-        return self.net.forward(self._sequence(matrix)[None, :, :], train=False)[0]
-
-    def penultimate(self, matrix: np.ndarray) -> np.ndarray:
-        outs = self.net.forward_collect(self._sequence(matrix)[None, :, :])
-        return outs[self.feature_index][0]
+    def arrange(self, matrices) -> np.ndarray:
+        """A stack of square matrices as sequences of rows (or columns)."""
+        x = np.asarray(matrices, dtype=np.float64)
+        return x if self.sequence_axis == "rows" else x.transpose(0, 2, 1)
 
 
 @dataclass
@@ -149,24 +166,6 @@ class DaeModel:
 
     def standardize(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std
-
-    def encode_one(self, feature: np.ndarray) -> np.ndarray:
-        z = self.standardize(np.asarray(feature, dtype=np.float64))
-        outs = self.net.forward_collect(z[None, :])
-        return outs[self.latent_index][0]
-
-
-def _feature_layer_index(net: Network, specs: list[LayerSpec], spec_index: int) -> int:
-    """Map a LayerSpec position to the built layer index (lstm layers insert a
-    trailing last-step selector)."""
-    built = 0
-    for i, spec in enumerate(specs):
-        if i == spec_index:
-            return built
-        built += 1
-        if spec.kind == "lstm" and len(net.layers) > built and net.layers[built].__class__.__name__ == "LastStep":
-            built += 1
-    raise ValueError("spec index out of range")
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -220,7 +219,7 @@ def build_cnn_model(input_size: int, seed: int = 0) -> CnnModel:
     """An untrained CNN of the reference architecture for the given matrix size."""
     shape = (1, input_size, input_size)
     net = build_network(CNN_SPECS, shape, rng_mod.stream(seed, "cnn", "init"))
-    feature_index = _feature_layer_index(net, CNN_SPECS, 10)
+    feature_index = net.spec_outputs[10]
     _verify_width(net, feature_index, shape, CNN_PENULTIMATE, "cnn penultimate")
     return CnnModel(net=net, input_size=input_size, feature_index=feature_index)
 
@@ -228,7 +227,7 @@ def build_cnn_model(input_size: int, seed: int = 0) -> CnnModel:
 def build_lstm_model(input_size: int, sequence_axis: str = "rows", seed: int = 0) -> LstmModel:
     shape = (input_size, input_size)
     net = build_network(LSTM_SPECS, shape, rng_mod.stream(seed, "lstm", "init"))
-    feature_index = _feature_layer_index(net, LSTM_SPECS, 7)
+    feature_index = net.spec_outputs[7]
     _verify_width(net, feature_index, shape, LSTM_PENULTIMATE, "lstm penultimate")
     return LstmModel(net=net, input_size=input_size, feature_index=feature_index,
                      sequence_axis=sequence_axis)
@@ -236,7 +235,7 @@ def build_lstm_model(input_size: int, sequence_axis: str = "rows", seed: int = 0
 
 def build_dae_model(input_dim: int, seed: int = 0) -> DaeModel:
     net = build_network(dae_specs(input_dim), (input_dim,), rng_mod.stream(seed, "dae", "init"))
-    latent_index = 7
+    latent_index = net.spec_outputs[7]
     _verify_width(net, latent_index, (input_dim,), DAE_LATENT, "dae latent")
     return DaeModel(net=net, input_dim=input_dim, latent_index=latent_index,
                     mean=np.zeros(input_dim), std=np.ones(input_dim))
@@ -249,7 +248,7 @@ def train_cnn(inputs, labels, settings: TrainSettings) -> CnnModel:
     if len(x) != len(y):
         raise ValueError("inputs and labels disagree in length")
     model = build_cnn_model(x.shape[1], seed=settings.seed)
-    model.trace = _train_classifier(model.net, x[:, None, :, :], y, settings, "cnn")
+    model.trace = _train_classifier(model.net, model.arrange(x), y, settings, "cnn")
     return model
 
 
@@ -260,24 +259,22 @@ def train_lstm(inputs, labels, settings: TrainSettings) -> LstmModel:
     y = _check_labels(labels)
     if len(x) != len(y):
         raise ValueError("inputs and labels disagree in length")
-    if settings.sequence_axis == "columns":
-        x = np.ascontiguousarray(x.transpose(0, 2, 1))
     model = build_lstm_model(x.shape[1], sequence_axis=settings.sequence_axis,
                              seed=settings.seed)
-    model.trace = _train_classifier(model.net, x, y, settings, "lstm")
+    model.trace = _train_classifier(model.net, model.arrange(x), y, settings, "lstm")
     return model
 
 
 def _verify_width(net: Network, index: int, input_shape, expected: int, what: str) -> None:
-    probe = np.zeros((1, *input_shape))
-    out = net.forward_collect(probe)[index]
+    out = net.forward(np.zeros((1, *input_shape)), train=False, stop=index)
     if out.shape[-1] != expected:
         raise ValueError(f"{what} width is {out.shape[-1]}, expected {expected}")
 
 
-def extract_fused(cnn: CnnModel, lstm: LstmModel, matrix: np.ndarray) -> np.ndarray:
-    """Concatenate the two penultimate activation vectors (CNN first)."""
-    return np.concatenate([cnn.penultimate(matrix), lstm.penultimate(matrix)])
+def extract_fused(cnn: CnnModel, lstm: LstmModel, matrices) -> np.ndarray:
+    """Fused vectors for a stack of input matrices: the two penultimate
+    activation vectors side by side (CNN first), one row per matrix."""
+    return np.concatenate([cnn.penultimate(matrices), lstm.penultimate(matrices)], axis=1)
 
 
 def train_dae(features, settings: TrainSettings) -> DaeModel:
@@ -315,20 +312,21 @@ def train_dae(features, settings: TrainSettings) -> DaeModel:
     return model
 
 
-def encode(dae: DaeModel, feature: np.ndarray) -> np.ndarray:
-    """The latent code for one fused feature vector (eval mode)."""
-    return dae.encode_one(feature)
+def encode(dae: DaeModel, features) -> np.ndarray:
+    """Latent codes for a stack of fused feature vectors (eval mode)."""
+    z = dae.standardize(np.asarray(features, dtype=np.float64))
+    return _eval_rows(dae.net, z, dae.latent_index)
 
 
 def reconstruction_mse(dae: DaeModel, features) -> float:
     z = dae.standardize(np.asarray(features, dtype=np.float64))
-    recon = dae.net.forward(z, train=False)
-    return ops.mse_loss(recon, z)
+    return ops.mse_loss(_eval_rows(dae.net, z), z)
 
 
 def write_trace_csv(path: str | os.PathLike, trace: list[EpochStats]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "loss", "accuracy"])
-        for row in trace:
-            writer.writerow([row.epoch, repr(row.loss), repr(row.accuracy)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["epoch", "loss", "accuracy"])
+    for row in trace:
+        writer.writerow([row.epoch, repr(row.loss), repr(row.accuracy)])
+    write_bytes_atomic(path, buf.getvalue().encode("utf-8"))

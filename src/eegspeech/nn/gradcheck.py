@@ -19,8 +19,6 @@ def gradient_check(loss_fn: Callable[[], float], tensors: Iterable[Tensor],
     """
     worst = 0.0
     for tensor in tensors:
-        if tensor.grad is None:
-            raise ValueError("tensor has no gradient buffer to check")
         flat = tensor.data.reshape(-1)
         analytic = tensor.grad.reshape(-1)
         for i in range(flat.size):

@@ -1,8 +1,10 @@
 """Layer objects wrapping the functional ops with parameter storage.
 
-Every layer sees batch-first arrays.  ``forward`` caches whatever its
-``backward`` needs; ``backward`` accumulates parameter gradients in place and
-returns the gradient with respect to its input.
+Every layer sees batch-first arrays.  ``forward(x, train=True)`` caches
+whatever its ``backward`` needs; eval-mode forward caches nothing, so a
+trained layer holds no activations between calls.  ``backward`` accumulates
+parameter gradients in place and returns the gradient with respect to its
+input.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from .tensor import Tensor
 
 
 class Layer:
-    train_only = False
-
     def forward(self, x, train: bool = False):
         raise NotImplementedError
 
@@ -45,7 +45,8 @@ class Dense(Layer):
         return cls(Tensor(w), Tensor(np.zeros(n_out)))
 
     def forward(self, x, train=False):
-        self._x = x
+        if train:
+            self._x = x
         return ops.dense_forward(x, self.weights.data, self.bias.data)
 
     def backward(self, grad):
@@ -72,7 +73,8 @@ class Conv2D(Layer):
         return cls(Tensor(w), Tensor(np.zeros(c_out)))
 
     def forward(self, x, train=False):
-        self._x = x
+        if train:
+            self._x = x
         return ops.conv2d_forward(x, self.weights.data, self.bias.data)
 
     def backward(self, grad):
@@ -108,7 +110,9 @@ class Lstm(Layer):
         return self.wh.data.shape[1]
 
     def forward(self, x, train=False):
-        hs, self._cache = ops.lstm_forward(x, self.wx.data, self.wh.data, self.bias.data)
+        hs, cache = ops.lstm_forward(x, self.wx.data, self.wh.data, self.bias.data)
+        if train:
+            self._cache = cache
         return hs
 
     def backward(self, grad):
@@ -131,9 +135,10 @@ class Activation(Layer):
         self._out = None
 
     def forward(self, x, train=False):
-        self._x = x
-        self._out = ops.activation_forward(x, self.fn)
-        return self._out
+        out = ops.activation_forward(x, self.fn)
+        if train:
+            self._x, self._out = x, out
+        return out
 
     def backward(self, grad):
         return ops.activation_backward(self._x, self._out, self.fn, grad)
@@ -144,16 +149,16 @@ class Softmax(Layer):
         self._probs = None
 
     def forward(self, x, train=False):
-        self._probs = ops.softmax(x)
-        return self._probs
+        probs = ops.softmax(x)
+        if train:
+            self._probs = probs
+        return probs
 
     def backward(self, grad):
         return ops.softmax_backward(self._probs, grad)
 
 
 class Dropout(Layer):
-    train_only = True
-
     def __init__(self, rate: float):
         if not 0 <= rate < 1:
             raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
@@ -162,7 +167,9 @@ class Dropout(Layer):
         self._mask = None
 
     def forward(self, x, train=False):
-        out, self._mask = ops.dropout_forward(x, self.rate, train, self.rng)
+        out, mask = ops.dropout_forward(x, self.rate, train, self.rng)
+        if train:
+            self._mask = mask
         return out
 
     def backward(self, grad):
@@ -174,7 +181,8 @@ class Flatten(Layer):
         self._shape = None
 
     def forward(self, x, train=False):
-        self._shape = x.shape
+        if train:
+            self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
@@ -188,7 +196,8 @@ class LastStep(Layer):
         self._shape = None
 
     def forward(self, x, train=False):
-        self._shape = x.shape
+        if train:
+            self._shape = x.shape
         return x[:, -1, :]
 
     def backward(self, grad):

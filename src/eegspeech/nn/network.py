@@ -11,7 +11,7 @@ import numpy as np
 from .layers import Activation, Conv2D, Dense, Dropout, Flatten, LastStep, Layer, Lstm, Softmax
 from .tensor import Tensor
 
-LAYER_KINDS = ("conv2d", "dense", "lstm", "dropout", "activation", "softmax", "flatten", "concat")
+LAYER_KINDS = ("conv2d", "dense", "lstm", "dropout", "activation", "softmax", "flatten")
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ def infer_shapes(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[t
                 shape = (spec.units,)
         elif spec.kind == "flatten":
             shape = (int(np.prod(shape)),)
-        elif spec.kind in ("dropout", "activation", "softmax"):
-            pass
-        elif spec.kind == "concat":
-            raise ValueError(f"layer {i}: concat is not valid inside a sequential stack")
         shapes.append(shape)
     return shapes
 
@@ -93,24 +89,23 @@ def build_network(specs: list[LayerSpec], input_shape: tuple[int, ...],
     """Instantiate and initialise a network, validating the shape chain.
 
     A trailing ``LastStep`` selector is inserted automatically after the final
-    lstm layer so the dense stack consumes the last hidden state.
+    lstm layer so the dense stack consumes the last hidden state.  The
+    network records, per spec, the index of the layer whose output is that
+    spec's output.
     """
-    infer_shapes(specs, input_shape)  # fail fast on any mismatch
+    shapes = infer_shapes(specs, input_shape)  # fail fast on any mismatch
     layers: list[Layer] = []
-    shape = tuple(input_shape)
+    spec_outputs = []
     for i, spec in enumerate(specs):
+        shape = shapes[i - 1] if i else tuple(input_shape)
         if spec.kind == "conv2d":
             layers.append(Conv2D.create(shape[0], spec.filters, spec.kernel, rng))
-            shape = (spec.filters, shape[1] - spec.kernel + 1, shape[2] - spec.kernel + 1)
         elif spec.kind == "dense":
             layers.append(Dense.create(shape[0], spec.units, rng))
-            shape = (spec.units,)
         elif spec.kind == "lstm":
             layers.append(Lstm.create(shape[1], spec.units, rng))
-            shape = (shape[0], spec.units)
             if _lstm_last_step(specs, i):
                 layers.append(LastStep())
-                shape = (spec.units,)
         elif spec.kind == "dropout":
             layers.append(Dropout(spec.rate))
         elif spec.kind == "activation":
@@ -119,30 +114,32 @@ def build_network(specs: list[LayerSpec], input_shape: tuple[int, ...],
             layers.append(Softmax())
         elif spec.kind == "flatten":
             layers.append(Flatten())
-            shape = (int(np.prod(shape)),)
-        else:
-            raise ValueError(f"layer {i}: cannot build kind {spec.kind!r}")
-    return Network(layers)
+        spec_outputs.append(len(layers) - 1)
+    return Network(layers, tuple(spec_outputs))
 
 
 class Network:
-    """A plain sequential stack with explicit forward/backward control."""
+    """A plain sequential stack with explicit forward/backward control.
 
-    def __init__(self, layers: list[Layer]):
+    ``spec_outputs[i]`` is the index of the layer whose output is the output
+    of the i-th ``LayerSpec`` the network was built from.
+    """
+
+    def __init__(self, layers: list[Layer], spec_outputs: tuple[int, ...]):
         self.layers = layers
+        self.spec_outputs = spec_outputs
 
-    def forward(self, x, train: bool = False):
-        for layer in self.layers:
+    def forward(self, x, train: bool = True, stop: int | None = None):
+        """Run the layers up to and including layer ``stop`` (default: all).
+
+        Training mode is the default, so a ``backward`` may follow any plain
+        forward call.  With ``train=False`` dropout is the identity and no
+        layer caches anything, so eval passes leave the network unchanged.
+        """
+        last = len(self.layers) - 1 if stop is None else stop
+        for layer in self.layers[: last + 1]:
             x = layer.forward(x, train)
         return x
-
-    def forward_collect(self, x) -> list:
-        """Eval-mode forward returning every layer's output in order."""
-        outs = []
-        for layer in self.layers:
-            x = layer.forward(x, False)
-            outs.append(x)
-        return outs
 
     def backward(self, grad, start: int | None = None):
         """Propagate ``grad`` backward from the output of layer ``start``

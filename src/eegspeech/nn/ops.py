@@ -255,23 +255,9 @@ def dropout_backward(mask, rate: float, grad):
 _CLAMP = 1e-12
 
 
-def bce_loss(probs, target: int) -> float:
-    """Cross-entropy of a single softmax output against a class index."""
-    p = max(float(np.asarray(probs)[int(target)]), _CLAMP)
-    return -np.log(p)
-
-
 def bce_loss_batch(probs, targets) -> float:
     p = np.clip(probs[np.arange(len(targets)), targets], _CLAMP, None)
     return float(-np.log(p).mean())
-
-
-def bce_grad(probs, target: int):
-    """d(loss)/d(probs) for a single example; nonzero only at the target."""
-    probs = np.asarray(probs, dtype=np.float64)
-    g = np.zeros_like(probs)
-    g[int(target)] = -1.0 / max(probs[int(target)], _CLAMP)
-    return g
 
 
 def cross_entropy_logit_grad(probs, targets):

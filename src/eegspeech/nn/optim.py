@@ -35,8 +35,6 @@ class Adam:
         bias2 = 1.0 - b2 ** self.step_count
         for name, tensor in self.params:
             g = tensor.grad
-            if g is None:
-                continue
             m = self._m[name]
             v = self._v[name]
             m *= b1

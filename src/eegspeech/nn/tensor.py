@@ -2,7 +2,7 @@ import numpy as np
 
 
 class Tensor:
-    """A contiguous float64 array with an optional same-shape gradient buffer.
+    """A contiguous float64 array with a same-shape gradient buffer.
 
     Parameters and their accumulated gradients are the only mutable state in
     the network core; activations flow through as plain ndarrays.
@@ -10,9 +10,9 @@ class Tensor:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, with_grad: bool = True):
+    def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data) if with_grad else None
+        self.grad = np.zeros_like(self.data)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -23,15 +23,12 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
+        self.grad.fill(0.0)
 
     def accumulate(self, g) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
         if np.shape(g) != self.data.shape:
             raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {self.data.shape}")
         self.grad += g
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'yes' if self.grad is not None else 'no'})"
+        return f"Tensor(shape={self.data.shape})"

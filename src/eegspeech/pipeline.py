@@ -1,20 +1,22 @@
 """Per-task orchestration of the three-level hierarchy.
 
-For each fold of the chosen protocol: preprocess trials, extract channel
-cross-covariance, fit channel rejection on the training fold, build
+Every trial is preprocessed and turned into a channel cross-covariance
+matrix once per container (`ccv_features`).  Then, for each fold of the
+chosen protocol: fit channel rejection on the training fold, build
 standardized network inputs, train the CNN and LSTM branches, fuse their
 penultimate features, train the autoencoder, encode, and fit the boosted-tree
-classifier; then score held-out trials.  A leakage audit object checks that
-no fitting step ever sees a held-out trial index.
+classifier; then score held-out trials through the fold's bundle, the same
+way `evaluate_bundles` replays it.  A leakage audit object checks that no
+fitting step ever sees a held-out trial index.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +25,7 @@ import numpy as np
 from . import covariance, gbt, metrics, networks
 from . import rng as rng_mod
 from .config import RunConfig
-from .errors import DataError, LeakageError, TrainingError
+from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn import load_tensors, save_tensors
 from .nn.checkpoint import write_bytes_atomic
 from .recording import PROMPTS, Recording, bandpass_filter, subtract_channel_means
@@ -131,6 +133,20 @@ def preprocess(rec: Recording, cfg: RunConfig) -> Recording:
     return subtract_channel_means(bandpass_filter(rec, cfg.preprocessing))
 
 
+def ccv_features(recordings, cfg: RunConfig) -> list[covariance.CovMatrix]:
+    """Preprocess every trial and compute its CCV matrix: the one feature
+    pass a verb makes over a container.  A band edge at or above a trial's
+    Nyquist rate is a ConfigError."""
+    covs = []
+    for rec in recordings:
+        try:
+            cfg.preprocessing.validate_for(rec.sample_rate_hz)
+        except ValueError as exc:
+            raise ConfigError(f"config key preprocessing/high_hz: {exc}") from exc
+        covs.append(covariance.ccv_matrix(preprocess(rec, cfg), lag=cfg.covariance.lag))
+    return covs
+
+
 def fit_channel_rejection(covs, train_indices, threshold: float,
                           audit: LeakageAudit | None = None) -> tuple[int, ...]:
     """Channels kept in at least half of the training trials' rejections.
@@ -171,12 +187,12 @@ class ModelBundle:
     lstm: networks.LstmModel
     dae: networks.DaeModel
     ensemble: gbt.Ensemble
+    test_trial_ids: tuple[str, ...]
 
-    def predict(self, network_input: np.ndarray) -> tuple[int, float]:
-        fused = networks.extract_fused(self.cnn, self.lstm, network_input)
-        latent = networks.encode(self.dae, fused)
-        prob = float(self.ensemble.predict_proba(latent[None, :])[0])
-        return (1 if prob >= 0.5 else 0), prob
+    def predict_proba(self, inputs: np.ndarray) -> np.ndarray:
+        """P(class 1) for a stack of network inputs: fuse, encode, then trees."""
+        fused = networks.extract_fused(self.cnn, self.lstm, inputs)
+        return self.ensemble.predict_proba(networks.encode(self.dae, fused))
 
 
 def save_bundle(bundle: ModelBundle, root: str | os.PathLike) -> None:
@@ -191,6 +207,7 @@ def save_bundle(bundle: ModelBundle, root: str | os.PathLike) -> None:
         "input_size": bundle.input_size,
         "sequence_axis": bundle.sequence_axis,
         "fused_dim": bundle.dae.input_dim,
+        "test_trials": list(bundle.test_trial_ids),
     }
     write_bytes_atomic(root / "meta.json",
                        (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
@@ -207,9 +224,10 @@ def load_bundle(root: str | os.PathLike) -> ModelBundle:
     root = Path(root)
     try:
         meta = json.loads((root / "meta.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        size = int(meta["input_size"])
+        test_trial_ids = tuple(str(t) for t in meta["test_trials"])
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"cannot read bundle metadata under {root}: {exc}") from exc
-    size = int(meta["input_size"])
     cnn = networks.build_cnn_model(size)
     cnn.net.load_state_dict(load_tensors(root / "cnn.tensors"))
     lstm = networks.build_lstm_model(size, sequence_axis=meta["sequence_axis"])
@@ -224,7 +242,8 @@ def load_bundle(root: str | os.PathLike) -> ModelBundle:
                        config_fingerprint=meta["config_fingerprint"],
                        kept_channels=tuple(int(c) for c in meta["kept_channels"]),
                        input_size=size, sequence_axis=meta["sequence_axis"],
-                       cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble)
+                       cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble,
+                       test_trial_ids=test_trial_ids)
 
 
 @dataclass
@@ -280,33 +299,61 @@ class _FoldOutcome:
     predictions: list[TrialPrediction]
 
 
-def _network_inputs(covs, kept: tuple[int, ...], input_size: int) -> list[np.ndarray]:
-    inputs = []
-    for cov in covs:
-        sub = covariance.submatrix(cov, kept)
-        inputs.append(covariance.to_network_input(sub, input_size))
-    return inputs
+def _skipped(fold: Fold, reason: str) -> _FoldOutcome:
+    report = FoldReport(name=fold.name, skipped=True, reason=reason, n_train=len(fold.train),
+                        n_dev=len(fold.dev), n_test=len(fold.test))
+    return _FoldOutcome(report=report, bundle=None, predictions=[])
+
+
+def _network_inputs(covs, kept: tuple[int, ...], input_size: int) -> np.ndarray:
+    return np.stack([covariance.to_network_input(covariance.submatrix(cov, kept), input_size)
+                     for cov in covs])
+
+
+def _bundle_proba(bundle: ModelBundle, covs, indices) -> np.ndarray:
+    inputs = _network_inputs([covs[i] for i in indices], bundle.kept_channels, bundle.input_size)
+    return bundle.predict_proba(inputs)
+
+
+def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, recordings,
+               trial_ids) -> _FoldOutcome:
+    """Score a fold's test trials through its bundle.
+
+    This is the one scoring path: train and evaluate both call it on the same
+    trials in the same order, so their predictions match by construction.
+    """
+    probs = _bundle_proba(bundle, covs, fold.test)
+    pred = (probs >= 0.5).astype(np.int64)
+    truth = labels[list(fold.test)]
+    confusion = metrics.confusion_matrix(truth, pred)
+    kappa = metrics.cohen_kappa(confusion)
+    report = FoldReport(name=fold.name, n_train=len(fold.train), n_dev=len(fold.dev),
+                        n_test=len(fold.test), kept_channels=bundle.kept_channels,
+                        accuracy=metrics.accuracy(confusion), kappa=kappa.value,
+                        kappa_degenerate=kappa.degenerate, confusion=confusion)
+    predictions = [
+        TrialPrediction(index=i, trial_id=trial_ids[i], subject_id=recordings[i].subject_id,
+                        prompt=recordings[i].prompt, fold=fold.name,
+                        truth=int(truth[j]), prediction=int(pred[j]),
+                        probability=float(probs[j]))
+        for j, i in enumerate(fold.test)
+    ]
+    return _FoldOutcome(report=report, bundle=bundle, predictions=predictions)
 
 
 def _run_fold(recordings, covs, labels, task: Task, fold: Fold, cfg: RunConfig,
               mode: str, fingerprint: str, trial_ids) -> _FoldOutcome:
-    report = FoldReport(name=fold.name, n_train=len(fold.train),
-                        n_dev=len(fold.dev), n_test=len(fold.test))
     train_labels = labels[list(fold.train)]
     class_counts = np.bincount(train_labels, minlength=2)
     if class_counts.min() < 2:
-        report.skipped = True
-        report.reason = ("single-class training labels" if class_counts.min() == 0
-                         else "fewer than 2 training examples per class")
-        return _FoldOutcome(report=report, bundle=None, predictions=[])
+        return _skipped(fold, "single-class training labels" if class_counts.min() == 0
+                        else "fewer than 2 training examples per class")
 
     audit = LeakageAudit(held_out=frozenset(fold.dev) | frozenset(fold.test))
     kept = fit_channel_rejection(covs, fold.train, cfg.covariance.threshold, audit)
-    report.kept_channels = kept
-    inputs = _network_inputs(covs, kept, cfg.covariance.input_size)
-
+    train_inputs = _network_inputs([covs[i] for i in fold.train], kept,
+                                   cfg.covariance.input_size)
     fold_seed = rng_mod.child_seed(cfg.seed, "task", task.task_id, "fold", fold.name)
-    train_inputs = [inputs[i] for i in fold.train]
 
     audit.check("cnn-train", fold.train)
     cnn = networks.train_cnn(
@@ -320,83 +367,58 @@ def _run_fold(recordings, covs, labels, task: Task, fold: Fold, cfg: RunConfig,
                                learning_rate=cfg.lstm.learning_rate, seed=fold_seed,
                                sequence_axis=cfg.lstm.sequence_axis))
 
-    fused = {i: networks.extract_fused(cnn, lstm, inputs[i])
-             for i in (*fold.train, *fold.dev, *fold.test)}
+    fused = networks.extract_fused(cnn, lstm, train_inputs)
     audit.check("dae-train", fold.train)
     dae = networks.train_dae(
-        [fused[i] for i in fold.train],
+        fused,
         networks.TrainSettings(epochs=cfg.dae.epochs, batch_size=cfg.dae.batch_size,
                                learning_rate=cfg.dae.learning_rate, seed=fold_seed))
-    latents = {i: networks.encode(dae, fused[i]) for i in fused}
 
     audit.check("gbt-fit", fold.train)
-    ensemble = gbt.fit(np.stack([latents[i] for i in fold.train]), train_labels,
-                       gbt.GbtConfig(n_estimators=cfg.gbt.n_estimators,
-                                     max_depth=cfg.gbt.max_depth,
-                                     learning_rate=cfg.gbt.learning_rate,
-                                     reg_lambda=cfg.gbt.reg_lambda, gamma=cfg.gbt.gamma,
-                                     subsample=cfg.gbt.subsample,
-                                     colsample=cfg.gbt.colsample,
-                                     min_child_weight=cfg.gbt.min_child_weight,
-                                     seed=fold_seed))
+    ensemble = gbt.fit(networks.encode(dae, fused), train_labels,
+                       dataclasses.replace(cfg.gbt, seed=fold_seed))
 
     bundle = ModelBundle(task_id=task.task_id, fold_name=fold.name, mode=mode,
                          config_fingerprint=fingerprint, kept_channels=kept,
                          input_size=cfg.covariance.input_size,
                          sequence_axis=cfg.lstm.sequence_axis,
-                         cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble)
-
+                         cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble,
+                         test_trial_ids=tuple(trial_ids[i] for i in fold.test))
+    outcome = score_fold(bundle, fold, covs, labels, recordings, trial_ids)
     if fold.dev:
-        dev_probs = ensemble.predict_proba(np.stack([latents[i] for i in fold.dev]))
-        dev_pred = (dev_probs >= 0.5).astype(np.int64)
-        report.dev_accuracy = float((dev_pred == labels[list(fold.dev)]).mean())
-
-    test_probs = ensemble.predict_proba(np.stack([latents[i] for i in fold.test]))
-    test_pred = (test_probs >= 0.5).astype(np.int64)
-    test_truth = labels[list(fold.test)]
-    report.confusion = metrics.confusion_matrix(test_truth, test_pred)
-    report.accuracy = metrics.accuracy(report.confusion)
-    kappa = metrics.cohen_kappa(report.confusion)
-    report.kappa = kappa.value
-    report.kappa_degenerate = kappa.degenerate
-
-    predictions = [
-        TrialPrediction(index=i, trial_id=trial_ids[i], subject_id=recordings[i].subject_id,
-                        prompt=recordings[i].prompt, fold=fold.name,
-                        truth=int(test_truth[j]), prediction=int(test_pred[j]),
-                        probability=float(test_probs[j]))
-        for j, i in enumerate(fold.test)
-    ]
-    return _FoldOutcome(report=report, bundle=bundle, predictions=predictions)
+        dev_pred = _bundle_proba(bundle, covs, fold.dev) >= 0.5
+        outcome.report.dev_accuracy = float((dev_pred == labels[list(fold.dev)]).mean())
+    return outcome
 
 
-def run_task(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
-             trial_ids=None, threads: int = 1):
-    """Train and score every fold of one task.
-
-    Returns (bundles by fold name, EvalReport).  Folds whose training labels
-    lack two examples of each class are skipped and flagged; if every fold is
-    skipped the task cannot be scored and a TrainingError is raised.
-    """
+def _prepare(recordings, task: Task, cfg: RunConfig, trial_ids, covs):
+    """Recordings as a list, trial ids, CCV matrices and task labels, with
+    ids and matrices filled in when not given."""
     recordings = list(recordings)
     if trial_ids is None:
         trial_ids = [f"t{i:04d}" for i in range(len(recordings))]
-    covs = [covariance.ccv_matrix(preprocess(rec, cfg), lag=cfg.covariance.lag)
-            for rec in recordings]
+    if covs is None:
+        covs = ccv_features(recordings, cfg)
     labels = np.array([derive_label(rec.prompt, task) for rec in recordings],
                       dtype=np.int64)
-    folds = make_splits(recordings, plan)
+    return recordings, trial_ids, covs, labels
 
-    def work(fold):
-        return _run_fold(recordings, covs, labels, task, fold, cfg, plan.mode,
-                         cfg.fingerprint(), trial_ids)
 
-    if threads > 1 and len(folds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, folds))
-    else:
-        outcomes = [work(fold) for fold in folds]
+def run_task(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
+             trial_ids=None, covs=None):
+    """Train and score every fold of one task.
 
+    ``covs`` are the trials' CCV matrices from `ccv_features`, computed here
+    when not given.  Returns (bundles by fold name, EvalReport).  Folds whose
+    training labels lack two examples of each class are skipped and flagged;
+    if every fold is skipped the task cannot be scored and a TrainingError is
+    raised.
+    """
+    recordings, trial_ids, covs, labels = _prepare(recordings, task, cfg, trial_ids, covs)
+    fingerprint = cfg.fingerprint()
+    outcomes = [_run_fold(recordings, covs, labels, task, fold, cfg, plan.mode,
+                          fingerprint, trial_ids)
+                for fold in make_splits(recordings, plan)]
     report = _assemble_report(outcomes, task, plan, cfg)
     bundles = {o.report.name: o.bundle for o in outcomes if o.bundle is not None}
     return bundles, report
@@ -421,54 +443,26 @@ def _assemble_report(outcomes, task: Task, plan: SplitPlan, cfg: RunConfig) -> E
 
 
 def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
-                     bundles: dict, trial_ids=None) -> EvalReport:
+                     bundles: dict, trial_ids=None, covs=None) -> EvalReport:
     """Re-score held-out trials with previously trained fold bundles.
 
-    The split is recomputed from the plan seed, so this hits the same test
-    trials the bundles were trained against.  Folds without a bundle are
-    flagged as skipped.
+    The split is recomputed from the plan seed.  A bundle whose stored test
+    trials differ from its recomputed fold's (another seed or container)
+    raises DataError, so no bundle ever scores a trial it was trained on.
+    Folds without a bundle are flagged as skipped.
     """
-    recordings = list(recordings)
-    if trial_ids is None:
-        trial_ids = [f"t{i:04d}" for i in range(len(recordings))]
-    covs = [covariance.ccv_matrix(preprocess(rec, cfg), lag=cfg.covariance.lag)
-            for rec in recordings]
-    labels = np.array([derive_label(rec.prompt, task) for rec in recordings],
-                      dtype=np.int64)
+    recordings, trial_ids, covs, labels = _prepare(recordings, task, cfg, trial_ids, covs)
     outcomes = []
     for fold in make_splits(recordings, plan):
-        report = FoldReport(name=fold.name, n_train=len(fold.train),
-                            n_dev=len(fold.dev), n_test=len(fold.test))
         bundle = bundles.get(fold.name)
         if bundle is None:
-            report.skipped = True
-            report.reason = "no bundle for fold"
-            outcomes.append(_FoldOutcome(report=report, bundle=None, predictions=[]))
+            outcomes.append(_skipped(fold, "no bundle for fold"))
             continue
-        report.kept_channels = bundle.kept_channels
-        preds = []
-        probs = []
-        for i in fold.test:
-            sub = covariance.submatrix(covs[i], bundle.kept_channels)
-            pred, prob = bundle.predict(covariance.to_network_input(sub, bundle.input_size))
-            preds.append(pred)
-            probs.append(prob)
-        truth = labels[list(fold.test)]
-        report.confusion = metrics.confusion_matrix(truth, preds)
-        report.accuracy = metrics.accuracy(report.confusion)
-        kappa = metrics.cohen_kappa(report.confusion)
-        report.kappa = kappa.value
-        report.kappa_degenerate = kappa.degenerate
-        predictions = [
-            TrialPrediction(index=i, trial_id=trial_ids[i],
-                            subject_id=recordings[i].subject_id,
-                            prompt=recordings[i].prompt, fold=fold.name,
-                            truth=int(truth[j]), prediction=int(preds[j]),
-                            probability=float(probs[j]))
-            for j, i in enumerate(fold.test)
-        ]
-        outcomes.append(_FoldOutcome(report=report, bundle=bundle,
-                                     predictions=predictions))
+        if tuple(trial_ids[i] for i in fold.test) != bundle.test_trial_ids:
+            raise DataError(
+                f"task {task.task_id!r} fold {fold.name!r}: the bundle was trained for "
+                f"other test trials than this split holds (different seed or container?)")
+        outcomes.append(score_fold(bundle, fold, covs, labels, recordings, trial_ids))
     return _assemble_report(outcomes, task, plan, cfg)
 
 

@@ -326,16 +326,16 @@ def test_shape_contract(capsys, monkeypatch):
     start = time.perf_counter()
     failures = []
     cnn = networks.build_cnn_model(8, seed=0)
-    if cnn.penultimate(np.zeros((8, 8))).shape != (128,):
+    if cnn.penultimate(np.zeros((1, 8, 8))).shape != (1, 128):
         failures.append("cnn penultimate is not 128-dim")
     lstm = networks.build_lstm_model(8, seed=0)
-    if lstm.penultimate(np.zeros((8, 8))).shape != (1024,):
+    if lstm.penultimate(np.zeros((1, 8, 8))).shape != (1, 1024):
         failures.append("lstm penultimate is not 1024-dim")
-    fused = networks.extract_fused(cnn, lstm, np.zeros((8, 8)))
-    if fused.shape != (1152,):
+    fused = networks.extract_fused(cnn, lstm, np.zeros((1, 8, 8)))
+    if fused.shape != (1, 1152):
         failures.append("fused vector is not 1152-dim")
     dae = networks.build_dae_model(1152, seed=0)
-    if dae.encode_one(np.zeros(1152)).shape != (32,):
+    if networks.encode(dae, np.zeros((1, 1152))).shape != (1, 32):
         failures.append("latent code is not 32-dim")
 
     bad_cnn = list(networks.CNN_SPECS)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegspeech import container, covariance
+from eegspeech import container, covariance, pipeline
 from eegspeech.cli import main
 
 FAST_SECTIONS = {
@@ -81,6 +81,10 @@ def test_synth_rejects_unknown_task(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "c"), "--task", "vowels"]) == 2
 
 
+def test_synth_rejects_one_channel(tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "c"), "--n-channels", "1"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # featurize
 # ---------------------------------------------------------------------------
@@ -120,6 +124,23 @@ def test_featurize_corrupt_container_exits_3(tmp_path):
     (cont / "manifest.json").write_text(json.dumps(manifest))
     cfg = _write_config(tmp_path / "run.json", tmp_path / "feat")
     assert main(["featurize", "--config", str(cfg), "--container", str(cont)]) == 3
+
+
+def test_featurize_non_finite_samples_exit_3(tmp_path):
+    samples = np.ones((4, 64), dtype=np.float32)
+    samples[2, 10] = np.nan
+    container.write_container(tmp_path / "data", "nan", 128.0,
+                              [f"ch{c}" for c in range(4)], [("t0", "s00", "/uw/", samples)])
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "feat")
+    assert main(["featurize", "--config", str(cfg), "--container",
+                 str(tmp_path / "data")]) == 3
+
+
+def test_high_hz_at_nyquist_exits_2(tmp_path):
+    cont = _make_container(tmp_path / "data", n_trials=12)  # sampled at 128 Hz
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", sections=ZERO_SECTIONS,
+                        preprocessing={"high_hz": 64.0})
+    assert main(["train", "--config", str(cfg), "--container", str(cont)]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +204,13 @@ def test_invalid_config_json_exits_2(tmp_path):
     assert main(["train", "--config", str(cfg), "--container", str(cont)]) == 2
 
 
+def test_threads_config_key_exits_2(tmp_path):
+    cont = _make_container(tmp_path / "data", n_trials=12)
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", sections=ZERO_SECTIONS,
+                        threads=2)
+    assert main(["train", "--config", str(cfg), "--container", str(cont)]) == 2
+
+
 def test_single_class_container_exits_4(tmp_path):
     rng = np.random.default_rng(0)
     trials = [(f"t{i}", "s00", "/uw/", rng.normal(size=(4, 64)).astype(np.float32))
@@ -196,7 +224,7 @@ def test_single_class_container_exits_4(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# crossval and threading
+# crossval
 # ---------------------------------------------------------------------------
 
 
@@ -211,18 +239,20 @@ def test_crossval_reports_one_fold_per_subject(tmp_path):
            ["subject-s00", "subject-s01", "subject-s02"]
 
 
-def test_thread_count_does_not_change_results(tmp_path):
+def test_crossval_filters_each_trial_once(tmp_path, monkeypatch):
     cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"out{threads}"
-        cfg = _write_config(tmp_path / f"run{threads}.json", out, sections=ZERO_SECTIONS)
-        assert main(["crossval", "--config", str(cfg), "--container", str(cont),
-                     "--threads", threads]) == 0
-        outs.append(out)
-    a = (outs[0] / "uw" / "report.json").read_bytes()
-    b = (outs[1] / "uw" / "report.json").read_bytes()
-    assert a == b
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", sections=ZERO_SECTIONS,
+                        tasks=["uw", "iy"])
+    calls = []
+    original = pipeline.bandpass_filter
+
+    def counting(rec, spec):
+        calls.append(rec)
+        return original(rec, spec)
+
+    monkeypatch.setattr(pipeline, "bandpass_filter", counting)
+    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    assert len(calls) == 24  # once per trial, not once per trial and task
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +279,19 @@ def test_evaluate_missing_models_exits_3(tmp_path, trained_run):
     assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
                  "--models", str(tmp_path / "nothing"),
                  "--out", str(tmp_path / "eval")]) == 3
+
+
+def test_evaluate_with_another_seed_exits_3(tmp_path):
+    # seed 2 splits off other test trials, some of which seed 1's bundle trained on
+    cont = _make_container(tmp_path / "data", n_trials=20)
+    models = tmp_path / "models"
+    cfg = _write_config(tmp_path / "run.json", models, sections=ZERO_SECTIONS)
+    assert main(["train", "--config", str(cfg), "--container", str(cont),
+                 "--seed", "1"]) == 0
+    eval_out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(eval_out), "--seed", "2"]) == 3
+    assert not (eval_out / "uw" / "predictions.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +333,7 @@ def test_plot_without_reports_is_usage_error():
 
 
 # ---------------------------------------------------------------------------
-# seed and thread resolution
+# seed resolution
 # ---------------------------------------------------------------------------
 
 

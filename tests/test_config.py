@@ -14,7 +14,6 @@ def test_minimal_config_gets_reference_defaults():
     cfg = config.config_from_dict(MINIMAL)
     assert cfg.seed == 7
     assert cfg.tasks == ("uw",)
-    assert cfg.threads == 1
     assert cfg.output_dir == "out"
     assert cfg.split_mode == "random_holdout"
     assert (cfg.preprocessing.low_hz, cfg.preprocessing.high_hz,
@@ -73,7 +72,7 @@ def test_misplaced_known_key_rejected():
     ({"tasks": []}, "tasks"),
     ({"tasks": ["uw", "uw"]}, "tasks"),
     ({"tasks": ["vowels"]}, "tasks"),
-    ({"threads": 0}, "threads"),
+    ({"dae": {"epochs": -1}}, "dae/epochs"),
     ({"output_dir": ""}, "output_dir"),
     ({"split": {"mode": "bootstrap"}}, "split/mode"),
     ({"preprocessing": {"low_hz": -1}}, "preprocessing/low_hz"),
@@ -165,12 +164,10 @@ def test_fingerprint_tracks_result_affecting_settings():
 
 def test_fingerprint_ignores_operational_knobs():
     base = config.config_from_dict(MINIMAL).fingerprint()
-    assert config.config_from_dict({**MINIMAL, "threads": 8}).fingerprint() == base
     assert config.config_from_dict({**MINIMAL, "output_dir": "elsewhere"}).fingerprint() == base
 
 
 def test_canonical_dict_excludes_operational_knobs():
     canonical = config.config_from_dict(MINIMAL).canonical_dict()
-    assert "threads" not in canonical
     assert "output_dir" not in canonical
     assert canonical["seed"] == 7

@@ -22,20 +22,20 @@ def test_fusion_arithmetic():
 
 def test_cnn_penultimate_width():
     model = networks.build_cnn_model(8, seed=3)
-    feat = model.penultimate(np.zeros((8, 8)))
-    assert feat.shape == (128,)
+    feat = model.penultimate(np.zeros((2, 8, 8)))
+    assert feat.shape == (2, 128)
 
 
 def test_lstm_penultimate_width():
     model = networks.build_lstm_model(8, seed=3)
-    feat = model.penultimate(np.zeros((8, 8)))
-    assert feat.shape == (1024,)
+    feat = model.penultimate(np.zeros((2, 8, 8)))
+    assert feat.shape == (2, 1024)
 
 
 def test_dae_latent_width():
     model = networks.build_dae_model(networks.FUSED_DIM, seed=3)
-    code = model.encode_one(np.zeros(networks.FUSED_DIM))
-    assert code.shape == (32,)
+    code = networks.encode(model, np.zeros((2, networks.FUSED_DIM)))
+    assert code.shape == (2, 32)
 
 
 def test_cnn_width_deviation_fails_at_build(monkeypatch):
@@ -74,8 +74,8 @@ def test_cnn_rejects_too_small_input():
 
 
 def _train_accuracy(model, x, y) -> float:
-    preds = [int(np.argmax(model.predict_proba(m))) for m in x]
-    return float(np.mean(np.array(preds) == y))
+    preds = np.argmax(model.predict_proba(x), axis=1)
+    return float(np.mean(preds == y))
 
 
 def test_cnn_learns_separable_classes(trained_pair):
@@ -91,10 +91,10 @@ def test_lstm_learns_separable_classes(trained_pair):
 def test_probabilities_are_normalised(trained_pair):
     cnn, lstm, x, _ = trained_pair
     for model in (cnn, lstm):
-        p = model.predict_proba(x[0])
-        assert p.shape == (2,)
+        p = model.predict_proba(x[:3])
+        assert p.shape == (3, 2)
         assert np.all(p >= 0)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_zero_epochs_equals_fresh_build():
@@ -148,8 +148,9 @@ def test_lstm_sequence_axis_transposes_input():
     cols = networks.build_lstm_model(6, sequence_axis="columns", seed=11)
     sym = np.random.default_rng(0).normal(size=(6, 6))
     sym = sym + sym.T
-    assert np.allclose(rows.predict_proba(sym), cols.predict_proba(sym), atol=1e-12)
-    asym = np.random.default_rng(1).normal(size=(6, 6))
+    assert np.allclose(rows.predict_proba(sym[None]), cols.predict_proba(sym[None]),
+                       atol=1e-12)
+    asym = np.random.default_rng(1).normal(size=(1, 6, 6))
     assert not np.allclose(rows.predict_proba(asym), cols.predict_proba(asym))
 
 
@@ -165,22 +166,42 @@ def test_sequence_axis_validation():
 
 def test_extract_fused_layout(trained_pair):
     cnn, lstm, x, _ = trained_pair
-    fused = networks.extract_fused(cnn, lstm, x[0])
-    assert fused.shape == (networks.FUSED_DIM,)
-    assert np.array_equal(fused[:128], cnn.penultimate(x[0]))
-    assert np.array_equal(fused[128:], lstm.penultimate(x[0]))
+    fused = networks.extract_fused(cnn, lstm, x[:4])
+    assert fused.shape == (4, networks.FUSED_DIM)
+    assert np.array_equal(fused[:, :128], cnn.penultimate(x[:4]))
+    assert np.array_equal(fused[:, 128:], lstm.penultimate(x[:4]))
 
 
 def test_extract_fused_deterministic(trained_pair):
     cnn, lstm, x, _ = trained_pair
-    assert np.array_equal(networks.extract_fused(cnn, lstm, x[3]),
-                          networks.extract_fused(cnn, lstm, x[3]))
+    assert np.array_equal(networks.extract_fused(cnn, lstm, x[3:4]),
+                          networks.extract_fused(cnn, lstm, x[3:4]))
+
+
+def test_extract_fused_rows_match_one_row_passes(monkeypatch, trained_pair):
+    # chunked batches give each row the features a batch of one gives it
+    cnn, lstm, x, _ = trained_pair
+    monkeypatch.setattr(networks, "EVAL_CHUNK", 5)
+    batched = networks.extract_fused(cnn, lstm, x[:12])
+    single = np.concatenate([networks.extract_fused(cnn, lstm, x[i:i + 1]) for i in range(12)])
+    assert np.allclose(batched, single, rtol=1e-12, atol=1e-12)
+
+
+def test_eval_forward_caches_nothing(trained_pair):
+    x = trained_pair[2]
+    fresh = networks.build_cnn_model(8, seed=0)
+    before = [dict(vars(layer)) for layer in fresh.net.layers]
+    fresh.predict_proba(x[:2])
+    fresh.penultimate(x[:2])
+    for layer, state in zip(fresh.net.layers, before):
+        for key, value in vars(layer).items():
+            assert value is state[key], key
 
 
 def test_fused_features_nonnegative(trained_pair):
     # both penultimate layers end in a relu
     cnn, lstm, x, _ = trained_pair
-    fused = networks.extract_fused(cnn, lstm, x[5])
+    fused = networks.extract_fused(cnn, lstm, x[5:6])
     assert np.all(fused >= 0)
 
 
@@ -229,10 +250,10 @@ def test_dae_standardization_uses_training_stats():
 
 def test_encode_dimension_and_range(trained_pair):
     cnn, lstm, x, _ = trained_pair
-    feats = np.stack([networks.extract_fused(cnn, lstm, m) for m in x[:8]])
+    feats = networks.extract_fused(cnn, lstm, x[:8])
     dae = networks.train_dae(feats, networks.TrainSettings(epochs=2, batch_size=4, seed=1))
-    code = networks.encode(dae, feats[0])
-    assert code.shape == (32,)
+    code = networks.encode(dae, feats)
+    assert code.shape == (8, 32)
     assert np.all((code >= 0) & (code <= 1))  # sigmoid bottleneck
 
 
@@ -240,9 +261,9 @@ def test_encode_deterministic_and_input_sensitive():
     gen = np.random.default_rng(13)
     feats = gen.normal(size=(16, 20))
     dae = networks.train_dae(feats, networks.TrainSettings(epochs=3, batch_size=8, seed=2))
-    a = networks.encode(dae, feats[0])
-    b = networks.encode(dae, feats[0])
-    c = networks.encode(dae, feats[1])
+    a = networks.encode(dae, feats[:1])
+    b = networks.encode(dae, feats[:1])
+    c = networks.encode(dae, feats[1:2])
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
