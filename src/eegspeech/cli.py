@@ -112,7 +112,6 @@ def cmd_featurize(args) -> int:
         records.append({"trial_id": trial_id, "file": filename, "k": cov.k})
     _write_json(out / "features.json", {
         "container": cont.name,
-        "lag": cfg.covariance.lag,
         "band": [cfg.preprocessing.low_hz, cfg.preprocessing.high_hz],
         "order": cfg.preprocessing.order,
         "trials": records,

@@ -4,8 +4,11 @@ Only `seed` and `tasks` are required; every other section defaults to the
 reference hyperparameters (networks: 2x conv 3x3 at 32/64 filters, dense
 64/128 and 512/1024, dropout 0.25/0.50, 50/50/200 epochs, batch 64, Adam at
 1e-3; trees: depth 10, 5000 rounds, learning rate 0.1, L2 0.3, subsample 0.8,
-column sample 0.4).  Unknown keys are rejected so typos fail loudly, and every
-validation error names the offending key path.
+column sample 0.4).  What cannot change a result is not a key: the
+covariance is always taken at lag 0, the LSTM reads matrix rows (the matrices
+are symmetric), and each fold seeds its trees from the run seed.  Unknown
+keys are rejected so typos fail loudly, and every validation error names the
+offending key path.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import jsonschema
 
 from .errors import ConfigError
 from .gbt import GbtConfig
+from .networks import NetworkHyper
 from .recording import PROMPTS, BandpassSpec
 
 TASK_IDS = ("bilabial", "nasal", "cv", "uw", "iy")
@@ -40,15 +44,6 @@ _NETWORK_SECTION = {
         "epochs": {"type": "integer", "minimum": 0},
         "batch_size": {"type": "integer", "minimum": 1},
         "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-_LSTM_SECTION = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        **_NETWORK_SECTION["properties"],
-        "sequence_axis": {"enum": ["rows", "columns"]},
     },
 }
 
@@ -84,13 +79,13 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "lag": {"type": "integer"},
                 "threshold": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "input_size": {"type": "integer", "minimum": 2},
+                # the CNN's two valid 3x3 convolutions need at least 5x5
+                "input_size": {"type": "integer", "minimum": 5},
             },
         },
         "cnn": _NETWORK_SECTION,
-        "lstm": _LSTM_SECTION,
+        "lstm": _NETWORK_SECTION,
         "dae": _NETWORK_SECTION,
         "gbt": {
             "type": "object",
@@ -104,7 +99,6 @@ CONFIG_SCHEMA = {
                 "subsample": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "colsample": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "min_child_weight": {"type": "number", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
             },
         },
         "task_table": {
@@ -126,17 +120,8 @@ CONFIG_SCHEMA = {
 
 @dataclass(frozen=True)
 class CovarianceSettings:
-    lag: int = 0
     threshold: float = 0.3
     input_size: int = 62
-
-
-@dataclass(frozen=True)
-class NetworkHyper:
-    epochs: int
-    batch_size: int = 64
-    learning_rate: float = 0.001
-    sequence_axis: str = "rows"
 
 
 @dataclass(frozen=True)
@@ -154,10 +139,11 @@ class RunConfig:
     task_table: dict = field(default_factory=lambda: {k: tuple(v) for k, v in DEFAULT_TASK_TABLE.items()})
 
     def canonical_dict(self) -> dict:
-        """Result-affecting settings only: the output directory is excluded
-        so it cannot change the fingerprint."""
+        """Result-affecting settings only: the output directory and the tree
+        seed, which every fold replaces with its own, are excluded."""
         out = asdict(self)
         del out["output_dir"]
+        del out["gbt"]["seed"]
         out["tasks"] = list(self.tasks)
         out["task_table"] = {k: list(v) for k, v in sorted(self.task_table.items())}
         return out
@@ -167,8 +153,15 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+# JSON Schema counts 2.0 as an integer; the code needs a Python int.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, instance: type(instance) is int))
+
+
 def validate_raw(raw: dict) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    validator = _Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
@@ -180,20 +173,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     validate_raw(raw)
-    pre = raw.get("preprocessing", {})
-    cov = raw.get("covariance", {})
-    gbt_raw = dict(raw.get("gbt", {}))
-    gbt_raw.setdefault("seed", raw["seed"])
-
-    def hyper(section: str, default_epochs: int) -> NetworkHyper:
-        sec = raw.get(section, {})
-        return NetworkHyper(
-            epochs=sec.get("epochs", default_epochs),
-            batch_size=sec.get("batch_size", 64),
-            learning_rate=sec.get("learning_rate", 0.001),
-            sequence_axis=sec.get("sequence_axis", "rows"),
-        )
-
     table_raw = raw.get("task_table", {})
     table = {task: tuple(table_raw.get(task, DEFAULT_TASK_TABLE[task])) for task in TASK_IDS}
     for task, positives in table.items():
@@ -206,24 +185,21 @@ def config_from_dict(raw: dict) -> RunConfig:
             tasks=tuple(raw["tasks"]),
             output_dir=raw.get("output_dir", "out"),
             split_mode=raw.get("split", {}).get("mode", "random_holdout"),
-            preprocessing=BandpassSpec(
-                low_hz=pre.get("low_hz", 1.0),
-                high_hz=pre.get("high_hz", 50.0),
-                order=pre.get("order", 4),
-            ),
-            covariance=CovarianceSettings(
-                lag=cov.get("lag", 0),
-                threshold=cov.get("threshold", 0.3),
-                input_size=cov.get("input_size", 62),
-            ),
-            cnn=hyper("cnn", 50),
-            lstm=hyper("lstm", 50),
-            dae=hyper("dae", 200),
-            gbt=GbtConfig(**gbt_raw),
+            # each section's keys are the fields of its settings type
+            preprocessing=BandpassSpec(**raw.get("preprocessing", {})),
+            covariance=CovarianceSettings(**raw.get("covariance", {})),
+            cnn=NetworkHyper(**{"epochs": 50, **raw.get("cnn", {})}),
+            lstm=NetworkHyper(**{"epochs": 50, **raw.get("lstm", {})}),
+            dae=NetworkHyper(**{"epochs": 200, **raw.get("dae", {})}),
+            gbt=GbtConfig(**raw.get("gbt", {})),
             task_table=table,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
@@ -231,7 +207,7 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"no config file at {path}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(), parse_constant=_reject_constant)
+    except ValueError as exc:  # malformed JSON or UTF-8, NaN or Infinity
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

@@ -107,7 +107,7 @@ def read_container(root: str | os.PathLike) -> TrialContainer:
         raise DataError(f"no manifest at {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8
         raise DataError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
         raise DataError("manifest missing or wrong 'format' marker")
@@ -115,9 +115,11 @@ def read_container(root: str | os.PathLike) -> TrialContainer:
         name = manifest["name"]
         rate = float(manifest["sample_rate_hz"])
         channel_names = tuple(str(c) for c in manifest["channel_names"])
-        raw_trials = manifest["trials"]
+        raw_trials = list(manifest["trials"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"manifest field error: {exc}") from exc
+    if not channel_names:
+        raise DataError("manifest lists no channels")
     data_path = root / DATA_NAME
     if not data_path.is_file():
         raise DataError(f"no data file at {data_path}")

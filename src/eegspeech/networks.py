@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
-from .nn import Adam, LayerSpec, Network, build_network
+from .nn import Adam, LayerSpec, Network, build_network, infer_shapes
 from .nn import ops
 from .nn.checkpoint import write_bytes_atomic
 
@@ -83,15 +83,13 @@ def dae_specs(input_dim: int) -> list[LayerSpec]:
     ]
 
 
-@dataclass
-class TrainSettings:
+@dataclass(frozen=True)
+class NetworkHyper:
     """Budget and optimiser settings for one network's training run."""
 
     epochs: int
     batch_size: int = 64
     learning_rate: float = 0.001
-    seed: int = 0
-    sequence_axis: str = "rows"  # lstm only: rows|columns as timesteps
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -100,8 +98,6 @@ class TrainSettings:
             raise ValueError("batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.sequence_axis not in ("rows", "columns"):
-            raise ValueError("sequence_axis must be 'rows' or 'columns'")
 
 
 @dataclass
@@ -147,12 +143,9 @@ class CnnModel(_Branch):
 
 @dataclass
 class LstmModel(_Branch):
-    sequence_axis: str = "rows"
-
     def arrange(self, matrices) -> np.ndarray:
-        """A stack of square matrices as sequences of rows (or columns)."""
-        x = np.asarray(matrices, dtype=np.float64)
-        return x if self.sequence_axis == "rows" else x.transpose(0, 2, 1)
+        """A stack of square matrices as sequences of rows."""
+        return np.asarray(matrices, dtype=np.float64)
 
 
 @dataclass
@@ -183,18 +176,18 @@ def _check_labels(labels) -> np.ndarray:
 
 
 def _train_classifier(net: Network, x: np.ndarray, y: np.ndarray,
-                      settings: TrainSettings, name: str) -> list[EpochStats]:
-    adam = Adam(net.parameters(), learning_rate=settings.learning_rate)
-    shuffle_rng = rng_mod.stream(settings.seed, name, "shuffle")
-    net.set_dropout_rng(rng_mod.stream(settings.seed, name, "dropout"))
+                      hyper: NetworkHyper, seed: int, name: str) -> list[EpochStats]:
+    adam = Adam(net.parameters(), learning_rate=hyper.learning_rate)
+    shuffle_rng = rng_mod.stream(seed, name, "shuffle")
+    net.set_dropout_rng(rng_mod.stream(seed, name, "dropout"))
     n = len(x)
     trace = []
-    for epoch in range(settings.epochs):
+    for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(n)
         losses = []
         hits = 0
-        for start in range(0, n, settings.batch_size):
-            idx = order[start:start + settings.batch_size]
+        for start in range(0, n, hyper.batch_size):
+            idx = order[start:start + hyper.batch_size]
             xb, yb = x[idx], y[idx]
             probs = net.forward(xb, train=True)
             losses.append(ops.bce_loss_batch(probs, yb) * len(idx))
@@ -215,60 +208,57 @@ def _stack_inputs(inputs) -> np.ndarray:
     return x
 
 
+def _verify_width(specs: list[LayerSpec], input_shape, index: int, expected: int,
+                  what: str) -> None:
+    """Raise unless spec ``index`` outputs ``expected`` features."""
+    width = infer_shapes(specs, input_shape)[index][-1]
+    if width != expected:
+        raise ValueError(f"{what} width is {width}, expected {expected}")
+
+
 def build_cnn_model(input_size: int, seed: int = 0) -> CnnModel:
     """An untrained CNN of the reference architecture for the given matrix size."""
     shape = (1, input_size, input_size)
+    _verify_width(CNN_SPECS, shape, 10, CNN_PENULTIMATE, "cnn penultimate")
     net = build_network(CNN_SPECS, shape, rng_mod.stream(seed, "cnn", "init"))
-    feature_index = net.spec_outputs[10]
-    _verify_width(net, feature_index, shape, CNN_PENULTIMATE, "cnn penultimate")
-    return CnnModel(net=net, input_size=input_size, feature_index=feature_index)
+    return CnnModel(net=net, input_size=input_size, feature_index=net.spec_outputs[10])
 
 
-def build_lstm_model(input_size: int, sequence_axis: str = "rows", seed: int = 0) -> LstmModel:
+def build_lstm_model(input_size: int, seed: int = 0) -> LstmModel:
     shape = (input_size, input_size)
+    _verify_width(LSTM_SPECS, shape, 7, LSTM_PENULTIMATE, "lstm penultimate")
     net = build_network(LSTM_SPECS, shape, rng_mod.stream(seed, "lstm", "init"))
-    feature_index = net.spec_outputs[7]
-    _verify_width(net, feature_index, shape, LSTM_PENULTIMATE, "lstm penultimate")
-    return LstmModel(net=net, input_size=input_size, feature_index=feature_index,
-                     sequence_axis=sequence_axis)
+    return LstmModel(net=net, input_size=input_size, feature_index=net.spec_outputs[7])
 
 
 def build_dae_model(input_dim: int, seed: int = 0) -> DaeModel:
-    net = build_network(dae_specs(input_dim), (input_dim,), rng_mod.stream(seed, "dae", "init"))
-    latent_index = net.spec_outputs[7]
-    _verify_width(net, latent_index, (input_dim,), DAE_LATENT, "dae latent")
-    return DaeModel(net=net, input_dim=input_dim, latent_index=latent_index,
+    specs = dae_specs(input_dim)
+    _verify_width(specs, (input_dim,), 7, DAE_LATENT, "dae latent")
+    net = build_network(specs, (input_dim,), rng_mod.stream(seed, "dae", "init"))
+    return DaeModel(net=net, input_dim=input_dim, latent_index=net.spec_outputs[7],
                     mean=np.zeros(input_dim), std=np.ones(input_dim))
 
 
-def train_cnn(inputs, labels, settings: TrainSettings) -> CnnModel:
+def train_cnn(inputs, labels, hyper: NetworkHyper, seed: int) -> CnnModel:
     """Train the convolutional branch on square input matrices."""
     x = _stack_inputs(inputs)
     y = _check_labels(labels)
     if len(x) != len(y):
         raise ValueError("inputs and labels disagree in length")
-    model = build_cnn_model(x.shape[1], seed=settings.seed)
-    model.trace = _train_classifier(model.net, model.arrange(x), y, settings, "cnn")
+    model = build_cnn_model(x.shape[1], seed=seed)
+    model.trace = _train_classifier(model.net, model.arrange(x), y, hyper, seed, "cnn")
     return model
 
 
-def train_lstm(inputs, labels, settings: TrainSettings) -> LstmModel:
-    """Train the recurrent branch, reading the matrix row-by-row (or
-    column-by-column) as a sequence."""
+def train_lstm(inputs, labels, hyper: NetworkHyper, seed: int) -> LstmModel:
+    """Train the recurrent branch, reading the matrix row by row as a sequence."""
     x = _stack_inputs(inputs)
     y = _check_labels(labels)
     if len(x) != len(y):
         raise ValueError("inputs and labels disagree in length")
-    model = build_lstm_model(x.shape[1], sequence_axis=settings.sequence_axis,
-                             seed=settings.seed)
-    model.trace = _train_classifier(model.net, model.arrange(x), y, settings, "lstm")
+    model = build_lstm_model(x.shape[1], seed=seed)
+    model.trace = _train_classifier(model.net, model.arrange(x), y, hyper, seed, "lstm")
     return model
-
-
-def _verify_width(net: Network, index: int, input_shape, expected: int, what: str) -> None:
-    out = net.forward(np.zeros((1, *input_shape)), train=False, stop=index)
-    if out.shape[-1] != expected:
-        raise ValueError(f"{what} width is {out.shape[-1]}, expected {expected}")
 
 
 def extract_fused(cnn: CnnModel, lstm: LstmModel, matrices) -> np.ndarray:
@@ -277,7 +267,7 @@ def extract_fused(cnn: CnnModel, lstm: LstmModel, matrices) -> np.ndarray:
     return np.concatenate([cnn.penultimate(matrices), lstm.penultimate(matrices)], axis=1)
 
 
-def train_dae(features, settings: TrainSettings) -> DaeModel:
+def train_dae(features, hyper: NetworkHyper, seed: int) -> DaeModel:
     """Fit the autoencoder on fused feature vectors (unsupervised, MSE).
 
     Inputs are standardised per dimension with training-set statistics
@@ -286,21 +276,21 @@ def train_dae(features, settings: TrainSettings) -> DaeModel:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or len(x) < 2:
         raise ValueError("need a 2-D feature array with at least 2 rows")
-    model = build_dae_model(x.shape[1], seed=settings.seed)
+    model = build_dae_model(x.shape[1], seed=seed)
     model.mean = x.mean(axis=0)
     std = x.std(axis=0)
     model.std = np.where(std == 0.0, 1.0, std)
     z = model.standardize(x)
     net = model.net
-    adam = Adam(net.parameters(), learning_rate=settings.learning_rate)
-    shuffle_rng = rng_mod.stream(settings.seed, "dae", "shuffle")
-    net.set_dropout_rng(rng_mod.stream(settings.seed, "dae", "dropout"))
+    adam = Adam(net.parameters(), learning_rate=hyper.learning_rate)
+    shuffle_rng = rng_mod.stream(seed, "dae", "shuffle")
+    net.set_dropout_rng(rng_mod.stream(seed, "dae", "dropout"))
     n = len(z)
-    for epoch in range(settings.epochs):
+    for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(n)
         losses = []
-        for start in range(0, n, settings.batch_size):
-            idx = order[start:start + settings.batch_size]
+        for start in range(0, n, hyper.batch_size):
+            idx = order[start:start + hyper.batch_size]
             zb = z[idx]
             recon = net.forward(zb, train=True)
             losses.append(ops.mse_loss(recon, zb) * len(idx))

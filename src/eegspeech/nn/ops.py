@@ -1,9 +1,10 @@
 """Forward/backward math for every layer kind, as pure array functions.
 
-All ops accept an optional leading batch dimension; the layer classes always
-call them batch-first.  Backward functions return gradients with respect to
-inputs and parameters given the upstream gradient, and are verified against
-central finite differences in the test suite.
+Every op takes batch-first arrays, the layout the layer classes use: dense
+(b, ..., n), conv2d (b, c, h, w) and lstm (b, T, n).  Backward functions
+return gradients with respect to inputs and parameters given the upstream
+gradient, and are verified against central finite differences in the test
+suite.
 """
 
 from __future__ import annotations
@@ -80,14 +81,10 @@ def dense_forward(x, weights, bias):
 
 def dense_backward(x, weights, grad):
     x = np.asarray(x)
-    if x.ndim == 1:
-        dw = np.outer(grad, x)
-        db = np.asarray(grad, dtype=np.float64).copy()
-    else:
-        flat_x = x.reshape(-1, x.shape[-1])
-        flat_g = grad.reshape(-1, grad.shape[-1])
-        dw = flat_g.T @ flat_x
-        db = flat_g.sum(axis=0)
+    flat_x = x.reshape(-1, x.shape[-1])
+    flat_g = grad.reshape(-1, grad.shape[-1])
+    dw = flat_g.T @ flat_x
+    db = flat_g.sum(axis=0)
     dx = grad @ weights
     return dx, dw, db
 
@@ -102,13 +99,10 @@ def _windows(x, kh, kw):
 def conv2d_forward(x, weights, bias):
     """Valid cross-correlation, stride 1.
 
-    ``x`` is (c_in, h, w) or (b, c_in, h, w); ``weights`` is
-    (c_out, c_in, kh, kw); output spatial dims shrink by kernel - 1.
+    ``x`` is (b, c_in, h, w); ``weights`` is (c_out, c_in, kh, kw); output
+    spatial dims shrink by kernel - 1.
     """
     x = np.asarray(x)
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
     if x.ndim != 4:
         raise ValueError(f"input must be (b, c, h, w), got shape {x.shape}")
     c_out, c_in, kh, kw = weights.shape
@@ -119,23 +113,18 @@ def conv2d_forward(x, weights, bias):
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
     win = _windows(x, kh, kw)
-    out = np.einsum("bchwij,ocij->bohw", win, weights) + bias[:, None, None]
-    return out[0] if squeeze else out
+    return np.einsum("bchwij,ocij->bohw", win, weights) + bias[:, None, None]
 
 
 def conv2d_backward(x, weights, grad):
     x = np.asarray(x)
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
-        grad = grad[None]
     c_out, c_in, kh, kw = weights.shape
     db = grad.sum(axis=(0, 2, 3))
     dw = np.einsum("bcuvij,bouv->ocij", _windows(x, kh, kw), grad)
     padded = np.pad(grad, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
     flipped = weights[:, :, ::-1, ::-1]
     dx = np.einsum("bohwij,ocij->bchw", _windows(padded, kh, kw), flipped)
-    return (dx[0] if squeeze else dx), dw, db
+    return dx, dw, db
 
 
 # --- LSTM --------------------------------------------------------------------
@@ -144,14 +133,11 @@ def conv2d_backward(x, weights, grad):
 def lstm_forward(xs, wx, wh, b, h0=None, c0=None):
     """Run an LSTM over a full sequence; returns all hidden states.
 
-    ``xs`` is (T, n) or (b, T, n); ``wx`` is (4m, n), ``wh`` is (4m, m),
-    ``b`` is (4m,).  Returns ``(hs, cache)`` where ``hs`` matches the input
-    batching with per-step hidden states of width m.
+    ``xs`` is (b, T, n); ``wx`` is (4m, n), ``wh`` is (4m, m), ``b`` is
+    (4m,).  Returns ``(hs, cache)`` where ``hs`` is (b, T, m): the hidden
+    state of every step.
     """
     xs = np.asarray(xs)
-    squeeze = xs.ndim == 2
-    if squeeze:
-        xs = xs[None]
     if xs.ndim != 3:
         raise ValueError(f"sequence must be (b, T, n), got shape {xs.shape}")
     n_batch, n_steps, n_in = xs.shape
@@ -181,8 +167,8 @@ def lstm_forward(xs, wx, wh, b, h0=None, c0=None):
         h = go * tc
         hs[:, t, :] = h
         steps.append((x_t, h_prev, c_prev, gi, gf, gc, go, c, tc))
-    cache = {"steps": steps, "squeeze": squeeze, "wx": wx, "wh": wh}
-    return (hs[0] if squeeze else hs), cache
+    cache = {"steps": steps, "wx": wx, "wh": wh}
+    return hs, cache
 
 
 def lstm_backward(cache, grad_hs):
@@ -190,8 +176,6 @@ def lstm_backward(cache, grad_hs):
     steps = cache["steps"]
     wx, wh = cache["wx"], cache["wh"]
     grad_hs = np.asarray(grad_hs)
-    if cache["squeeze"]:
-        grad_hs = grad_hs[None]
     n_batch, n_steps, m = grad_hs.shape
     dwx = np.zeros_like(wx)
     dwh = np.zeros_like(wh)
@@ -222,10 +206,6 @@ def lstm_backward(cache, grad_hs):
         dxs[:, t, :] = dz @ wx
         dh_rec = dz @ wh
         dc = dc * gf
-    if cache["squeeze"]:
-        dxs = dxs[0]
-        dh_rec = dh_rec[0]
-        dc = dc[0]
     return dxs, dwx, dwh, db, dh_rec, dc
 
 

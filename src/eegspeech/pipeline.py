@@ -143,7 +143,7 @@ def ccv_features(recordings, cfg: RunConfig) -> list[covariance.CovMatrix]:
             cfg.preprocessing.validate_for(rec.sample_rate_hz)
         except ValueError as exc:
             raise ConfigError(f"config key preprocessing/high_hz: {exc}") from exc
-        covs.append(covariance.ccv_matrix(preprocess(rec, cfg), lag=cfg.covariance.lag))
+        covs.append(covariance.ccv_matrix(preprocess(rec, cfg)))
     return covs
 
 
@@ -182,7 +182,6 @@ class ModelBundle:
     config_fingerprint: str
     kept_channels: tuple[int, ...]
     input_size: int
-    sequence_axis: str
     cnn: networks.CnnModel
     lstm: networks.LstmModel
     dae: networks.DaeModel
@@ -205,7 +204,6 @@ def save_bundle(bundle: ModelBundle, root: str | os.PathLike) -> None:
         "config_fingerprint": bundle.config_fingerprint,
         "kept_channels": list(bundle.kept_channels),
         "input_size": bundle.input_size,
-        "sequence_axis": bundle.sequence_axis,
         "fused_dim": bundle.dae.input_dim,
         "test_trials": list(bundle.test_trial_ids),
     }
@@ -230,7 +228,7 @@ def load_bundle(root: str | os.PathLike) -> ModelBundle:
         raise DataError(f"cannot read bundle metadata under {root}: {exc}") from exc
     cnn = networks.build_cnn_model(size)
     cnn.net.load_state_dict(load_tensors(root / "cnn.tensors"))
-    lstm = networks.build_lstm_model(size, sequence_axis=meta["sequence_axis"])
+    lstm = networks.build_lstm_model(size)
     lstm.net.load_state_dict(load_tensors(root / "lstm.tensors"))
     dae_state = dict(load_tensors(root / "dae.tensors"))
     dae = networks.build_dae_model(int(meta["fused_dim"]))
@@ -241,8 +239,7 @@ def load_bundle(root: str | os.PathLike) -> ModelBundle:
     return ModelBundle(task_id=meta["task"], fold_name=meta["fold"], mode=meta["mode"],
                        config_fingerprint=meta["config_fingerprint"],
                        kept_channels=tuple(int(c) for c in meta["kept_channels"]),
-                       input_size=size, sequence_axis=meta["sequence_axis"],
-                       cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble,
+                       input_size=size, cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble,
                        test_trial_ids=test_trial_ids)
 
 
@@ -356,23 +353,13 @@ def _run_fold(recordings, covs, labels, task: Task, fold: Fold, cfg: RunConfig,
     fold_seed = rng_mod.child_seed(cfg.seed, "task", task.task_id, "fold", fold.name)
 
     audit.check("cnn-train", fold.train)
-    cnn = networks.train_cnn(
-        train_inputs, train_labels,
-        networks.TrainSettings(epochs=cfg.cnn.epochs, batch_size=cfg.cnn.batch_size,
-                               learning_rate=cfg.cnn.learning_rate, seed=fold_seed))
+    cnn = networks.train_cnn(train_inputs, train_labels, cfg.cnn, fold_seed)
     audit.check("lstm-train", fold.train)
-    lstm = networks.train_lstm(
-        train_inputs, train_labels,
-        networks.TrainSettings(epochs=cfg.lstm.epochs, batch_size=cfg.lstm.batch_size,
-                               learning_rate=cfg.lstm.learning_rate, seed=fold_seed,
-                               sequence_axis=cfg.lstm.sequence_axis))
+    lstm = networks.train_lstm(train_inputs, train_labels, cfg.lstm, fold_seed)
 
     fused = networks.extract_fused(cnn, lstm, train_inputs)
     audit.check("dae-train", fold.train)
-    dae = networks.train_dae(
-        fused,
-        networks.TrainSettings(epochs=cfg.dae.epochs, batch_size=cfg.dae.batch_size,
-                               learning_rate=cfg.dae.learning_rate, seed=fold_seed))
+    dae = networks.train_dae(fused, cfg.dae, fold_seed)
 
     audit.check("gbt-fit", fold.train)
     ensemble = gbt.fit(networks.encode(dae, fused), train_labels,
@@ -381,7 +368,6 @@ def _run_fold(recordings, covs, labels, task: Task, fold: Fold, cfg: RunConfig,
     bundle = ModelBundle(task_id=task.task_id, fold_name=fold.name, mode=mode,
                          config_fingerprint=fingerprint, kept_channels=kept,
                          input_size=cfg.covariance.input_size,
-                         sequence_axis=cfg.lstm.sequence_axis,
                          cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble,
                          test_trial_ids=tuple(trial_ids[i] for i in fold.test))
     outcome = score_fold(bundle, fold, covs, labels, recordings, trial_ids)

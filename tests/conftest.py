@@ -37,7 +37,7 @@ def trained_pair():
 
     gen = np.random.default_rng(777)
     x, y = separable_matrices(gen, 48, 8, 3.0)
-    settings = networks.TrainSettings(epochs=4, batch_size=16, seed=101)
-    cnn = networks.train_cnn(x, y, settings)
-    lstm = networks.train_lstm(x, y, settings)
+    hyper = networks.NetworkHyper(epochs=4, batch_size=16)
+    cnn = networks.train_cnn(x, y, hyper, 101)
+    lstm = networks.train_lstm(x, y, hyper, 101)
     return cnn, lstm, x, y

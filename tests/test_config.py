@@ -18,13 +18,11 @@ def test_minimal_config_gets_reference_defaults():
     assert cfg.split_mode == "random_holdout"
     assert (cfg.preprocessing.low_hz, cfg.preprocessing.high_hz,
             cfg.preprocessing.order) == (1.0, 50.0, 4)
-    assert (cfg.covariance.lag, cfg.covariance.threshold,
-            cfg.covariance.input_size) == (0, 0.3, 62)
+    assert (cfg.covariance.threshold, cfg.covariance.input_size) == (0.3, 62)
     for section, epochs in ((cfg.cnn, 50), (cfg.lstm, 50), (cfg.dae, 200)):
         assert section.epochs == epochs
         assert section.batch_size == 64
         assert section.learning_rate == 0.001
-    assert cfg.lstm.sequence_axis == "rows"
     assert cfg.gbt.n_estimators == 5000
     assert cfg.gbt.max_depth == 10
     assert cfg.gbt.learning_rate == 0.1
@@ -33,14 +31,16 @@ def test_minimal_config_gets_reference_defaults():
     assert cfg.gbt.subsample == 0.8
     assert cfg.gbt.colsample == 0.4
     assert cfg.gbt.min_child_weight == 1.0
-    assert cfg.gbt.seed == 7  # inherits the run seed unless overridden
     assert cfg.task_table["uw"] == ("/uw/",)
     assert set(cfg.task_table) == set(config.TASK_IDS)
 
 
 def test_gbt_seed_override():
-    cfg = config.config_from_dict({**MINIMAL, "gbt": {"seed": 99}})
-    assert cfg.gbt.seed == 99
+    # every fold seeds its trees from the run seed, so no tree seed is
+    # settable and none is part of the resolved config
+    with pytest.raises(ConfigError, match="gbt"):
+        config.config_from_dict({**MINIMAL, "gbt": {"seed": 99}})
+    assert "seed" not in config.config_from_dict(MINIMAL).canonical_dict()["gbt"]
 
 
 def test_missing_required_key_names_path():
@@ -61,9 +61,9 @@ def test_unknown_nested_key_names_section():
 
 
 def test_misplaced_known_key_rejected():
-    # sequence_axis belongs to the lstm section only
+    # threshold belongs to the covariance section only
     with pytest.raises(ConfigError, match="cnn"):
-        config.config_from_dict({**MINIMAL, "cnn": {"sequence_axis": "rows"}})
+        config.config_from_dict({**MINIMAL, "cnn": {"threshold": 0.3}})
 
 
 @pytest.mark.parametrize("patch,needle", [
@@ -84,7 +84,7 @@ def test_misplaced_known_key_rejected():
     ({"cnn": {"epochs": -1}}, "cnn/epochs"),
     ({"cnn": {"batch_size": 0}}, "cnn/batch_size"),
     ({"cnn": {"learning_rate": 0}}, "cnn/learning_rate"),
-    ({"lstm": {"sequence_axis": "depth"}}, "lstm/sequence_axis"),
+    ({"lstm": {"sequence_axis": "rows"}}, "lstm"),
     ({"gbt": {"n_estimators": -1}}, "gbt/n_estimators"),
     ({"gbt": {"max_depth": 0}}, "gbt/max_depth"),
     ({"gbt": {"learning_rate": 0}}, "gbt/learning_rate"),
@@ -97,6 +97,8 @@ def test_misplaced_known_key_rejected():
     ({"task_table": {"uw": []}}, "task_table/uw"),
     ({"task_table": {"uw": ["/zz/"]}}, "task_table/uw"),
     ({"task_table": {"vowels": ["/uw/"]}}, "task_table"),
+    ({"covariance": {"lag": 1}}, "covariance"),
+    ({"gbt": {"seed": 12345}}, "gbt"),
 ])
 def test_domain_violations_name_the_key(patch, needle):
     raw = {**MINIMAL, **patch}

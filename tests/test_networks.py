@@ -5,7 +5,7 @@ import pytest
 
 from conftest import separable_matrices
 from eegspeech import networks
-from eegspeech.nn import LayerSpec
+from eegspeech.nn import LayerSpec, infer_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,21 @@ def test_dae_width_deviation_fails_at_build(monkeypatch):
         networks.build_dae_model(16)
 
 
+@pytest.mark.parametrize("size", [6, 8])
+@pytest.mark.parametrize("name", ["cnn", "lstm", "dae"])
+def test_inferred_shapes_match_forward_outputs(name, size):
+    # the width contract reads the inferred shapes, so they must be the real ones
+    specs, shape, model = {
+        "cnn": (networks.CNN_SPECS, (1, size, size), networks.build_cnn_model(size)),
+        "lstm": (networks.LSTM_SPECS, (size, size), networks.build_lstm_model(size)),
+        "dae": (networks.dae_specs(size), (size,), networks.build_dae_model(size)),
+    }[name]
+    x = np.random.default_rng(size).normal(size=(2, *shape))
+    for i, inferred in enumerate(infer_shapes(specs, shape)):
+        out = model.net.forward(x, train=False, stop=model.net.spec_outputs[i])
+        assert out.shape == (2, *inferred), i
+
+
 def test_cnn_rejects_too_small_input():
     # two valid 3x3 convolutions need at least a 5x5 matrix
     with pytest.raises(ValueError):
@@ -100,8 +115,7 @@ def test_probabilities_are_normalised(trained_pair):
 def test_zero_epochs_equals_fresh_build():
     gen = np.random.default_rng(5)
     x, y = separable_matrices(gen, 8, 6, 2.0)
-    settings = networks.TrainSettings(epochs=0, batch_size=4, seed=42)
-    trained = networks.train_cnn(x, y, settings)
+    trained = networks.train_cnn(x, y, networks.NetworkHyper(epochs=0, batch_size=4), 42)
     fresh = networks.build_cnn_model(6, seed=42)
     a, b = trained.net.state_dict(), fresh.net.state_dict()
     assert set(a) == set(b)
@@ -113,13 +127,20 @@ def test_zero_epochs_equals_fresh_build():
 def test_training_is_deterministic():
     gen = np.random.default_rng(6)
     x, y = separable_matrices(gen, 12, 6, 2.0)
-    settings = networks.TrainSettings(epochs=2, batch_size=4, seed=9)
-    first = networks.train_cnn(x, y, settings)
-    second = networks.train_cnn(x, y, settings)
+    hyper = networks.NetworkHyper(epochs=2, batch_size=4)
+    first = networks.train_cnn(x, y, hyper, 9)
+    second = networks.train_cnn(x, y, hyper, 9)
     for key, value in first.net.state_dict().items():
         assert np.array_equal(value, second.net.state_dict()[key]), key
     assert [(s.epoch, s.loss, s.accuracy) for s in first.trace] == \
            [(s.epoch, s.loss, s.accuracy) for s in second.trace]
+
+
+@pytest.mark.parametrize("field,value", [("epochs", -1), ("batch_size", 0),
+                                         ("learning_rate", 0.0)])
+def test_network_hyper_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        networks.NetworkHyper(**{"epochs": 1, field: value})
 
 
 def test_different_seeds_give_different_weights():
@@ -132,31 +153,15 @@ def test_different_seeds_give_different_weights():
 def test_label_validation():
     gen = np.random.default_rng(7)
     x, _ = separable_matrices(gen, 8, 6, 1.0)
-    settings = networks.TrainSettings(epochs=0, batch_size=4)
+    hyper = networks.NetworkHyper(epochs=0, batch_size=4)
     with pytest.raises(ValueError, match="single-class"):
-        networks.train_cnn(x, np.zeros(8, dtype=int), settings)
+        networks.train_cnn(x, np.zeros(8, dtype=int), hyper, 0)
     with pytest.raises(ValueError, match="2 examples"):
-        networks.train_cnn(x, np.array([1, 0, 0, 0, 0, 0, 0, 0]), settings)
+        networks.train_cnn(x, np.array([1, 0, 0, 0, 0, 0, 0, 0]), hyper, 0)
     with pytest.raises(ValueError, match="binary"):
-        networks.train_cnn(x, np.array([0, 1, 2, 0, 1, 0, 1, 0]), settings)
+        networks.train_cnn(x, np.array([0, 1, 2, 0, 1, 0, 1, 0]), hyper, 0)
     with pytest.raises(ValueError, match="length"):
-        networks.train_cnn(x, np.array([0, 1, 0, 1]), settings)
-
-
-def test_lstm_sequence_axis_transposes_input():
-    rows = networks.build_lstm_model(6, sequence_axis="rows", seed=11)
-    cols = networks.build_lstm_model(6, sequence_axis="columns", seed=11)
-    sym = np.random.default_rng(0).normal(size=(6, 6))
-    sym = sym + sym.T
-    assert np.allclose(rows.predict_proba(sym[None]), cols.predict_proba(sym[None]),
-                       atol=1e-12)
-    asym = np.random.default_rng(1).normal(size=(1, 6, 6))
-    assert not np.allclose(rows.predict_proba(asym), cols.predict_proba(asym))
-
-
-def test_sequence_axis_validation():
-    with pytest.raises(ValueError):
-        networks.TrainSettings(epochs=1, sequence_axis="diagonal")
+        networks.train_cnn(x, np.array([0, 1, 0, 1]), hyper, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +225,8 @@ def test_dae_compresses_low_rank_features():
     """Reconstruction error on rank-3 data must beat the predict-zero baseline."""
     gen = np.random.default_rng(31)
     feats = _subspace_features(gen, 64, 24, 3)
-    settings = networks.TrainSettings(epochs=150, batch_size=16,
-                                      learning_rate=0.003, seed=77)
-    dae = networks.train_dae(feats, settings)
+    hyper = networks.NetworkHyper(epochs=150, batch_size=16, learning_rate=0.003)
+    dae = networks.train_dae(feats, hyper, 77)
     z = dae.standardize(feats)
     baseline = float(np.mean(z**2))
     mse = networks.reconstruction_mse(dae, feats)
@@ -232,8 +236,7 @@ def test_dae_compresses_low_rank_features():
 
 def test_dae_constant_features_reconstruct_exactly():
     feats = np.tile(np.arange(12.0), (10, 1))
-    settings = networks.TrainSettings(epochs=20, batch_size=5, seed=4)
-    dae = networks.train_dae(feats, settings)
+    dae = networks.train_dae(feats, networks.NetworkHyper(epochs=20, batch_size=5), 4)
     # constant columns standardise to zero, which tanh output can match
     assert np.array_equal(dae.standardize(feats), np.zeros_like(feats))
     assert networks.reconstruction_mse(dae, feats) < 0.01
@@ -242,7 +245,7 @@ def test_dae_constant_features_reconstruct_exactly():
 def test_dae_standardization_uses_training_stats():
     gen = np.random.default_rng(8)
     feats = gen.normal(loc=5.0, scale=2.0, size=(20, 6))
-    dae = networks.train_dae(feats, networks.TrainSettings(epochs=0, batch_size=8))
+    dae = networks.train_dae(feats, networks.NetworkHyper(epochs=0, batch_size=8), 0)
     z = dae.standardize(feats)
     assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(z.std(axis=0), 1.0, atol=1e-12)
@@ -251,7 +254,7 @@ def test_dae_standardization_uses_training_stats():
 def test_encode_dimension_and_range(trained_pair):
     cnn, lstm, x, _ = trained_pair
     feats = networks.extract_fused(cnn, lstm, x[:8])
-    dae = networks.train_dae(feats, networks.TrainSettings(epochs=2, batch_size=4, seed=1))
+    dae = networks.train_dae(feats, networks.NetworkHyper(epochs=2, batch_size=4), 1)
     code = networks.encode(dae, feats)
     assert code.shape == (8, 32)
     assert np.all((code >= 0) & (code <= 1))  # sigmoid bottleneck
@@ -260,7 +263,7 @@ def test_encode_dimension_and_range(trained_pair):
 def test_encode_deterministic_and_input_sensitive():
     gen = np.random.default_rng(13)
     feats = gen.normal(size=(16, 20))
-    dae = networks.train_dae(feats, networks.TrainSettings(epochs=3, batch_size=8, seed=2))
+    dae = networks.train_dae(feats, networks.NetworkHyper(epochs=3, batch_size=8), 2)
     a = networks.encode(dae, feats[:1])
     b = networks.encode(dae, feats[:1])
     c = networks.encode(dae, feats[1:2])
@@ -271,7 +274,7 @@ def test_encode_deterministic_and_input_sensitive():
 def test_zero_epoch_dae_matches_fresh_build():
     gen = np.random.default_rng(14)
     feats = gen.normal(size=(6, 10))
-    trained = networks.train_dae(feats, networks.TrainSettings(epochs=0, batch_size=4, seed=21))
+    trained = networks.train_dae(feats, networks.NetworkHyper(epochs=0, batch_size=4), 21)
     fresh = networks.build_dae_model(10, seed=21)
     for key, value in trained.net.state_dict().items():
         assert np.array_equal(value, fresh.net.state_dict()[key]), key
@@ -279,9 +282,9 @@ def test_zero_epoch_dae_matches_fresh_build():
 
 def test_dae_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
-        networks.train_dae(np.ones((1, 5)), networks.TrainSettings(epochs=1))
+        networks.train_dae(np.ones((1, 5)), networks.NetworkHyper(epochs=1), 0)
     with pytest.raises(ValueError):
-        networks.train_dae(np.ones(5), networks.TrainSettings(epochs=1))
+        networks.train_dae(np.ones(5), networks.NetworkHyper(epochs=1), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -140,17 +140,17 @@ def test_conv_delta_kernel_picks_center():
     x = np.arange(25.0).reshape(1, 5, 5)
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    out = ops.conv2d_forward(x, w, np.zeros(1))
-    assert out.shape == (1, 3, 3)
-    assert np.array_equal(out[0], x[0, 1:4, 1:4])
+    out = ops.conv2d_forward(x[None], w, np.zeros(1))
+    assert out.shape == (1, 1, 3, 3)
+    assert np.array_equal(out[0, 0], x[0, 1:4, 1:4])
 
 
 def test_conv_constant_input_sums_kernel():
     c, bias = 2.5, -1.0
     x = np.full((1, 6, 6), c)
     w = np.ones((1, 1, 3, 3))
-    out = ops.conv2d_forward(x, w, np.array([bias]))
-    assert out.shape == (1, 4, 4)
+    out = ops.conv2d_forward(x[None], w, np.array([bias]))
+    assert out.shape == (1, 1, 4, 4)
     assert np.allclose(out, 9 * c + bias, atol=1e-12)
 
 
@@ -255,21 +255,6 @@ def test_lstm_single_step_matches_manual_cell():
 
     hs, _ = ops.lstm_forward(x, wx, wh, b, h0, c0)
     assert np.allclose(hs[0, 0], h1, atol=1e-12)
-
-
-def test_lstm_accepts_unbatched_sequence():
-    rng = np.random.default_rng(9)
-    units, inputs, steps = 2, 3, 4
-    wx = rng.normal(size=(4 * units, inputs))
-    wh = rng.normal(size=(4 * units, units))
-    b = rng.normal(size=4 * units)
-    xs = rng.normal(size=(steps, inputs))
-    h0 = np.zeros(units)
-    c0 = np.zeros(units)
-    hs2, _ = ops.lstm_forward(xs, wx, wh, b, h0, c0)
-    hs3, _ = ops.lstm_forward(xs[None], wx, wh, b, h0[None], c0[None])
-    assert hs2.shape == (steps, units)
-    assert np.allclose(hs2, hs3[0], atol=0)
 
 
 def test_lstm_weight_shape_mismatch_raises():
