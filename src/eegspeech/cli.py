@@ -18,10 +18,11 @@ import sys
 from pathlib import Path
 
 from . import container as container_mod
-from . import covariance, metrics, networks, pipeline, plotting, synth
+from . import metrics, networks, pipeline, plotting, synth
 from .config import DEFAULT_TASK_TABLE, TASK_IDS, RunConfig, load_config
 from .errors import ConfigError, DataError, LeakageError, TrainingError
-from .nn.checkpoint import write_bytes_atomic
+from .nn import save_tensors
+from .nn.checkpoint import write_json_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,10 +74,6 @@ def _load_recordings(path: str):
     return cont, recordings, ids
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    write_bytes_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
-
-
 def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else _env_int(SEED_ENV)
     if seed is None:
@@ -105,18 +102,15 @@ def cmd_featurize(args) -> int:
     covs = pipeline.ccv_features(recordings, cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = []
-    for trial_id, cov in zip(ids, covs):
-        filename = f"{trial_id}.cov"
-        write_bytes_atomic(out / filename, covariance.covmatrix_to_bytes(cov))
-        records.append({"trial_id": trial_id, "file": filename, "k": cov.k})
-    _write_json(out / "features.json", {
+    # one archive keyed by trial id, so no file name comes from a trial id
+    save_tensors(out / "features.tensors", dict(zip(ids, (cov.values for cov in covs))))
+    write_json_atomic(out / "features.json", {
         "container": cont.name,
         "band": [cfg.preprocessing.low_hz, cfg.preprocessing.high_hz],
         "order": cfg.preprocessing.order,
-        "trials": records,
+        "trials": ids,
     })
-    _progress(f"featurize: wrote {len(records)} covariance matrices to {out}")
+    _progress(f"featurize: wrote {len(ids)} covariance matrices to {out}")
     return EXIT_OK
 
 
@@ -126,7 +120,7 @@ def _run_protocol(args, mode: str) -> int:
     covs = pipeline.ccv_features(recordings, cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.resolved.json", cfg.canonical_dict())
+    write_json_atomic(out / "config.resolved.json", cfg.canonical_dict())
     plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
     entries = []
     accuracies = []
@@ -156,7 +150,7 @@ def _run_protocol(args, mode: str) -> int:
                   f"kappa {report.kappa:.4f}")
     acc = metrics.summarize(accuracies)
     kap = metrics.summarize(kappas)
-    _write_json(out / "summary.json", {
+    write_json_atomic(out / "summary.json", {
         "mode": mode,
         "seed": cfg.seed,
         "config_fingerprint": cfg.fingerprint(),

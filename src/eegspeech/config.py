@@ -149,7 +149,10 @@ class RunConfig:
         return out
 
     def fingerprint(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
+        # without tasks, which pick which results a run makes and change none
+        settings = self.canonical_dict()
+        del settings["tasks"]
+        blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

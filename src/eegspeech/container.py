@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .nn.checkpoint import write_bytes_atomic
+from .nn.checkpoint import write_bytes_atomic, write_json_atomic
 from .recording import PROMPTS, Recording
 
 MANIFEST_NAME = "manifest.json"
@@ -94,8 +94,7 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
         ],
     }
     write_bytes_atomic(root / DATA_NAME, b"".join(chunks))
-    write_bytes_atomic(root / MANIFEST_NAME,
-                       (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    write_json_atomic(root / MANIFEST_NAME, manifest)
     return TrialContainer(name=str(name), sample_rate_hz=float(sample_rate_hz),
                           channel_names=channel_names, trials=tuple(records), root=root)
 

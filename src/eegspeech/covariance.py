@@ -11,7 +11,6 @@ fixed network input.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,24 +174,3 @@ def to_network_input(cov: CovMatrix, size: int) -> np.ndarray:
         return np.zeros((size, size))
     return (m - m.mean()) / std
 
-
-# --- serialization -----------------------------------------------------------
-# Flat little-endian layout: u32 k, i32 lag, u32 kept_channels[k], then the
-# k*k float64 values row-major.
-
-def covmatrix_to_bytes(cov: CovMatrix) -> bytes:
-    head = struct.pack("<Ii", cov.k, cov.lag)
-    kept = struct.pack(f"<{cov.k}I", *cov.kept_channels)
-    return head + kept + cov.values.astype("<f8").tobytes()
-
-
-def covmatrix_from_bytes(blob: bytes) -> CovMatrix:
-    if len(blob) < 8:
-        raise ValueError("covariance record truncated")
-    k, lag = struct.unpack_from("<Ii", blob, 0)
-    need = 8 + 4 * k + 8 * k * k
-    if len(blob) != need:
-        raise ValueError(f"covariance record has {len(blob)} bytes, expected {need}")
-    kept = struct.unpack_from(f"<{k}I", blob, 8)
-    values = np.frombuffer(blob, dtype="<f8", count=k * k, offset=8 + 4 * k)
-    return CovMatrix(values=values.reshape(k, k), kept_channels=kept, lag=lag)

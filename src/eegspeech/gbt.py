@@ -14,16 +14,12 @@ per-tree column subsampling are seeded and reproducible.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rng_mod
 from .nn.ops import sigmoid
-
-_MAGIC = b"GBT1"
 
 
 @dataclass(frozen=True)
@@ -85,11 +81,40 @@ class Tree:
         return np.array([self.predict_one(row) for row in x])
 
     def n_nodes(self) -> int:
-        def count(node):
-            if node.is_leaf:
-                return 1
-            return 1 + count(node.left) + count(node.right)
-        return count(self.root)
+        return len(self.to_rows())
+
+    def to_rows(self) -> np.ndarray:
+        """The nodes in pre-order as (feature, threshold, weight) rows."""
+        rows, stack = [], [self.root]
+        while stack:
+            node = stack.pop()
+            rows.append((node.feature, node.threshold, node.weight))
+            if not node.is_leaf:
+                stack += [node.right, node.left]
+        return np.array(rows, dtype=np.float64)
+
+    @classmethod
+    def from_rows(cls, rows, n_features: int) -> "Tree":
+        """Inverse of `to_rows`; rows that do not form one tree over features
+        below ``n_features`` raise ValueError."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 3 or len(rows) == 0:
+            raise ValueError(f"tree rows must be a non-empty (n, 3) array, got {rows.shape}")
+        col = rows[:, 0]
+        if not np.all((col == -1) | ((col >= 0) & (col < n_features) & (col == np.floor(col)))):
+            raise ValueError(f"tree rows hold a feature index outside -1..{n_features - 1}")
+        # Read backwards, pre-order is a node after its right and left subtrees.
+        stack = []
+        for f, t, w in reversed(rows.tolist()):
+            node = TreeNode(feature=int(f), threshold=t, weight=w)
+            if not node.is_leaf:
+                if len(stack) < 2:
+                    raise ValueError("a split in the tree rows lacks a child")
+                node.left, node.right = stack.pop(), stack.pop()
+            stack.append(node)
+        if len(stack) != 1:
+            raise ValueError("the tree rows hold more than one tree")
+        return cls(stack[0])
 
 
 def grad_hess(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +201,6 @@ class Ensemble:
     config: GbtConfig
     base_score: float
     trees: list[Tree] = field(default_factory=list)
-    n_features: int = 0
 
     def raw_scores(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -210,7 +234,7 @@ def fit(x, y, config: GbtConfig) -> Ensemble:
     n, n_features = x.shape
     prior = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     base_score = float(np.log(prior / (1.0 - prior)))
-    ensemble = Ensemble(config=config, base_score=base_score, n_features=n_features)
+    ensemble = Ensemble(config=config, base_score=base_score)
     scores = np.full(n, base_score)
     row_rng = rng_mod.stream(config.seed, "gbt", "rows")
     col_rng = rng_mod.stream(config.seed, "gbt", "cols")
@@ -232,56 +256,3 @@ def fit(x, y, config: GbtConfig) -> Ensemble:
         scores += config.learning_rate * tree.predict(x)
     return ensemble
 
-
-def _write_node(buf: io.BytesIO, node: TreeNode) -> None:
-    if node.is_leaf:
-        buf.write(struct.pack("<b", 0))
-        buf.write(struct.pack("<d", node.weight))
-    else:
-        buf.write(struct.pack("<b", 1))
-        buf.write(struct.pack("<id", node.feature, node.threshold))
-        _write_node(buf, node.left)
-        _write_node(buf, node.right)
-
-
-def _read_node(buf: io.BytesIO) -> TreeNode:
-    (tag,) = struct.unpack("<b", buf.read(1))
-    if tag == 0:
-        (weight,) = struct.unpack("<d", buf.read(8))
-        return TreeNode(weight=weight)
-    feature, threshold = struct.unpack("<id", buf.read(12))
-    left = _read_node(buf)
-    right = _read_node(buf)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
-
-
-def ensemble_to_bytes(ensemble: Ensemble) -> bytes:
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    c = ensemble.config
-    buf.write(struct.pack("<iidddddddQ", c.n_estimators, c.max_depth, c.learning_rate,
-                          c.reg_lambda, c.gamma, c.subsample, c.colsample,
-                          c.min_child_weight, ensemble.base_score, c.seed))
-    buf.write(struct.pack("<ii", ensemble.n_features, len(ensemble.trees)))
-    for tree in ensemble.trees:
-        _write_node(buf, tree.root)
-    return buf.getvalue()
-
-
-def ensemble_from_bytes(data: bytes) -> Ensemble:
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
-        raise ValueError("not a tree-ensemble blob")
-    (n_estimators, max_depth, learning_rate, reg_lambda, gamma, subsample,
-     colsample, min_child_weight, base_score, seed) = struct.unpack(
-        "<iidddddddQ", buf.read(struct.calcsize("<iidddddddQ")))
-    config = GbtConfig(n_estimators=n_estimators, max_depth=max_depth,
-                       learning_rate=learning_rate, reg_lambda=reg_lambda,
-                       gamma=gamma, subsample=subsample, colsample=colsample,
-                       min_child_weight=min_child_weight, seed=int(seed))
-    n_features, n_trees = struct.unpack("<ii", buf.read(8))
-    trees = [Tree(_read_node(buf)) for _ in range(n_trees)]
-    if buf.read(1):
-        raise ValueError("trailing bytes after ensemble")
-    return Ensemble(config=config, base_score=base_score, trees=trees,
-                    n_features=n_features)

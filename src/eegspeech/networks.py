@@ -151,7 +151,6 @@ class LstmModel(_Branch):
 @dataclass
 class DaeModel:
     net: Network
-    input_dim: int
     latent_index: int
     mean: np.ndarray
     std: np.ndarray
@@ -235,7 +234,7 @@ def build_dae_model(input_dim: int, seed: int = 0) -> DaeModel:
     specs = dae_specs(input_dim)
     _verify_width(specs, (input_dim,), 7, DAE_LATENT, "dae latent")
     net = build_network(specs, (input_dim,), rng_mod.stream(seed, "dae", "init"))
-    return DaeModel(net=net, input_dim=input_dim, latent_index=net.spec_outputs[7],
+    return DaeModel(net=net, latent_index=net.spec_outputs[7],
                     mean=np.zeros(input_dim), std=np.ones(input_dim))
 
 

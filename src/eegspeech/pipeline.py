@@ -27,11 +27,13 @@ from . import rng as rng_mod
 from .config import RunConfig
 from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn import load_tensors, save_tensors
-from .nn.checkpoint import write_bytes_atomic
+from .nn.checkpoint import write_bytes_atomic, write_json_atomic
 from .recording import PROMPTS, Recording, bandpass_filter, subtract_channel_means
 
 HOLDOUT = "random_holdout"
 LOSO = "leave_one_subject_out"
+
+BUNDLE_ARCHIVE = "model.tensors"
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,11 @@ class ModelBundle:
 
 
 def save_bundle(bundle: ModelBundle, root: str | os.PathLike) -> None:
+    """Write ``meta.json`` and one archive: ``cnn.*``, ``lstm.*`` and ``dae.*``
+    parameters, the DAE standardisation and each tree's rows (``gbt.tree.<i>``)."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    ensemble = bundle.ensemble
     meta = {
         "task": bundle.task_id,
         "fold": bundle.fold_name,
@@ -204,43 +209,72 @@ def save_bundle(bundle: ModelBundle, root: str | os.PathLike) -> None:
         "config_fingerprint": bundle.config_fingerprint,
         "kept_channels": list(bundle.kept_channels),
         "input_size": bundle.input_size,
-        "fused_dim": bundle.dae.input_dim,
         "test_trials": list(bundle.test_trial_ids),
+        "gbt": {**dataclasses.asdict(ensemble.config), "base_score": ensemble.base_score},
     }
-    write_bytes_atomic(root / "meta.json",
-                       (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
-    save_tensors(root / "cnn.tensors", bundle.cnn.net.state_dict())
-    save_tensors(root / "lstm.tensors", bundle.lstm.net.state_dict())
-    dae_state = dict(bundle.dae.net.state_dict())
-    dae_state["standardize.mean"] = bundle.dae.mean
-    dae_state["standardize.std"] = bundle.dae.std
-    save_tensors(root / "dae.tensors", dae_state)
-    write_bytes_atomic(root / "gbt.bin", gbt.ensemble_to_bytes(bundle.ensemble))
+    write_json_atomic(root / "meta.json", meta)
+    tensors = {}
+    for prefix, net in (("cnn", bundle.cnn.net), ("lstm", bundle.lstm.net),
+                        ("dae", bundle.dae.net)):
+        tensors.update((f"{prefix}.{name}", t.data) for name, t in net.parameters())
+    tensors["dae.standardize.mean"] = bundle.dae.mean
+    tensors["dae.standardize.std"] = bundle.dae.std
+    tensors.update((f"gbt.tree.{i}", tree.to_rows()) for i, tree in enumerate(ensemble.trees))
+    save_tensors(root / BUNDLE_ARCHIVE, tensors)
 
 
 def load_bundle(root: str | os.PathLike) -> ModelBundle:
+    """Read `save_bundle` output; any unreadable or ill-fitting file is a DataError."""
     root = Path(root)
     try:
         meta = json.loads((root / "meta.json").read_text())
-        size = int(meta["input_size"])
-        test_trial_ids = tuple(str(t) for t in meta["test_trials"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"cannot read bundle metadata under {root}: {exc}") from exc
+        return _bundle_from(meta, load_tensors(root / BUNDLE_ARCHIVE))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read the bundle under {root}: {exc}") from exc
+
+
+def _bundle_from(meta: dict, tensors: dict) -> ModelBundle:
+    if meta["mode"] not in (HOLDOUT, LOSO):
+        raise ValueError(f"unknown split mode {meta['mode']!r}")
+    kept = meta["kept_channels"]
+    if not (all(type(c) is int and c >= 0 for c in kept) and kept == sorted(set(kept))):
+        raise ValueError(f"kept_channels {kept!r} are not ascending channel indices")
+    # The LSTM's first input weight is (4 * units, input_size); checking it
+    # first means no network is ever built at a size the archive does not hold.
+    size = meta["input_size"]
+    if type(size) is not int or tensors.get("lstm.layer00.wx", np.empty(0)).shape[1:] != (size,):
+        raise ValueError(f"input_size {size!r} does not match the archive")
+    gbt_meta = dict(meta["gbt"])
+    base_score = float(gbt_meta.pop("base_score"))
+    if set(gbt_meta) != {f.name for f in dataclasses.fields(gbt.GbtConfig)}:
+        raise ValueError(f"gbt settings {sorted(gbt_meta)} are not the GbtConfig fields")
+    config = gbt.GbtConfig(**gbt_meta)
+
+    def section(prefix: str) -> dict:
+        return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
+
     cnn = networks.build_cnn_model(size)
-    cnn.net.load_state_dict(load_tensors(root / "cnn.tensors"))
+    cnn.net.load_state_dict(section("cnn."))
     lstm = networks.build_lstm_model(size)
-    lstm.net.load_state_dict(load_tensors(root / "lstm.tensors"))
-    dae_state = dict(load_tensors(root / "dae.tensors"))
-    dae = networks.build_dae_model(int(meta["fused_dim"]))
+    lstm.net.load_state_dict(section("lstm."))
+    dae = networks.build_dae_model(networks.FUSED_DIM)
+    dae_state = section("dae.")
     dae.mean = dae_state.pop("standardize.mean")
     dae.std = dae_state.pop("standardize.std")
+    if dae.mean.shape != (networks.FUSED_DIM,) or dae.std.shape != (networks.FUSED_DIM,):
+        raise ValueError("the autoencoder's standardisation does not fit its input width")
     dae.net.load_state_dict(dae_state)
-    ensemble = gbt.ensemble_from_bytes((root / "gbt.bin").read_bytes())
+    rows = section("gbt.tree.")
+    trees = [gbt.Tree.from_rows(rows.pop(str(i)), networks.DAE_LATENT)
+             for i in range(config.n_estimators)]
+    if rows:
+        raise ValueError("the archive holds more trees than gbt.n_estimators")
+    ensemble = gbt.Ensemble(config=config, base_score=base_score, trees=trees)
     return ModelBundle(task_id=meta["task"], fold_name=meta["fold"], mode=meta["mode"],
                        config_fingerprint=meta["config_fingerprint"],
-                       kept_channels=tuple(int(c) for c in meta["kept_channels"]),
-                       input_size=size, cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble,
-                       test_trial_ids=test_trial_ids)
+                       kept_channels=tuple(kept), input_size=size, cnn=cnn, lstm=lstm,
+                       dae=dae, ensemble=ensemble,
+                       test_trial_ids=tuple(meta["test_trials"]))
 
 
 @dataclass
@@ -434,8 +468,9 @@ def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
 
     The split is recomputed from the plan seed.  A bundle whose stored test
     trials differ from its recomputed fold's (another seed or container)
-    raises DataError, so no bundle ever scores a trial it was trained on.
-    Folds without a bundle are flagged as skipped.
+    raises DataError, so no bundle ever scores a trial it was trained on, as
+    does one that keeps channels the container lacks; another config's
+    bundle raises ConfigError.  Folds without a bundle are flagged as skipped.
     """
     recordings, trial_ids, covs, labels = _prepare(recordings, task, cfg, trial_ids, covs)
     outcomes = []
@@ -448,6 +483,12 @@ def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
             raise DataError(
                 f"task {task.task_id!r} fold {fold.name!r}: the bundle was trained for "
                 f"other test trials than this split holds (different seed or container?)")
+        if any(c >= covs[0].k for c in bundle.kept_channels):
+            raise DataError(f"task {task.task_id!r} fold {fold.name!r}: the bundle keeps "
+                            f"channels the container's {covs[0].k} do not include")
+        if bundle.config_fingerprint != cfg.fingerprint():
+            raise ConfigError(f"task {task.task_id!r} fold {fold.name!r}: the bundle was "
+                              f"trained under another config fingerprint")
         outcomes.append(score_fold(bundle, fold, covs, labels, recordings, trial_ids))
     return _assemble_report(outcomes, task, plan, cfg)
 
@@ -485,8 +526,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def write_report_json(report: EvalReport, path: str | os.PathLike) -> None:
-    blob = json.dumps(report_to_dict(report), indent=2) + "\n"
-    write_bytes_atomic(path, blob.encode("utf-8"))
+    write_json_atomic(path, report_to_dict(report))
 
 
 def write_predictions_csv(report: EvalReport, path: str | os.PathLike) -> None:

@@ -1,0 +1,65 @@
+"""The named-tensor archive: exact round trips, ValueError on any malformed
+archive, and atomic writes that honour the process umask."""
+
+import os
+import struct
+
+import numpy as np
+import pytest
+
+from eegspeech.nn.checkpoint import (
+    load_tensors,
+    save_tensors,
+    tensors_from_bytes,
+    write_bytes_atomic,
+)
+
+NAMED = {
+    "w": np.arange(6.0).reshape(2, 3),
+    "scalar": np.array(-0.0),
+    "trial/../ü": np.array([np.inf, -1e-300, 2.5]),
+}
+
+
+def test_round_trip_keeps_names_order_and_bits(tmp_path):
+    save_tensors(tmp_path / "a.tensors", NAMED)
+    loaded = load_tensors(tmp_path / "a.tensors")
+    assert list(loaded) == list(NAMED)
+    for name, value in NAMED.items():
+        assert loaded[name].shape == value.shape
+        assert loaded[name].tobytes() == value.tobytes()
+
+
+def _archive(tmp_path, named) -> bytes:
+    save_tensors(tmp_path / "a.tensors", named)
+    return (tmp_path / "a.tensors").read_bytes()
+
+
+def test_every_truncation_raises_value_error(tmp_path):
+    blob = _archive(tmp_path, NAMED)
+    for end in range(len(blob)):
+        with pytest.raises(ValueError):
+            tensors_from_bytes(blob[:end])
+
+
+def test_malformed_archives_raise_value_error(tmp_path):
+    blob = _archive(tmp_path, {"w": np.zeros(2)})
+    header = 12 + 2 + 1 + 1  # magic, version, count, name length, name, ndim
+    huge_dims = blob[:header] + struct.pack("<I", 2**32 - 1) + blob[header + 4:]
+    two_dims = blob[:header - 1] + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1) + blob[header + 4:]
+    for bad in (b"XXXX" + blob[4:], blob + b"\0", huge_dims, two_dims,
+                blob[:4] + struct.pack("<I", 2) + blob[8:],
+                blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:]):
+        with pytest.raises(ValueError):
+            tensors_from_bytes(bad)
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_bytes_atomic(tmp_path / "out.bin", b"data")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.bin").stat().st_mode & 0o777 == 0o644
+    assert (tmp_path / "out.bin").read_bytes() == b"data"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegspeech import container, covariance, pipeline
+from eegspeech import config, container, covariance, pipeline
 from eegspeech.cli import main
+from eegspeech.nn import load_tensors
 
 FAST_SECTIONS = {
     "covariance": {"input_size": 6},
@@ -90,20 +91,50 @@ def test_synth_rejects_one_channel(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _features_of(cont: Path, cfg: Path) -> dict:
+    """Each trial's CCV matrix, computed directly from the container."""
+    run = config.load_config(cfg)
+    stored = container.read_container(cont)
+    return {r.trial_id: covariance.ccv_matrix(
+                pipeline.preprocess(container.load_recording(stored, r), run)).values
+            for r in stored.trials}
+
+
 def test_featurize_writes_one_matrix_per_trial(tmp_path):
     cont = _make_container(tmp_path / "data", n_trials=3, n_channels=4)
     out = tmp_path / "feat"
     cfg = _write_config(tmp_path / "run.json", out)
     assert main(["featurize", "--config", str(cfg), "--container", str(cont)]) == 0
     doc = json.loads((out / "features.json").read_text())
-    assert len(doc["trials"]) == 3
-    for entry in doc["trials"]:
-        blob = (out / entry["file"]).read_bytes()
-        cov = covariance.covmatrix_from_bytes(blob)
-        assert cov.lag == 0
-        assert np.array_equal(cov.values, cov.values.T)
-        eigs = np.linalg.eigvalsh(cov.values)
-        assert eigs.min() >= -1e-8 * np.abs(cov.values).max()
+    assert sorted(p.name for p in out.iterdir()) == ["features.json", "features.tensors"]
+    matrices = load_tensors(out / "features.tensors")
+    expected = _features_of(cont, cfg)
+    assert list(matrices) == doc["trials"] == list(expected)
+    for trial_id, values in matrices.items():
+        assert np.array_equal(values, expected[trial_id])
+        assert np.array_equal(values, values.T)
+        eigs = np.linalg.eigvalsh(values)
+        assert eigs.min() >= -1e-8 * np.abs(values).max()
+
+
+def test_featurize_keeps_path_like_trial_ids_inside_out(tmp_path):
+    rng = np.random.default_rng(3)
+    ids = ["sub/t0", "../escape"]
+    container.write_container(tmp_path / "data", "paths", 128.0,
+                              [f"ch{c}" for c in range(4)],
+                              [(t, "s00", "/uw/", rng.normal(size=(4, 64))) for t in ids])
+    out = tmp_path / "nest" / "feat"
+    cfg = _write_config(tmp_path / "run.json", out)
+    before = sorted(p for p in tmp_path.rglob("*"))
+    assert main(["featurize", "--config", str(cfg), "--container",
+                 str(tmp_path / "data")]) == 0
+    added = sorted(set(tmp_path.rglob("*")) - set(before))
+    assert added == [tmp_path / "nest", out, out / "features.json", out / "features.tensors"]
+    matrices = load_tensors(out / "features.tensors")
+    expected = _features_of(tmp_path / "data", cfg)
+    assert list(matrices) == ids
+    for trial_id in ids:
+        assert np.array_equal(matrices[trial_id], expected[trial_id])
 
 
 def test_featurize_is_idempotent(tmp_path):
@@ -173,8 +204,7 @@ def test_train_writes_resolved_config_and_summary(trained_run):
 def test_train_saves_bundles_and_traces(trained_run):
     _, _, out = trained_run
     bundle_dir = out / "uw" / "bundles" / "holdout"
-    for name in ("meta.json", "cnn.tensors", "lstm.tensors", "dae.tensors", "gbt.bin"):
-        assert (bundle_dir / name).is_file(), name
+    assert sorted(p.name for p in bundle_dir.iterdir()) == ["meta.json", "model.tensors"]
     for model in ("cnn", "lstm", "dae"):
         trace = out / "uw" / "traces" / f"holdout.{model}.csv"
         lines = trace.read_text().splitlines()
@@ -292,6 +322,34 @@ def test_evaluate_with_another_seed_exits_3(tmp_path):
     assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
                  "--models", str(models), "--out", str(eval_out), "--seed", "2"]) == 3
     assert not (eval_out / "uw" / "predictions.csv").exists()
+
+
+def test_evaluate_under_another_config_exits_2(tmp_path):
+    cont = _make_container(tmp_path / "data", n_trials=20)
+    models = tmp_path / "models"
+    trained = _write_config(tmp_path / "train.json", models,
+                            sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    assert main(["train", "--config", str(trained), "--container", str(cont)]) == 0
+    other = _write_config(tmp_path / "other.json", tmp_path / "eval",
+                          sections={**ZERO_SECTIONS, "cnn": {"epochs": 1},
+                                    "gbt": {"n_estimators": 9}})
+    assert main(["evaluate", "--config", str(other), "--container", str(cont),
+                 "--models", str(models)]) == 2
+    assert not (tmp_path / "eval" / "uw" / "predictions.csv").exists()
+
+
+def test_evaluate_replays_a_task_subset(tmp_path):
+    cont = _make_container(tmp_path / "data", n_trials=20)
+    models = tmp_path / "models"
+    cfg = _write_config(tmp_path / "run.json", models, tasks=["uw", "iy"],
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    assert main(["train", "--config", str(cfg), "--container", str(cont)]) == 0
+    eval_out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(eval_out), "--tasks", "uw"]) == 0
+    assert (eval_out / "uw" / "predictions.csv").read_bytes() == \
+           (models / "uw" / "predictions.csv").read_bytes()
+    assert not (eval_out / "iy").exists()
 
 
 # ---------------------------------------------------------------------------

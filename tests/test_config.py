@@ -169,6 +169,15 @@ def test_fingerprint_ignores_operational_knobs():
     assert config.config_from_dict({**MINIMAL, "output_dir": "elsewhere"}).fingerprint() == base
 
 
+def test_fingerprint_ignores_the_task_subset():
+    base = config.config_from_dict(MINIMAL)
+    both = config.config_from_dict({**MINIMAL, "tasks": ["uw", "nasal"]})
+    assert both.fingerprint() == base.fingerprint()
+    assert both.canonical_dict()["tasks"] == ["uw", "nasal"]
+    table = {**MINIMAL, "task_table": {"uw": ["/uw/", "/iy/"]}}
+    assert config.config_from_dict(table).fingerprint() != base.fingerprint()
+
+
 def test_canonical_dict_excludes_operational_knobs():
     canonical = config.config_from_dict(MINIMAL).canonical_dict()
     assert "output_dir" not in canonical

@@ -7,8 +7,6 @@ from eegspeech import covariance
 from eegspeech.covariance import (
     CovMatrix,
     ccv_matrix,
-    covmatrix_from_bytes,
-    covmatrix_to_bytes,
     reject_channels,
     rejection_scores,
     submatrix,
@@ -263,20 +261,6 @@ class TestCovMatrixType:
         sub = submatrix(cov, (0, 2, 4))
         assert sub.kept_channels == (0, 2, 4)
         assert np.array_equal(sub.values, cov.values[np.ix_([0, 2, 4], [0, 2, 4])])
-
-
-class TestSerialization:
-    def test_round_trip_bitwise(self, rng):
-        cov = reject_channels(ccv_matrix(random_recording(rng, n_channels=6)), 0.01)
-        back = covmatrix_from_bytes(covmatrix_to_bytes(cov))
-        assert back.kept_channels == cov.kept_channels
-        assert back.lag == cov.lag
-        assert np.array_equal(back.values, cov.values)
-
-    def test_truncated_blob_rejected(self, rng):
-        blob = covmatrix_to_bytes(ccv_matrix(random_recording(rng)))
-        with pytest.raises(ValueError, match="bytes"):
-            covmatrix_from_bytes(blob[:-4])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,8 @@
-"""The exit-code contract under bad input: for a config with one bad key or a
-corrupted container, every verb that reads them returns 0, 2, 3 or 4 and
-never ends in a traceback."""
+"""The exit-code contract under bad input: for a config with one bad key, a
+corrupted container or a corrupted model bundle, every verb that reads them
+returns 0, 2, 3 or 4 and never ends in a traceback."""
 
+import dataclasses
 import json
 import math
 import shutil
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eegspeech import pipeline
 from eegspeech.cli import main
 from eegspeech.config import CONFIG_SCHEMA
+from eegspeech.gbt import GbtConfig
 
 CONTRACT = {0, 2, 3, 4}
 VERBS = ("featurize", "train", "crossval", "evaluate")
@@ -158,3 +161,62 @@ def test_corrupted_container_keeps_the_contract(corpus, kind, fraction, offset):
         (work / "run.json").write_text(json.dumps(BASE))
         codes = _exit_codes(work / "run.json", broken, models, work)
     assert set(codes.values()) <= CONTRACT, codes
+
+
+# --- saved bundles ------------------------------------------------------------
+
+BUNDLE = Path("uw") / "bundles" / "holdout"
+MISSING = "<missing>"
+META_KEYS = [(k,) for k in ("task", "fold", "mode", "config_fingerprint", "kept_channels",
+                            "input_size", "test_trials", "gbt")] + \
+    [("gbt", f.name) for f in dataclasses.fields(GbtConfig)] + [("gbt", "base_score")]
+#: meta.json values that must exit exactly 3, not just any code of the contract.
+PINNED_META = [(("mode",), "nope"), (("kept_channels",), [0, 99]), (("input_size",), 7),
+               (("input_size",), MISSING)]
+
+
+def _corrupt_bundle(bundle: Path, kind: str, fraction: float, offset: int, key, value):
+    archive = bundle / pipeline.BUNDLE_ARCHIVE
+    blob = archive.read_bytes()
+    at = math.floor(len(blob) * fraction)
+    if kind == "truncate":
+        archive.write_bytes(blob[:at])
+    elif kind == "garble":
+        archive.write_bytes(blob[:at] + offset.to_bytes(4, "little") + blob[at + 4:])
+    elif kind == "delete":
+        archive.unlink()
+    else:
+        meta = json.loads((bundle / "meta.json").read_text())
+        section = meta if len(key) == 1 else meta[key[0]]
+        if value == MISSING:
+            del section[key[-1]]
+        else:
+            section[key[-1]] = value
+        (bundle / "meta.json").write_text(json.dumps(meta))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["truncate", "garble", "delete", "meta"]),
+       fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       offset=st.integers(0, 2**32 - 1),
+       key=st.sampled_from(META_KEYS), value=st.one_of(st.just(MISSING), BAD_VALUES))
+@example(kind="truncate", fraction=0.5, offset=0, key=("task",), value=None)
+@example(kind="truncate", fraction=0.0, offset=0, key=("task",), value=None)
+@example(kind="delete", fraction=0.0, offset=0, key=("task",), value=None)
+@example(kind="meta", fraction=0.0, offset=0, key=("mode",), value="nope")
+@example(kind="meta", fraction=0.0, offset=0, key=("kept_channels",), value=[0, 99])
+@example(kind="meta", fraction=0.0, offset=0, key=("input_size",), value=7)
+@example(kind="meta", fraction=0.0, offset=0, key=("input_size",), value=MISSING)
+def test_corrupted_bundle_keeps_the_contract(corpus, kind, fraction, offset, key, value):
+    data, models = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(models / "uw", work / "models" / "uw")
+        _corrupt_bundle(work / "models" / BUNDLE, kind, fraction, offset, key, value)
+        (work / "run.json").write_text(json.dumps(BASE))
+        code = main(["evaluate", "--config", str(work / "run.json"), "--container",
+                     str(data), "--models", str(work / "models"), "--out",
+                     str(work / "eval")])
+    assert code in CONTRACT
+    if kind in ("truncate", "delete") or (kind == "meta" and (key, value) in PINNED_META):
+        assert code == 3

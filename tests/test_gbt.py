@@ -1,5 +1,5 @@
 """Boosted-tree tests: split mathematics, a brute-force reference fit, and
-serialization."""
+the pre-order tree rows that bundles store."""
 
 import numpy as np
 import pytest
@@ -202,7 +202,7 @@ def test_fit_deterministic_with_subsampling():
                min_child_weight=1.0, reg_lambda=0.3)
     a = gbt.fit(x, y, cfg)
     b = gbt.fit(x, y, cfg)
-    assert gbt.ensemble_to_bytes(a) == gbt.ensemble_to_bytes(b)
+    assert _rows(a) == _rows(b)
 
 
 def test_fit_seed_changes_subsampled_trees():
@@ -211,7 +211,7 @@ def test_fit_seed_changes_subsampled_trees():
     y = (x[:, 1] > 0).astype(int)
     a = gbt.fit(x, y, _cfg(n_estimators=8, subsample=0.5, colsample=0.6, seed=1))
     b = gbt.fit(x, y, _cfg(n_estimators=8, subsample=0.5, colsample=0.6, seed=2))
-    assert gbt.ensemble_to_bytes(a) != gbt.ensemble_to_bytes(b)
+    assert _rows(a) != _rows(b)
 
 
 def test_power_of_two_feature_scaling_is_bitwise_invariant():
@@ -232,7 +232,7 @@ def test_power_of_two_feature_scaling_is_bitwise_invariant():
 def test_zero_weight_tree_is_identity():
     cfg = _cfg(n_estimators=1)
     model = gbt.Ensemble(config=cfg, base_score=0.3,
-                         trees=[gbt.Tree(gbt.TreeNode(weight=0.0))], n_features=1)
+                         trees=[gbt.Tree(gbt.TreeNode(weight=0.0))])
     assert np.allclose(model.raw_scores(np.zeros((4, 1))), 0.3, atol=0)
 
 
@@ -244,14 +244,14 @@ def test_hand_traced_two_tree_ensemble():
                                    left=gbt.TreeNode(weight=1.0),
                                    right=gbt.TreeNode(weight=-1.0)))
     model = gbt.Ensemble(config=_cfg(learning_rate=0.5), base_score=0.1,
-                         trees=[stump1, stump2], n_features=2)
+                         trees=[stump1, stump2])
     x = np.array([[0.0, -1.0],  # left, left: 0.1 + 0.5*(-2 + 1) = -0.4
                   [2.0, 1.0]])  # right, right: 0.1 + 0.5*(2 - 1) = 0.6
     assert np.allclose(model.raw_scores(x), [-0.4, 0.6], atol=1e-15)
 
 
 def test_predict_class_threshold():
-    model = gbt.Ensemble(config=_cfg(), base_score=0.0, trees=[], n_features=1)
+    model = gbt.Ensemble(config=_cfg(), base_score=0.0, trees=[])
     assert model.predict_class(np.zeros((1, 1)))[0] == 1  # sigmoid(0) = 0.5 rounds up
 
 
@@ -365,34 +365,47 @@ def test_fit_matches_brute_force_reference(seed):
 # ---------------------------------------------------------------------------
 
 
+def _rows(ensemble: gbt.Ensemble) -> list[bytes]:
+    """Every tree's pre-order rows, as comparable bytes."""
+    return [tree.to_rows().tobytes() for tree in ensemble.trees]
+
+
 def test_serialization_round_trip():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(30, 4))
     y = (x[:, 0] > 0).astype(int)
     model = gbt.fit(x, y, _cfg(n_estimators=6, subsample=0.9, colsample=0.75, seed=17))
-    blob = gbt.ensemble_to_bytes(model)
-    loaded = gbt.ensemble_from_bytes(blob)
-    assert loaded.config == model.config
-    assert loaded.base_score == model.base_score
-    assert loaded.n_features == model.n_features
-    assert np.array_equal(loaded.predict_proba(x), model.predict_proba(x))
-    assert gbt.ensemble_to_bytes(loaded) == blob
+    for tree in model.trees:
+        loaded = gbt.Tree.from_rows(tree.to_rows(), n_features=4)
+        _assert_same_structure(loaded.root, tree.root)
+        assert np.array_equal(loaded.to_rows(), tree.to_rows())
+        assert np.array_equal(loaded.predict(x), tree.predict(x))
+
+
+def test_tree_rows_are_pre_order():
+    tree = gbt.Tree(gbt.TreeNode(feature=1, threshold=0.5,
+                                 left=gbt.TreeNode(feature=0, threshold=-1.0,
+                                                   left=gbt.TreeNode(weight=1.0),
+                                                   right=gbt.TreeNode(weight=2.0)),
+                                 right=gbt.TreeNode(weight=3.0)))
+    assert tree.to_rows().tolist() == [[1, 0.5, 0.0], [0, -1.0, 0.0], [-1, 0.0, 1.0],
+                                       [-1, 0.0, 2.0], [-1, 0.0, 3.0]]
 
 
 def test_serialization_rejects_corrupt_blobs():
     x = np.arange(12.0).reshape(6, 2)
     y = np.array([0, 0, 0, 1, 1, 1])
-    blob = gbt.ensemble_to_bytes(gbt.fit(x, y, _cfg(n_estimators=2)))
-    with pytest.raises(ValueError):
-        gbt.ensemble_from_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(Exception):
-        gbt.ensemble_from_bytes(blob[:-3])
-    with pytest.raises(ValueError, match="trailing"):
-        gbt.ensemble_from_bytes(blob + b"\x00")
-
-
-def test_serialization_preserves_unsigned_seed():
-    cfg = _cfg(seed=2**63 + 12345)  # sha-derived fold seeds exceed signed range
-    model = gbt.Ensemble(config=cfg, base_score=-0.25, trees=[], n_features=3)
-    loaded = gbt.ensemble_from_bytes(gbt.ensemble_to_bytes(model))
-    assert loaded.config.seed == cfg.seed
+    rows = gbt.fit(x, y, _cfg(n_estimators=1)).trees[0].to_rows()
+    assert len(rows) > 1
+    bad = {
+        "truncated": rows[:-1],
+        "trailing row": np.vstack([rows, [[-1, 0.0, 0.0]]]),
+        "empty": rows[:0],
+        "wrong width": rows[:, :2],
+        "feature past the last column": np.vstack([[[2, 0.5, 0.0]], rows[1:]]),
+        "fractional feature": np.vstack([[[0.5, 0.5, 0.0]], rows[1:]]),
+        "feature below -1": np.vstack([[[-2, 0.5, 0.0]], rows[1:]]),
+    }
+    for value in bad.values():
+        with pytest.raises(ValueError):
+            gbt.Tree.from_rows(value, n_features=2)

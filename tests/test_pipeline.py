@@ -1,5 +1,6 @@
 """Task derivation, split plans, leakage auditing and the fold driver."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from eegspeech import config, covariance, metrics, pipeline, synth
 from eegspeech.config import CovarianceSettings, NetworkHyper, RunConfig
-from eegspeech.errors import DataError, LeakageError, TrainingError
+from eegspeech.errors import ConfigError, DataError, LeakageError, TrainingError
 from eegspeech.gbt import GbtConfig
 from eegspeech.recording import Recording
 
@@ -253,8 +254,11 @@ def test_bundle_round_trip_reproduces_predictions(tmp_path, small_run):
     recs, ids, cfg, task, plan, bundles, report = small_run
     bundle = bundles["holdout"]
     pipeline.save_bundle(bundle, tmp_path / "b")
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == \
+        ["meta.json", pipeline.BUNDLE_ARCHIVE]
     loaded = pipeline.load_bundle(tmp_path / "b")
     assert loaded.task_id == bundle.task_id
+    assert loaded.ensemble == bundle.ensemble
     assert loaded.kept_channels == bundle.kept_channels
     assert loaded.config_fingerprint == bundle.config_fingerprint
     replayed = pipeline.evaluate_bundles(recs, task, plan, cfg,
@@ -264,6 +268,30 @@ def test_bundle_round_trip_reproduces_predictions(tmp_path, small_run):
            [p.probability for p in report.predictions]
 
 
+def test_bundle_preserves_unsigned_fold_seed(tmp_path, small_run):
+    *_, bundles, _ = small_run
+    bundle = bundles["holdout"]
+    config = dataclasses.replace(bundle.ensemble.config, seed=2**63 + 12345)
+    wide = dataclasses.replace(bundle, ensemble=dataclasses.replace(bundle.ensemble,
+                                                                    config=config))
+    pipeline.save_bundle(wide, tmp_path / "b")  # sha-derived fold seeds exceed signed range
+    assert pipeline.load_bundle(tmp_path / "b").ensemble.config == config
+
+
+def test_evaluate_bundles_refuses_channels_the_container_lacks(tmp_path, small_run):
+    recs, ids, cfg, task, plan, bundles, _ = small_run
+    wide = dataclasses.replace(bundles["holdout"], kept_channels=(0, 6))
+    with pytest.raises(DataError, match="keeps channels"):
+        pipeline.evaluate_bundles(recs, task, plan, cfg, {"holdout": wide}, trial_ids=ids)
+
+
+def test_evaluate_bundles_refuses_another_config(small_run):
+    recs, ids, cfg, task, plan, bundles, _ = small_run
+    other = dataclasses.replace(cfg, gbt=dataclasses.replace(cfg.gbt, n_estimators=31))
+    with pytest.raises(ConfigError, match="another config"):
+        pipeline.evaluate_bundles(recs, task, plan, other, bundles, trial_ids=ids)
+
+
 def test_evaluate_bundles_without_bundles_cannot_score(small_run):
     recs, ids, cfg, task, plan, *_ = small_run
     with pytest.raises(TrainingError, match="no bundle"):
@@ -271,8 +299,6 @@ def test_evaluate_bundles_without_bundles_cannot_score(small_run):
 
 
 def test_single_class_task_raises_training_error():
-    import dataclasses
-
     recs, ids = _synthetic_recordings(20, 6, 2, separability=1.0, seed=6)
     # a corpus of nothing but /uw/ trials leaves the nasal task single-class
     recs = [dataclasses.replace(r, prompt="/uw/") for r in recs]
