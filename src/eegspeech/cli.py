@@ -114,8 +114,23 @@ def cmd_featurize(args) -> int:
     return EXIT_OK
 
 
+def _write_scored_task(report: pipeline.EvalReport, task_dir: Path) -> plotting.TaskMetrics:
+    """Write a scored task's report.json and predictions.csv; return its
+    summary-table row."""
+    task_dir.mkdir(parents=True, exist_ok=True)
+    pipeline.write_report_json(report, task_dir / "report.json")
+    pipeline.write_predictions_csv(report, task_dir / "predictions.csv")
+    return _metrics_row(report.task_id, report.accuracy, report.kappa)
+
+
+def _metrics_row(task: str, accuracy: float, kappa: float) -> plotting.TaskMetrics:
+    # (po - pe) / (1 - pe) can leave [-1, 1] by float rounding; TaskMetrics refuses that
+    return plotting.TaskMetrics(task=task, accuracy=accuracy, kappa=max(-1.0, min(1.0, kappa)))
+
+
 def _run_protocol(args, mode: str) -> int:
-    cfg = _resolve_config(args)
+    # the verb, not split.mode, picks the split, so the recorded config says so
+    cfg = dataclasses.replace(_resolve_config(args), split_mode=mode)
     cont, recordings, ids = _load_recordings(args.container)
     covs = pipeline.ccv_features(recordings, cfg)
     out = Path(cfg.output_dir)
@@ -131,9 +146,7 @@ def _run_protocol(args, mode: str) -> int:
         bundles, report = pipeline.run_task(recordings, task, plan, cfg,
                                             trial_ids=ids, covs=covs)
         task_dir = out / task_id
-        task_dir.mkdir(parents=True, exist_ok=True)
-        pipeline.write_report_json(report, task_dir / "report.json")
-        pipeline.write_predictions_csv(report, task_dir / "predictions.csv")
+        entries.append(_write_scored_task(report, task_dir))
         traces = task_dir / "traces"
         traces.mkdir(parents=True, exist_ok=True)
         for fold_name, bundle in sorted(bundles.items()):
@@ -142,8 +155,6 @@ def _run_protocol(args, mode: str) -> int:
                                       ("dae", bundle.dae)):
                 networks.write_trace_csv(traces / f"{fold_name}.{model_name}.csv",
                                          model.trace)
-        entries.append(plotting.TaskMetrics(task=task_id, accuracy=report.accuracy,
-                                            kappa=max(-1.0, min(1.0, report.kappa))))
         accuracies.append(report.accuracy)
         kappas.append(report.kappa)
         _progress(f"{mode}: task {task_id} accuracy {report.accuracy:.4f} "
@@ -189,17 +200,14 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"no trained bundles for task {task_id!r} under {models}")
         bundles = {p.name: pipeline.load_bundle(p)
                    for p in sorted(bundles_dir.iterdir()) if p.is_dir()}
+        # the bundles' split is the one their run's config recorded
         mode = next(iter(bundles.values())).mode if bundles else cfg.split_mode
+        task_cfg = dataclasses.replace(cfg, split_mode=mode)
         plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
         _progress(f"evaluate: task {task_id} with {len(bundles)} fold bundle(s)")
-        report = pipeline.evaluate_bundles(recordings, task, plan, cfg, bundles,
+        report = pipeline.evaluate_bundles(recordings, task, plan, task_cfg, bundles,
                                            trial_ids=ids, covs=covs)
-        task_dir = out / task_id
-        task_dir.mkdir(parents=True, exist_ok=True)
-        pipeline.write_report_json(report, task_dir / "report.json")
-        pipeline.write_predictions_csv(report, task_dir / "predictions.csv")
-        entries.append(plotting.TaskMetrics(task=task_id, accuracy=report.accuracy,
-                                            kappa=max(-1.0, min(1.0, report.kappa))))
+        entries.append(_write_scored_task(report, out / task_id))
         _progress(f"evaluate: task {task_id} accuracy {report.accuracy:.4f}")
     plotting.write_metric_table_csv(entries, out / "summary.csv")
     return EXIT_OK
@@ -213,10 +221,8 @@ def cmd_plot(args) -> int:
             raise DataError(f"no report file at {path}")
         try:
             payload = json.loads(path.read_text())
-            entries.append(plotting.TaskMetrics(
-                task=str(payload["task"]),
-                accuracy=float(payload["accuracy"]),
-                kappa=max(-1.0, min(1.0, float(payload["kappa"])))))
+            entries.append(_metrics_row(str(payload["task"]), float(payload["accuracy"]),
+                                        float(payload["kappa"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad report file {path}: {exc}") from exc
     out = Path(args.out if args.out is not None else ".")

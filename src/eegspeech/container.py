@@ -111,6 +111,11 @@ def read_container(root: str | os.PathLike) -> TrialContainer:
     if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
         raise DataError("manifest missing or wrong 'format' marker")
     try:
+        # JSON escapes can spell a lone UTF-16 surrogate, which no output file can hold
+        json.dumps(manifest, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"manifest text is not valid Unicode: {exc}") from exc
+    try:
         name = manifest["name"]
         rate = float(manifest["sample_rate_hz"])
         channel_names = tuple(str(c) for c in manifest["channel_names"])

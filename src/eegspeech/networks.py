@@ -1,10 +1,14 @@
-"""The three networks of the hierarchy and their training loops.
+"""The three networks of the hierarchy, as one model type with one training loop.
 
 Level 1 trains a CNN and an LSTM network in parallel roles on the same square
 input matrices, each ending in a 2-class softmax.  Their penultimate hidden
 activations (128 and 1024 wide) are concatenated into a 1152-dim fused vector.
 Level 2 compresses fused vectors with an unsupervised autoencoder whose 32-dim
-latent code feeds the boosted-tree classifier at level 3.
+latent code feeds the boosted-tree classifier at level 3.  Each network is a
+`Model`: the layer stack, the shape its rows take, the index of its feature
+layer and an input standardisation.  `_fit` trains all three with minibatch
+Adam: cross-entropy against labels for the branches, MSE against their own
+standardised input for the autoencoder.
 """
 
 from __future__ import annotations
@@ -107,57 +111,44 @@ class EpochStats:
     accuracy: float
 
 
-def _eval_rows(net: Network, x: np.ndarray, stop: int | None = None) -> np.ndarray:
+@dataclass
+class Model:
+    """One network of the hierarchy and the way rows reach it.
+
+    Rows are reshaped to ``input_shape`` and then standardised with ``mean``
+    and ``std``: the autoencoder's training-set statistics, and for the two
+    branches 0 and 1, which leave every value bit for bit as it was.
+    ``feature_index`` is the layer whose output is the model's feature: the
+    penultimate layer of a branch, the latent code of the autoencoder.
+    """
+
+    net: Network
+    input_shape: tuple[int, ...]
+    feature_index: int
+    mean: np.ndarray | float = 0.0
+    std: np.ndarray | float = 1.0
+    trace: list[EpochStats] = field(default_factory=list)
+
+    def standardize(self, rows) -> np.ndarray:
+        x = np.asarray(rows, dtype=np.float64)
+        return (x.reshape(len(x), *self.input_shape) - self.mean) / self.std
+
+    def predict_proba(self, rows) -> np.ndarray:
+        """The network's output per row: class probabilities for a branch."""
+        return _eval_rows(self, rows)
+
+    def penultimate(self, rows) -> np.ndarray:
+        """The feature layer's output per row."""
+        return _eval_rows(self, rows, self.feature_index)
+
+
+def _eval_rows(model: Model, rows, stop: int | None = None) -> np.ndarray:
     """Eval-mode forward over a stack of rows, EVAL_CHUNK rows at a time,
     up to and including layer ``stop``."""
-    return np.concatenate([net.forward(x[i:i + EVAL_CHUNK], train=False, stop=stop)
+    x = np.asarray(rows, dtype=np.float64)
+    return np.concatenate([model.net.forward(model.standardize(x[i:i + EVAL_CHUNK]),
+                                             train=False, stop=stop)
                            for i in range(0, len(x), EVAL_CHUNK)])
-
-
-@dataclass
-class _Branch:
-    """A level-1 classifier over a stack of square input matrices."""
-
-    net: Network
-    input_size: int
-    feature_index: int
-    trace: list[EpochStats] = field(default_factory=list)
-
-    def arrange(self, matrices) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict_proba(self, matrices) -> np.ndarray:
-        """Class probabilities, one row per input matrix."""
-        return _eval_rows(self.net, self.arrange(matrices))
-
-    def penultimate(self, matrices) -> np.ndarray:
-        return _eval_rows(self.net, self.arrange(matrices), self.feature_index)
-
-
-@dataclass
-class CnnModel(_Branch):
-    def arrange(self, matrices) -> np.ndarray:
-        """A stack of square matrices as one-channel images."""
-        return np.asarray(matrices, dtype=np.float64)[:, None, :, :]
-
-
-@dataclass
-class LstmModel(_Branch):
-    def arrange(self, matrices) -> np.ndarray:
-        """A stack of square matrices as sequences of rows."""
-        return np.asarray(matrices, dtype=np.float64)
-
-
-@dataclass
-class DaeModel:
-    net: Network
-    latent_index: int
-    mean: np.ndarray
-    std: np.ndarray
-    trace: list[EpochStats] = field(default_factory=list)
-
-    def standardize(self, features: np.ndarray) -> np.ndarray:
-        return (features - self.mean) / self.std
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -174,99 +165,98 @@ def _check_labels(labels) -> np.ndarray:
     return y
 
 
-def _train_classifier(net: Network, x: np.ndarray, y: np.ndarray,
-                      hyper: NetworkHyper, seed: int, name: str) -> list[EpochStats]:
+def _fit(model: Model, x: np.ndarray, targets: np.ndarray, hyper: NetworkHyper,
+         seed: int, name: str) -> None:
+    """Minibatch Adam on standardised rows, appending one EpochStats per epoch.
+
+    Integer targets are class labels: softmax cross-entropy, backpropagated
+    from the logits below the final softmax layer.  Float targets are
+    regressed with MSE, and the accuracy column stays 0.
+    """
+    net = model.net
+    classify = targets.dtype.kind == "i"
     adam = Adam(net.parameters(), learning_rate=hyper.learning_rate)
     shuffle_rng = rng_mod.stream(seed, name, "shuffle")
     net.set_dropout_rng(rng_mod.stream(seed, name, "dropout"))
     n = len(x)
-    trace = []
     for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(n)
-        losses = []
+        loss = 0.0
         hits = 0
         for start in range(0, n, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
-            xb, yb = x[idx], y[idx]
-            probs = net.forward(xb, train=True)
-            losses.append(ops.bce_loss_batch(probs, yb) * len(idx))
-            hits += int((probs.argmax(axis=1) == yb).sum())
+            xb, tb = x[idx], targets[idx]
+            out = net.forward(xb, train=True)
             net.zero_grad()
-            dlogits = ops.cross_entropy_logit_grad(probs, yb)
-            net.backward(dlogits, start=len(net.layers) - 2)
+            if classify:
+                loss += ops.bce_loss_batch(out, tb) * len(idx)
+                hits += int((out.argmax(axis=1) == tb).sum())
+                net.backward(ops.cross_entropy_logit_grad(out, tb), start=len(net.layers) - 2)
+            else:
+                loss += ops.mse_loss(out, tb) * len(idx)
+                net.backward(ops.mse_grad(out, tb))
             adam.step()
-        trace.append(EpochStats(epoch, sum(losses) / n, hits / n))
+        model.trace.append(EpochStats(epoch, loss / n, hits / n))
     net.set_dropout_rng(None)
-    return trace
 
 
-def _stack_inputs(inputs) -> np.ndarray:
-    x = np.stack([np.asarray(m, dtype=np.float64) for m in inputs])
+def _build(name: str, specs: list[LayerSpec], input_shape: tuple[int, ...],
+           feature_spec: int, width: int, what: str, seed: int) -> Model:
+    """An untrained model whose spec ``feature_spec`` must output ``width``
+    features, checked before any weight is drawn."""
+    actual = infer_shapes(specs, input_shape)[feature_spec][-1]
+    if actual != width:
+        raise ValueError(f"{name} {what} width is {actual}, expected {width}")
+    net = build_network(specs, input_shape, rng_mod.stream(seed, name, "init"))
+    return Model(net=net, input_shape=input_shape, feature_index=net.spec_outputs[feature_spec])
+
+
+def build_cnn_model(input_size: int, seed: int = 0) -> Model:
+    """An untrained CNN of the reference architecture for the given matrix
+    size; it reads each matrix as a one-channel image."""
+    return _build("cnn", CNN_SPECS, (1, input_size, input_size), 10, CNN_PENULTIMATE,
+                  "penultimate", seed)
+
+
+def build_lstm_model(input_size: int, seed: int = 0) -> Model:
+    """An untrained LSTM network; it reads each matrix row by row as a sequence."""
+    return _build("lstm", LSTM_SPECS, (input_size, input_size), 7, LSTM_PENULTIMATE,
+                  "penultimate", seed)
+
+
+def build_dae_model(input_dim: int, seed: int = 0) -> Model:
+    return _build("dae", dae_specs(input_dim), (input_dim,), 7, DAE_LATENT, "latent", seed)
+
+
+def _train_branch(build, name: str, inputs, labels, hyper: NetworkHyper, seed: int) -> Model:
+    x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise ValueError(f"inputs must be square matrices, got shape {x.shape[1:]}")
-    return x
+    y = _check_labels(labels)
+    if len(x) != len(y):
+        raise ValueError("inputs and labels disagree in length")
+    model = build(x.shape[1], seed=seed)
+    _fit(model, model.standardize(x), y, hyper, seed, name)
+    return model
 
 
-def _verify_width(specs: list[LayerSpec], input_shape, index: int, expected: int,
-                  what: str) -> None:
-    """Raise unless spec ``index`` outputs ``expected`` features."""
-    width = infer_shapes(specs, input_shape)[index][-1]
-    if width != expected:
-        raise ValueError(f"{what} width is {width}, expected {expected}")
-
-
-def build_cnn_model(input_size: int, seed: int = 0) -> CnnModel:
-    """An untrained CNN of the reference architecture for the given matrix size."""
-    shape = (1, input_size, input_size)
-    _verify_width(CNN_SPECS, shape, 10, CNN_PENULTIMATE, "cnn penultimate")
-    net = build_network(CNN_SPECS, shape, rng_mod.stream(seed, "cnn", "init"))
-    return CnnModel(net=net, input_size=input_size, feature_index=net.spec_outputs[10])
-
-
-def build_lstm_model(input_size: int, seed: int = 0) -> LstmModel:
-    shape = (input_size, input_size)
-    _verify_width(LSTM_SPECS, shape, 7, LSTM_PENULTIMATE, "lstm penultimate")
-    net = build_network(LSTM_SPECS, shape, rng_mod.stream(seed, "lstm", "init"))
-    return LstmModel(net=net, input_size=input_size, feature_index=net.spec_outputs[7])
-
-
-def build_dae_model(input_dim: int, seed: int = 0) -> DaeModel:
-    specs = dae_specs(input_dim)
-    _verify_width(specs, (input_dim,), 7, DAE_LATENT, "dae latent")
-    net = build_network(specs, (input_dim,), rng_mod.stream(seed, "dae", "init"))
-    return DaeModel(net=net, latent_index=net.spec_outputs[7],
-                    mean=np.zeros(input_dim), std=np.ones(input_dim))
-
-
-def train_cnn(inputs, labels, hyper: NetworkHyper, seed: int) -> CnnModel:
+def train_cnn(inputs, labels, hyper: NetworkHyper, seed: int) -> Model:
     """Train the convolutional branch on square input matrices."""
-    x = _stack_inputs(inputs)
-    y = _check_labels(labels)
-    if len(x) != len(y):
-        raise ValueError("inputs and labels disagree in length")
-    model = build_cnn_model(x.shape[1], seed=seed)
-    model.trace = _train_classifier(model.net, model.arrange(x), y, hyper, seed, "cnn")
-    return model
+    return _train_branch(build_cnn_model, "cnn", inputs, labels, hyper, seed)
 
 
-def train_lstm(inputs, labels, hyper: NetworkHyper, seed: int) -> LstmModel:
-    """Train the recurrent branch, reading the matrix row by row as a sequence."""
-    x = _stack_inputs(inputs)
-    y = _check_labels(labels)
-    if len(x) != len(y):
-        raise ValueError("inputs and labels disagree in length")
-    model = build_lstm_model(x.shape[1], seed=seed)
-    model.trace = _train_classifier(model.net, model.arrange(x), y, hyper, seed, "lstm")
-    return model
+def train_lstm(inputs, labels, hyper: NetworkHyper, seed: int) -> Model:
+    """Train the recurrent branch on square input matrices."""
+    return _train_branch(build_lstm_model, "lstm", inputs, labels, hyper, seed)
 
 
-def extract_fused(cnn: CnnModel, lstm: LstmModel, matrices) -> np.ndarray:
+def extract_fused(cnn: Model, lstm: Model, matrices) -> np.ndarray:
     """Fused vectors for a stack of input matrices: the two penultimate
     activation vectors side by side (CNN first), one row per matrix."""
     return np.concatenate([cnn.penultimate(matrices), lstm.penultimate(matrices)], axis=1)
 
 
-def train_dae(features, hyper: NetworkHyper, seed: int) -> DaeModel:
+def train_dae(features, hyper: NetworkHyper, seed: int) -> Model:
     """Fit the autoencoder on fused feature vectors (unsupervised, MSE).
 
     Inputs are standardised per dimension with training-set statistics
@@ -276,40 +266,20 @@ def train_dae(features, hyper: NetworkHyper, seed: int) -> DaeModel:
     if x.ndim != 2 or len(x) < 2:
         raise ValueError("need a 2-D feature array with at least 2 rows")
     model = build_dae_model(x.shape[1], seed=seed)
-    model.mean = x.mean(axis=0)
     std = x.std(axis=0)
-    model.std = np.where(std == 0.0, 1.0, std)
+    model.mean, model.std = x.mean(axis=0), np.where(std == 0.0, 1.0, std)
     z = model.standardize(x)
-    net = model.net
-    adam = Adam(net.parameters(), learning_rate=hyper.learning_rate)
-    shuffle_rng = rng_mod.stream(seed, "dae", "shuffle")
-    net.set_dropout_rng(rng_mod.stream(seed, "dae", "dropout"))
-    n = len(z)
-    for epoch in range(hyper.epochs):
-        order = shuffle_rng.permutation(n)
-        losses = []
-        for start in range(0, n, hyper.batch_size):
-            idx = order[start:start + hyper.batch_size]
-            zb = z[idx]
-            recon = net.forward(zb, train=True)
-            losses.append(ops.mse_loss(recon, zb) * len(idx))
-            net.zero_grad()
-            net.backward(ops.mse_grad(recon, zb))
-            adam.step()
-        model.trace.append(EpochStats(epoch, sum(losses) / n, 0.0))
-    net.set_dropout_rng(None)
+    _fit(model, z, z, hyper, seed, "dae")
     return model
 
 
-def encode(dae: DaeModel, features) -> np.ndarray:
+def encode(dae: Model, features) -> np.ndarray:
     """Latent codes for a stack of fused feature vectors (eval mode)."""
-    z = dae.standardize(np.asarray(features, dtype=np.float64))
-    return _eval_rows(dae.net, z, dae.latent_index)
+    return dae.penultimate(features)
 
 
-def reconstruction_mse(dae: DaeModel, features) -> float:
-    z = dae.standardize(np.asarray(features, dtype=np.float64))
-    return ops.mse_loss(_eval_rows(dae.net, z), z)
+def reconstruction_mse(dae: Model, features) -> float:
+    return ops.mse_loss(dae.predict_proba(features), dae.standardize(features))
 
 
 def write_trace_csv(path: str | os.PathLike, trace: list[EpochStats]) -> None:

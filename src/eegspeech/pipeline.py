@@ -184,9 +184,9 @@ class ModelBundle:
     config_fingerprint: str
     kept_channels: tuple[int, ...]
     input_size: int
-    cnn: networks.CnnModel
-    lstm: networks.LstmModel
-    dae: networks.DaeModel
+    cnn: networks.Model
+    lstm: networks.Model
+    dae: networks.Model
     ensemble: gbt.Ensemble
     test_trial_ids: tuple[str, ...]
 

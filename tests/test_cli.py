@@ -352,6 +352,22 @@ def test_evaluate_replays_a_task_subset(tmp_path):
     assert not (eval_out / "iy").exists()
 
 
+def test_crossval_records_its_split_and_replays(tmp_path):
+    # the config has no split key, whose default is the holdout split
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    models = tmp_path / "models"
+    cfg = _write_config(tmp_path / "run.json", models,
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    resolved = json.loads((models / "config.resolved.json").read_text())
+    assert resolved["split_mode"] == "leave_one_subject_out"
+    eval_out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(eval_out)]) == 0
+    assert (eval_out / "uw" / "predictions.csv").read_bytes() == \
+           (models / "uw" / "predictions.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # plot
 # ---------------------------------------------------------------------------

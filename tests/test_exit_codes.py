@@ -135,12 +135,24 @@ def _non_finite_sample(value):
     return corrupt
 
 
+def _lone_surrogate(root: Path, fraction: float, offset: int) -> None:
+    # the JSON escape "\ud800" spells a string that no UTF-8 output can hold
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    trial = manifest["trials"][offset % len(manifest["trials"])]
+    owner, key = [(trial, "trial_id"), (trial, "subject_id"), (manifest, "name"),
+                  (manifest["channel_names"], 0)][math.floor(4 * fraction)]
+    owner[key] += chr(0xD800 + offset % 0x800)
+    path.write_text(json.dumps(manifest))
+
+
 CORRUPTIONS = {
     "truncate-data": _truncate,
     "garble-manifest": _garble_manifest,
     "bad-manifest-field": _bad_manifest_field,
     "nan-sample": _non_finite_sample(np.nan),
     "inf-sample": _non_finite_sample(-np.inf),
+    "lone-surrogate": _lone_surrogate,
 }
 
 
@@ -151,6 +163,10 @@ CORRUPTIONS = {
 @example(kind="garble-manifest", fraction=0.0, offset=0xFFFEFDFC)
 @example(kind="bad-manifest-field", fraction=0.0, offset=0)  # no channels
 @example(kind="bad-manifest-field", fraction=0.9, offset=1)  # trials: null
+@example(kind="lone-surrogate", fraction=0.0, offset=0)  # trial id
+@example(kind="lone-surrogate", fraction=0.3, offset=5)  # subject id
+@example(kind="lone-surrogate", fraction=0.6, offset=0x7FF)  # container name
+@example(kind="lone-surrogate", fraction=0.9, offset=0x400)  # channel name
 def test_corrupted_container_keeps_the_contract(corpus, kind, fraction, offset):
     data, models = corpus
     with tempfile.TemporaryDirectory() as tmp:
@@ -161,6 +177,8 @@ def test_corrupted_container_keeps_the_contract(corpus, kind, fraction, offset):
         (work / "run.json").write_text(json.dumps(BASE))
         codes = _exit_codes(work / "run.json", broken, models, work)
     assert set(codes.values()) <= CONTRACT, codes
+    if kind == "lone-surrogate":
+        assert set(codes.values()) == {3}, codes
 
 
 # --- saved bundles ------------------------------------------------------------

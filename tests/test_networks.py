@@ -292,14 +292,31 @@ def test_dae_rejects_degenerate_inputs():
 # ---------------------------------------------------------------------------
 
 
-def test_trace_csv_round_trips(tmp_path, trained_pair):
-    cnn, _, _, _ = trained_pair
+@pytest.mark.parametrize("name", ["cnn", "lstm", "dae"])
+def test_trace_csv_round_trips(tmp_path, trained_pair, name):
+    cnn, lstm, x, _ = trained_pair
+    model = {"cnn": cnn, "lstm": lstm}.get(name) or networks.train_dae(
+        networks.extract_fused(cnn, lstm, x), networks.NetworkHyper(epochs=3, batch_size=16), 5)
     path = tmp_path / "trace.csv"
-    networks.write_trace_csv(path, cnn.trace)
+    networks.write_trace_csv(path, model.trace)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,loss,accuracy"
-    assert len(lines) == 1 + len(cnn.trace)
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == cnn.trace[0].loss  # repr() round-trips exactly
-    assert float(first[2]) == cnn.trace[0].accuracy
+    assert len(lines) == 1 + len(model.trace) > 1
+    for line, stats in zip(lines[1:], model.trace):
+        epoch, loss, accuracy = line.split(",")
+        assert int(epoch) == stats.epoch
+        assert float(loss) == stats.loss  # repr() round-trips exactly
+        assert float(accuracy) == stats.accuracy
+        if name == "dae":  # the autoencoder has no classes to hit
+            assert accuracy == "0.0"
+
+
+@pytest.mark.parametrize("build", [networks.build_cnn_model, networks.build_lstm_model])
+def test_branch_standardisation_is_the_exact_identity(build):
+    model = build(6)
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308]
+    rows = np.random.default_rng(3).normal(size=(3, 6, 6))
+    rows.flat[:len(special)] = special
+    got = model.standardize(rows)
+    assert got.shape == (3, *model.input_shape)
+    assert np.array_equal(got.reshape(rows.shape).view(np.uint64), rows.view(np.uint64))
