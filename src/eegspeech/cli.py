@@ -129,8 +129,13 @@ def _metrics_row(task: str, accuracy: float, kappa: float) -> plotting.TaskMetri
 
 
 def _run_protocol(args, mode: str) -> int:
-    # the verb, not split.mode, picks the split, so the recorded config says so
-    cfg = dataclasses.replace(_resolve_config(args), split_mode=mode)
+    # the verb picks the split and split.mode may only agree with it, so one
+    # split has one route; the resolved config and fingerprint record it
+    cfg = _resolve_config(args)
+    if cfg.split_mode not in (None, mode):
+        raise ConfigError(f"config key split/mode: {args.verb} runs {mode}, "
+                          f"not {cfg.split_mode}")
+    cfg = dataclasses.replace(cfg, split_mode=mode)
     cont, recordings, ids = _load_recordings(args.container)
     covs = pipeline.ccv_features(recordings, cfg)
     out = Path(cfg.output_dir)
@@ -196,12 +201,13 @@ def cmd_evaluate(args) -> int:
     for task_id in cfg.tasks:
         task = pipeline.task_from_config(cfg, task_id)
         bundles_dir = models / task_id / "bundles"
-        if not bundles_dir.is_dir():
+        folds = sorted(p for p in bundles_dir.iterdir() if p.is_dir()) \
+            if bundles_dir.is_dir() else []
+        if not folds:
             raise DataError(f"no trained bundles for task {task_id!r} under {models}")
-        bundles = {p.name: pipeline.load_bundle(p)
-                   for p in sorted(bundles_dir.iterdir()) if p.is_dir()}
+        bundles = {p.name: pipeline.load_bundle(p) for p in folds}
         # the bundles' split is the one their run's config recorded
-        mode = next(iter(bundles.values())).mode if bundles else cfg.split_mode
+        mode = next(iter(bundles.values())).mode
         task_cfg = dataclasses.replace(cfg, split_mode=mode)
         plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
         _progress(f"evaluate: task {task_id} with {len(bundles)} fold bundle(s)")

@@ -4,11 +4,12 @@ Only `seed` and `tasks` are required; every other section defaults to the
 reference hyperparameters (networks: 2x conv 3x3 at 32/64 filters, dense
 64/128 and 512/1024, dropout 0.25/0.50, 50/50/200 epochs, batch 64, Adam at
 1e-3; trees: depth 10, 5000 rounds, learning rate 0.1, L2 0.3, subsample 0.8,
-column sample 0.4).  What cannot change a result is not a key: the
-covariance is always taken at lag 0, the LSTM reads matrix rows (the matrices
-are symmetric), and each fold seeds its trees from the run seed.  Unknown
-keys are rejected so typos fail loudly, and every validation error names the
-offending key path.
+column sample 0.4).  The verb picks the split (`train` the shuffled holdout,
+`crossval` leave-one-subject-out); `split.mode` has no default and, when set,
+must name the verb's split.  What cannot change a result is not a key: the
+covariance is always taken at lag 0, the LSTM reads matrix rows (the
+matrices are symmetric), and each fold seeds its trees from the run seed.  Unknown keys are rejected so typos fail loudly,
+and every validation error names the offending key path.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class RunConfig:
     seed: int
     tasks: tuple[str, ...]
     output_dir: str = "out"
-    split_mode: str = "random_holdout"
+    split_mode: str | None = None
     preprocessing: BandpassSpec = field(default_factory=BandpassSpec)
     covariance: CovarianceSettings = field(default_factory=CovarianceSettings)
     cnn: NetworkHyper = field(default_factory=lambda: NetworkHyper(epochs=50))
@@ -187,7 +188,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             seed=raw["seed"],
             tasks=tuple(raw["tasks"]),
             output_dir=raw.get("output_dir", "out"),
-            split_mode=raw.get("split", {}).get("mode", "random_holdout"),
+            split_mode=raw.get("split", {}).get("mode"),
             # each section's keys are the fields of its settings type
             preprocessing=BandpassSpec(**raw.get("preprocessing", {})),
             covariance=CovarianceSettings(**raw.get("covariance", {})),

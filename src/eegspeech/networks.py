@@ -56,6 +56,7 @@ CNN_SPECS = [
 LSTM_SPECS = [
     LayerSpec("lstm", units=128),
     LayerSpec("lstm", units=256),
+    LayerSpec("last_step"),
     LayerSpec("dropout", rate=0.25),
     LayerSpec("dense", units=512),
     LayerSpec("activation", fn="relu"),
@@ -201,14 +202,15 @@ def _fit(model: Model, x: np.ndarray, targets: np.ndarray, hyper: NetworkHyper,
 
 
 def _build(name: str, specs: list[LayerSpec], input_shape: tuple[int, ...],
-           feature_spec: int, width: int, what: str, seed: int) -> Model:
-    """An untrained model whose spec ``feature_spec`` must output ``width``
-    features, checked before any weight is drawn."""
-    actual = infer_shapes(specs, input_shape)[feature_spec][-1]
+           feature_index: int, width: int, what: str, seed: int) -> Model:
+    """An untrained model whose layer ``feature_index`` (built from the spec
+    at that index) must output ``width`` features, checked before any weight
+    is drawn."""
+    actual = infer_shapes(specs, input_shape)[feature_index][-1]
     if actual != width:
         raise ValueError(f"{name} {what} width is {actual}, expected {width}")
     net = build_network(specs, input_shape, rng_mod.stream(seed, name, "init"))
-    return Model(net=net, input_shape=input_shape, feature_index=net.spec_outputs[feature_spec])
+    return Model(net=net, input_shape=input_shape, feature_index=feature_index)
 
 
 def build_cnn_model(input_size: int, seed: int = 0) -> Model:
@@ -220,7 +222,7 @@ def build_cnn_model(input_size: int, seed: int = 0) -> Model:
 
 def build_lstm_model(input_size: int, seed: int = 0) -> Model:
     """An untrained LSTM network; it reads each matrix row by row as a sequence."""
-    return _build("lstm", LSTM_SPECS, (input_size, input_size), 7, LSTM_PENULTIMATE,
+    return _build("lstm", LSTM_SPECS, (input_size, input_size), 8, LSTM_PENULTIMATE,
                   "penultimate", seed)
 
 

@@ -11,7 +11,8 @@ import numpy as np
 from .layers import Activation, Conv2D, Dense, Dropout, Flatten, LastStep, Layer, Lstm, Softmax
 from .tensor import Tensor
 
-LAYER_KINDS = ("conv2d", "dense", "lstm", "dropout", "activation", "softmax", "flatten")
+LAYER_KINDS = ("conv2d", "dense", "lstm", "last_step", "dropout", "activation", "softmax",
+               "flatten")
 
 
 @dataclass(frozen=True)
@@ -61,41 +62,24 @@ def infer_shapes(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[t
             if len(shape) != 1:
                 raise ValueError(f"layer {i}: dense needs a flat input, got {shape}")
             shape = (spec.units,)
-        elif spec.kind == "lstm":
+        elif spec.kind in ("lstm", "last_step"):
             if len(shape) != 2:
-                raise ValueError(f"layer {i}: lstm needs (T, features) input, got {shape}")
-            shape = (shape[0], spec.units)
-            if _lstm_last_step(specs, i):
-                # mirrors the LastStep selector build_network inserts here
-                shape = (spec.units,)
+                raise ValueError(f"layer {i}: {spec.kind} needs (T, features) input, got {shape}")
+            shape = (shape[0], spec.units) if spec.kind == "lstm" else (shape[1],)
         elif spec.kind == "flatten":
             shape = (int(np.prod(shape)),)
         shapes.append(shape)
     return shapes
 
 
-def _lstm_last_step(specs: list[LayerSpec], index: int) -> bool:
-    """True when layer ``index`` is the last lstm before non-sequence layers."""
-    for later in specs[index + 1:]:
-        if later.kind == "lstm":
-            return False
-        if later.kind in ("dense", "flatten"):
-            return True
-    return True
-
-
 def build_network(specs: list[LayerSpec], input_shape: tuple[int, ...],
                   rng: np.random.Generator) -> "Network":
     """Instantiate and initialise a network, validating the shape chain.
 
-    A trailing ``LastStep`` selector is inserted automatically after the final
-    lstm layer so the dense stack consumes the last hidden state.  The
-    network records, per spec, the index of the layer whose output is that
-    spec's output.
+    Layer i is built from spec i.
     """
     shapes = infer_shapes(specs, input_shape)  # fail fast on any mismatch
     layers: list[Layer] = []
-    spec_outputs = []
     for i, spec in enumerate(specs):
         shape = shapes[i - 1] if i else tuple(input_shape)
         if spec.kind == "conv2d":
@@ -104,8 +88,8 @@ def build_network(specs: list[LayerSpec], input_shape: tuple[int, ...],
             layers.append(Dense.create(shape[0], spec.units, rng))
         elif spec.kind == "lstm":
             layers.append(Lstm.create(shape[1], spec.units, rng))
-            if _lstm_last_step(specs, i):
-                layers.append(LastStep())
+        elif spec.kind == "last_step":
+            layers.append(LastStep())
         elif spec.kind == "dropout":
             layers.append(Dropout(spec.rate))
         elif spec.kind == "activation":
@@ -114,20 +98,14 @@ def build_network(specs: list[LayerSpec], input_shape: tuple[int, ...],
             layers.append(Softmax())
         elif spec.kind == "flatten":
             layers.append(Flatten())
-        spec_outputs.append(len(layers) - 1)
-    return Network(layers, tuple(spec_outputs))
+    return Network(layers)
 
 
 class Network:
-    """A plain sequential stack with explicit forward/backward control.
+    """A plain sequential stack with explicit forward/backward control."""
 
-    ``spec_outputs[i]`` is the index of the layer whose output is the output
-    of the i-th ``LayerSpec`` the network was built from.
-    """
-
-    def __init__(self, layers: list[Layer], spec_outputs: tuple[int, ...]):
+    def __init__(self, layers: list[Layer]):
         self.layers = layers
-        self.spec_outputs = spec_outputs
 
     def forward(self, x, train: bool = True, stop: int | None = None):
         """Run the layers up to and including layer ``stop`` (default: all).

@@ -149,12 +149,13 @@ def ccv_features(recordings, cfg: RunConfig) -> list[covariance.CovMatrix]:
     return covs
 
 
-def fit_channel_rejection(covs, train_indices, threshold: float,
+def fit_channel_rejection(covs, trial_ids, train_indices, threshold: float,
                           audit: LeakageAudit | None = None) -> tuple[int, ...]:
     """Channels kept in at least half of the training trials' rejections.
 
     Falls back to the two most frequently kept channels when the vote leaves
-    fewer than two.
+    fewer than two.  A training trial with fewer than two live channels is a
+    DataError naming the trial by its id in ``trial_ids``.
     """
     if audit is not None:
         audit.check("channel-rejection", train_indices)
@@ -166,7 +167,10 @@ def fit_channel_rejection(covs, train_indices, threshold: float,
         cov = covs[idx]
         if cov.k != n_channels:
             raise DataError("training trials disagree on channel count")
-        kept = covariance.reject_channels(cov, threshold).kept_channels
+        try:
+            kept = covariance.reject_channels(cov, threshold)
+        except ValueError as exc:
+            raise DataError(f"training trial {trial_ids[idx]}: {exc}") from exc
         votes[list(kept)] += 1
     half = len(train_indices) / 2.0
     kept = tuple(int(c) for c in range(n_channels) if votes[c] >= half)
@@ -189,6 +193,7 @@ class ModelBundle:
     dae: networks.Model
     ensemble: gbt.Ensemble
     test_trial_ids: tuple[str, ...]
+    dev_accuracy: float
 
     def predict_proba(self, inputs: np.ndarray) -> np.ndarray:
         """P(class 1) for a stack of network inputs: fuse, encode, then trees."""
@@ -210,6 +215,7 @@ def save_bundle(bundle: ModelBundle, root: str | os.PathLike) -> None:
         "kept_channels": list(bundle.kept_channels),
         "input_size": bundle.input_size,
         "test_trials": list(bundle.test_trial_ids),
+        "dev_accuracy": bundle.dev_accuracy,
         "gbt": {**dataclasses.asdict(ensemble.config), "base_score": ensemble.base_score},
     }
     write_json_atomic(root / "meta.json", meta)
@@ -239,6 +245,9 @@ def _bundle_from(meta: dict, tensors: dict) -> ModelBundle:
     kept = meta["kept_channels"]
     if not (all(type(c) is int and c >= 0 for c in kept) and kept == sorted(set(kept))):
         raise ValueError(f"kept_channels {kept!r} are not ascending channel indices")
+    dev_accuracy = meta.get("dev_accuracy")  # absent from bundles of older releases
+    if not (type(dev_accuracy) is float and 0.0 <= dev_accuracy <= 1.0):
+        raise ValueError(f"dev_accuracy {dev_accuracy!r} is not a float in [0, 1]")
     # The LSTM's first input weight is (4 * units, input_size); checking it
     # first means no network is ever built at a size the archive does not hold.
     size = meta["input_size"]
@@ -274,7 +283,8 @@ def _bundle_from(meta: dict, tensors: dict) -> ModelBundle:
                        config_fingerprint=meta["config_fingerprint"],
                        kept_channels=tuple(kept), input_size=size, cnn=cnn, lstm=lstm,
                        dae=dae, ensemble=ensemble,
-                       test_trial_ids=tuple(meta["test_trials"]))
+                       test_trial_ids=tuple(meta["test_trials"]),
+                       dev_accuracy=dev_accuracy)
 
 
 @dataclass
@@ -361,7 +371,8 @@ def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, recordings,
     report = FoldReport(name=fold.name, n_train=len(fold.train), n_dev=len(fold.dev),
                         n_test=len(fold.test), kept_channels=bundle.kept_channels,
                         accuracy=metrics.accuracy(confusion), kappa=kappa.value,
-                        kappa_degenerate=kappa.degenerate, confusion=confusion)
+                        kappa_degenerate=kappa.degenerate,
+                        dev_accuracy=bundle.dev_accuracy, confusion=confusion)
     predictions = [
         TrialPrediction(index=i, trial_id=trial_ids[i], subject_id=recordings[i].subject_id,
                         prompt=recordings[i].prompt, fold=fold.name,
@@ -372,16 +383,26 @@ def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, recordings,
     return _FoldOutcome(report=report, bundle=bundle, predictions=predictions)
 
 
+def _skip_reason(fold: Fold, labels) -> str:
+    """Why a fold cannot be trained, or "" when it can."""
+    class_counts = np.bincount(labels[list(fold.train)], minlength=2)
+    if class_counts.min() == 0:
+        return "single-class training labels"
+    if class_counts.min() < 2:
+        return "fewer than 2 training examples per class"
+    return ""
+
+
 def _run_fold(recordings, covs, labels, task: Task, fold: Fold, cfg: RunConfig,
               mode: str, fingerprint: str, trial_ids) -> _FoldOutcome:
-    train_labels = labels[list(fold.train)]
-    class_counts = np.bincount(train_labels, minlength=2)
-    if class_counts.min() < 2:
-        return _skipped(fold, "single-class training labels" if class_counts.min() == 0
-                        else "fewer than 2 training examples per class")
+    reason = _skip_reason(fold, labels)
+    if reason:
+        return _skipped(fold, reason)
 
+    train_labels = labels[list(fold.train)]
     audit = LeakageAudit(held_out=frozenset(fold.dev) | frozenset(fold.test))
-    kept = fit_channel_rejection(covs, fold.train, cfg.covariance.threshold, audit)
+    kept = fit_channel_rejection(covs, trial_ids, fold.train, cfg.covariance.threshold,
+                                 audit)
     train_inputs = _network_inputs([covs[i] for i in fold.train], kept,
                                    cfg.covariance.input_size)
     fold_seed = rng_mod.child_seed(cfg.seed, "task", task.task_id, "fold", fold.name)
@@ -403,12 +424,12 @@ def _run_fold(recordings, covs, labels, task: Task, fold: Fold, cfg: RunConfig,
                          config_fingerprint=fingerprint, kept_channels=kept,
                          input_size=cfg.covariance.input_size,
                          cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble,
-                         test_trial_ids=tuple(trial_ids[i] for i in fold.test))
-    outcome = score_fold(bundle, fold, covs, labels, recordings, trial_ids)
+                         test_trial_ids=tuple(trial_ids[i] for i in fold.test),
+                         dev_accuracy=0.0)
     if fold.dev:
         dev_pred = _bundle_proba(bundle, covs, fold.dev) >= 0.5
-        outcome.report.dev_accuracy = float((dev_pred == labels[list(fold.dev)]).mean())
-    return outcome
+        bundle.dev_accuracy = float((dev_pred == labels[list(fold.dev)]).mean())
+    return score_fold(bundle, fold, covs, labels, recordings, trial_ids)
 
 
 def _prepare(recordings, task: Task, cfg: RunConfig, trial_ids, covs):
@@ -470,14 +491,16 @@ def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
     trials differ from its recomputed fold's (another seed or container)
     raises DataError, so no bundle ever scores a trial it was trained on, as
     does one that keeps channels the container lacks; another config's
-    bundle raises ConfigError.  Folds without a bundle are flagged as skipped.
+    bundle raises ConfigError.  Folds that `run_task` skips, and folds without
+    a bundle, are flagged as skipped, the former with `run_task`'s reason.
     """
     recordings, trial_ids, covs, labels = _prepare(recordings, task, cfg, trial_ids, covs)
     outcomes = []
     for fold in make_splits(recordings, plan):
         bundle = bundles.get(fold.name)
-        if bundle is None:
-            outcomes.append(_skipped(fold, "no bundle for fold"))
+        reason = _skip_reason(fold, labels) or ("no bundle for fold" if bundle is None else "")
+        if reason:
+            outcomes.append(_skipped(fold, reason))
             continue
         if tuple(trial_ids[i] for i in fold.test) != bundle.test_trial_ids:
             raise DataError(

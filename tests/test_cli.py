@@ -297,11 +297,10 @@ def test_evaluate_replays_train_predictions(tmp_path, trained_run):
                  "--models", str(train_out), "--out", str(eval_out)])
     assert code == 0
     trained = json.loads((train_out / "uw" / "report.json").read_text())
-    replayed = json.loads((eval_out / "uw" / "report.json").read_text())
-    assert replayed["accuracy"] == trained["accuracy"]
-    assert replayed["confusion"] == trained["confusion"]
-    assert (eval_out / "uw" / "predictions.csv").read_bytes() == \
-           (train_out / "uw" / "predictions.csv").read_bytes()
+    assert trained["folds"][0]["dev_accuracy"] > 0.0
+    # the dev accuracy comes back from the bundle, so the whole report replays
+    for name in ("report.json", "predictions.csv"):
+        assert (eval_out / "uw" / name).read_bytes() == (train_out / "uw" / name).read_bytes()
 
 
 def test_evaluate_missing_models_exits_3(tmp_path, trained_run):
@@ -309,6 +308,14 @@ def test_evaluate_missing_models_exits_3(tmp_path, trained_run):
     assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
                  "--models", str(tmp_path / "nothing"),
                  "--out", str(tmp_path / "eval")]) == 3
+
+
+def test_evaluate_empty_bundles_exits_3(tmp_path, trained_run):
+    cont, cfg, train_out = trained_run
+    models = tmp_path / "models"
+    (models / "uw" / "bundles").mkdir(parents=True)
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(tmp_path / "eval")]) == 3
 
 
 def test_evaluate_with_another_seed_exits_3(tmp_path):
@@ -353,7 +360,7 @@ def test_evaluate_replays_a_task_subset(tmp_path):
 
 
 def test_crossval_records_its_split_and_replays(tmp_path):
-    # the config has no split key, whose default is the holdout split
+    # the config has no split key
     cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
     models = tmp_path / "models"
     cfg = _write_config(tmp_path / "run.json", models,
@@ -364,8 +371,22 @@ def test_crossval_records_its_split_and_replays(tmp_path):
     eval_out = tmp_path / "eval"
     assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
                  "--models", str(models), "--out", str(eval_out)]) == 0
-    assert (eval_out / "uw" / "predictions.csv").read_bytes() == \
-           (models / "uw" / "predictions.csv").read_bytes()
+    for name in ("report.json", "predictions.csv"):
+        assert (eval_out / "uw" / name).read_bytes() == (models / "uw" / name).read_bytes()
+
+
+@pytest.mark.parametrize("verb, other_split",
+                         [("train", "leave_one_subject_out"), ("crossval", "random_holdout")])
+def test_verb_refuses_a_config_naming_the_other_split_with_exit_2(tmp_path, capsys, verb,
+                                                                  other_split):
+    # each split has one verb; split.mode may only agree with it
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out, split={"mode": other_split},
+                        sections=ZERO_SECTIONS)
+    assert main([verb, "--config", str(cfg), "--container", str(cont)]) == 2
+    assert "split/mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Config schema validation, defaulting, and run fingerprints."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ def test_minimal_config_gets_reference_defaults():
     assert cfg.seed == 7
     assert cfg.tasks == ("uw",)
     assert cfg.output_dir == "out"
-    assert cfg.split_mode == "random_holdout"
+    assert cfg.split_mode is None  # train then runs the holdout, crossval LOSO
     assert (cfg.preprocessing.low_hz, cfg.preprocessing.high_hz,
             cfg.preprocessing.order) == (1.0, 50.0, 4)
     assert (cfg.covariance.threshold, cfg.covariance.input_size) == (0.3, 62)
@@ -33,6 +35,14 @@ def test_minimal_config_gets_reference_defaults():
     assert cfg.gbt.min_child_weight == 1.0
     assert cfg.task_table["uw"] == ("/uw/",)
     assert set(cfg.task_table) == set(config.TASK_IDS)
+
+
+def test_readme_config_block_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    cfg = config.config_from_dict(json.loads(blocks[0]))
+    assert cfg.tasks == ("uw", "nasal")
 
 
 def test_gbt_seed_override():

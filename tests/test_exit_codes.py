@@ -146,6 +146,22 @@ def _lone_surrogate(root: Path, fraction: float, offset: int) -> None:
     path.write_text(json.dumps(manifest))
 
 
+def _dead_trial(root: Path, fraction: float, offset: int) -> None:
+    # every channel of one trial but one is flat zero: one live channel is left
+    manifest = json.loads((root / "manifest.json").read_text())
+    trial = manifest["trials"][math.floor(len(manifest["trials"]) * fraction)]
+    n_channels = len(manifest["channel_names"])
+    path = root / "data.bin"
+    samples = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+    start = trial["offset"] // 4
+    block = samples[start:start + trial["length"] // 4].reshape(n_channels, -1)
+    block[np.arange(n_channels) != offset % n_channels] = 0.0
+    path.write_bytes(samples.tobytes())
+
+
+#: kills t0001 with the dead-trial corruption: it trains in both splits
+DEAD_TRAINING_TRIAL = 0.05
+
 CORRUPTIONS = {
     "truncate-data": _truncate,
     "garble-manifest": _garble_manifest,
@@ -153,6 +169,7 @@ CORRUPTIONS = {
     "nan-sample": _non_finite_sample(np.nan),
     "inf-sample": _non_finite_sample(-np.inf),
     "lone-surrogate": _lone_surrogate,
+    "dead-trial": _dead_trial,
 }
 
 
@@ -167,6 +184,7 @@ CORRUPTIONS = {
 @example(kind="lone-surrogate", fraction=0.3, offset=5)  # subject id
 @example(kind="lone-surrogate", fraction=0.6, offset=0x7FF)  # container name
 @example(kind="lone-surrogate", fraction=0.9, offset=0x400)  # channel name
+@example(kind="dead-trial", fraction=DEAD_TRAINING_TRIAL, offset=0)
 def test_corrupted_container_keeps_the_contract(corpus, kind, fraction, offset):
     data, models = corpus
     with tempfile.TemporaryDirectory() as tmp:
@@ -179,6 +197,13 @@ def test_corrupted_container_keeps_the_contract(corpus, kind, fraction, offset):
     assert set(codes.values()) <= CONTRACT, codes
     if kind == "lone-surrogate":
         assert set(codes.values()) == {3}, codes
+    if kind == "dead-trial":
+        # only fitting channel rejection on the trial fails; scoring it does not,
+        # and a drawn trial may be held out of every fold that trains
+        assert codes["featurize"] == codes["evaluate"] == 0, codes
+        assert {codes["train"], codes["crossval"]} <= {0, 3}, codes
+        if fraction == DEAD_TRAINING_TRIAL:
+            assert codes["train"] == codes["crossval"] == 3, codes
 
 
 # --- saved bundles ------------------------------------------------------------
@@ -186,11 +211,12 @@ def test_corrupted_container_keeps_the_contract(corpus, kind, fraction, offset):
 BUNDLE = Path("uw") / "bundles" / "holdout"
 MISSING = "<missing>"
 META_KEYS = [(k,) for k in ("task", "fold", "mode", "config_fingerprint", "kept_channels",
-                            "input_size", "test_trials", "gbt")] + \
+                            "input_size", "test_trials", "dev_accuracy", "gbt")] + \
     [("gbt", f.name) for f in dataclasses.fields(GbtConfig)] + [("gbt", "base_score")]
 #: meta.json values that must exit exactly 3, not just any code of the contract.
 PINNED_META = [(("mode",), "nope"), (("kept_channels",), [0, 99]), (("input_size",), 7),
-               (("input_size",), MISSING)]
+               (("input_size",), MISSING), (("dev_accuracy",), 1.5),
+               (("dev_accuracy",), 1)]
 
 
 def _corrupt_bundle(bundle: Path, kind: str, fraction: float, offset: int, key, value):
@@ -225,6 +251,8 @@ def _corrupt_bundle(bundle: Path, kind: str, fraction: float, offset: int, key, 
 @example(kind="meta", fraction=0.0, offset=0, key=("kept_channels",), value=[0, 99])
 @example(kind="meta", fraction=0.0, offset=0, key=("input_size",), value=7)
 @example(kind="meta", fraction=0.0, offset=0, key=("input_size",), value=MISSING)
+@example(kind="meta", fraction=0.0, offset=0, key=("dev_accuracy",), value=1.5)
+@example(kind="meta", fraction=0.0, offset=0, key=("dev_accuracy",), value=1)
 def test_corrupted_bundle_keeps_the_contract(corpus, kind, fraction, offset, key, value):
     data, models = corpus
     with tempfile.TemporaryDirectory() as tmp:

@@ -222,6 +222,7 @@ def test_small_lstm_stack_gradients(seed):
     r = rng.normal(size=(2, 2))
     specs = [
         LayerSpec("lstm", units=2),
+        LayerSpec("last_step"),
         LayerSpec("dense", units=2),
         LayerSpec("activation", fn="tanh"),
     ]

@@ -48,7 +48,7 @@ def test_cnn_width_deviation_fails_at_build(monkeypatch):
 
 def test_lstm_width_deviation_fails_at_build(monkeypatch):
     bad = list(networks.LSTM_SPECS)
-    bad[6] = LayerSpec("dense", units=999)
+    bad[7] = LayerSpec("dense", units=999)
     monkeypatch.setattr(networks, "LSTM_SPECS", bad)
     with pytest.raises(ValueError, match="penultimate"):
         networks.build_lstm_model(8)
@@ -73,8 +73,16 @@ def test_inferred_shapes_match_forward_outputs(name, size):
     }[name]
     x = np.random.default_rng(size).normal(size=(2, *shape))
     for i, inferred in enumerate(infer_shapes(specs, shape)):
-        out = model.net.forward(x, train=False, stop=model.net.spec_outputs[i])
+        out = model.net.forward(x, train=False, stop=i)
         assert out.shape == (2, *inferred), i
+
+
+def test_lstm_specs_without_last_step_fail_at_build(monkeypatch):
+    # no layer is built that no spec names: the dense stack cannot read a sequence
+    bare = [spec for spec in networks.LSTM_SPECS if spec.kind != "last_step"]
+    monkeypatch.setattr(networks, "LSTM_SPECS", bare)
+    with pytest.raises(ValueError, match="dense needs a flat input"):
+        networks.build_lstm_model(8)
 
 
 def test_cnn_rejects_too_small_input():

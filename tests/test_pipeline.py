@@ -150,38 +150,47 @@ def test_split_plan_rejects_unknown_mode():
 # ---------------------------------------------------------------------------
 
 
+IDS = ("t0", "t1", "t2")
+
+
 def _pair_cov(n_channels, pair, strength=0.9):
     """Identity covariance with one correlated channel pair."""
     values = np.eye(n_channels)
     i, j = pair
     values[i, j] = values[j, i] = strength
-    return covariance.CovMatrix(values=values,
-                                kept_channels=tuple(range(n_channels)), lag=0)
+    return covariance.CovMatrix(values)
 
 
 def test_rejection_vote_keeps_majority_channels():
     covs = [_pair_cov(4, (0, 1)), _pair_cov(4, (0, 1)), _pair_cov(4, (2, 3))]
-    kept = pipeline.fit_channel_rejection(covs, (0, 1, 2), threshold=0.3)
+    kept = pipeline.fit_channel_rejection(covs, IDS, (0, 1, 2), threshold=0.3)
     assert kept == (0, 1)
 
 
 def test_rejection_vote_falls_back_to_top_two():
     covs = [_pair_cov(4, (0, 1)), _pair_cov(4, (0, 2)), _pair_cov(4, (0, 3))]
     # votes: channel 0 three times, the rest once; only channel 0 clears half
-    kept = pipeline.fit_channel_rejection(covs, (0, 1, 2), threshold=0.3)
+    kept = pipeline.fit_channel_rejection(covs, IDS, (0, 1, 2), threshold=0.3)
     assert kept == (0, 1)
 
 
 def test_rejection_uses_only_train_indices():
     covs = [_pair_cov(4, (0, 1)), _pair_cov(4, (2, 3)), _pair_cov(4, (2, 3))]
-    kept = pipeline.fit_channel_rejection(covs, (0,), threshold=0.3)
+    kept = pipeline.fit_channel_rejection(covs, IDS, (0,), threshold=0.3)
     assert kept == (0, 1)
 
 
 def test_rejection_requires_consistent_channel_counts():
     covs = [_pair_cov(4, (0, 1)), _pair_cov(5, (0, 1))]
     with pytest.raises(DataError, match="channel count"):
-        pipeline.fit_channel_rejection(covs, (0, 1), threshold=0.3)
+        pipeline.fit_channel_rejection(covs, IDS, (0, 1), threshold=0.3)
+
+
+def test_rejection_names_a_training_trial_with_one_live_channel():
+    dead = covariance.CovMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+    covs = [_pair_cov(4, (0, 1)), dead, _pair_cov(4, (0, 1))]
+    with pytest.raises(DataError, match="training trial t1: fewer than 2 channels"):
+        pipeline.fit_channel_rejection(covs, IDS, (0, 1, 2), threshold=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +210,7 @@ def test_rejection_audit_integration():
     covs = [_pair_cov(4, (0, 1)) for _ in range(3)]
     audit = pipeline.LeakageAudit(held_out=frozenset({2}))
     with pytest.raises(LeakageError, match="channel-rejection"):
-        pipeline.fit_channel_rejection(covs, (0, 1, 2), 0.3, audit)
+        pipeline.fit_channel_rejection(covs, IDS, (0, 1, 2), 0.3, audit)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +305,24 @@ def test_evaluate_bundles_without_bundles_cannot_score(small_run):
     recs, ids, cfg, task, plan, *_ = small_run
     with pytest.raises(TrainingError, match="no bundle"):
         pipeline.evaluate_bundles(recs, task, plan, cfg, {}, trial_ids=ids)
+
+
+def test_evaluate_replays_a_skipped_fold_with_its_reason():
+    recs, ids = _synthetic_recordings(24, 6, 3, separability=1.0, seed=9)
+    # only subject s00 holds /uw/ trials, so its own fold trains on one class
+    recs = [dataclasses.replace(r, prompt="/uw/" if r.subject_id == "s00" and i % 2 else "/iy/")
+            for i, r in enumerate(recs)]
+    zero = NetworkHyper(epochs=0)
+    cfg = RunConfig(seed=21, tasks=("uw",), split_mode="leave_one_subject_out",
+                    covariance=CovarianceSettings(input_size=6), cnn=zero, lstm=zero, dae=zero,
+                    gbt=GbtConfig(n_estimators=2, max_depth=2))
+    task = _task("uw")
+    plan = pipeline.SplitPlan("leave_one_subject_out", seed=cfg.seed)
+    bundles, report = pipeline.run_task(recs, task, plan, cfg, trial_ids=ids)
+    assert report.skipped_folds == ["subject-s00"]
+    assert report.folds[0].reason == "single-class training labels"
+    replayed = pipeline.evaluate_bundles(recs, task, plan, cfg, bundles, trial_ids=ids)
+    assert pipeline.report_to_dict(replayed) == pipeline.report_to_dict(report)
 
 
 def test_single_class_task_raises_training_error():
