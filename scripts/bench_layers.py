@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Per-layer forward and backward times of the level-1 networks at the
+reference shapes, written as one JSON file.
+
+Times the CNN's two convolutions and the dense layer after its flatten, and
+the LSTM network's two LSTM layers, by calling each layer's ``nn.ops``
+kernels on random inputs with the built network's own weights, then one Adam
+step over every CNN parameter.  Last, a fresh child process
+runs one CNN train step (forward, backward, Adam) and reports its peak
+resident set size.  Each time is the median of ``--repeats`` runs, and the
+runs are kept beside it.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_layers.py --out BENCH_layers.json
+
+The defaults are the reference shapes: 62x62 input and batch 64, which make
+the dense layer 215 296 -> 64 and the CNN 13.8 M parameters.  A run at the
+defaults needs about 2 GB of memory.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+import eegspeech
+from eegspeech import networks
+from eegspeech.nn import Adam, infer_shapes
+from eegspeech.nn import ops
+
+#: One CNN train step in a fresh interpreter; prints its wall time and peak RSS.
+_CNN_STEP = """
+import json, resource, sys, time
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from eegspeech import networks
+size, batch = int(sys.argv[2]), int(sys.argv[3])
+rng = np.random.default_rng(0)
+x = rng.normal(size=(batch, size, size))
+y = np.arange(batch) % 2
+start = time.perf_counter()
+networks.train_cnn(x, y, networks.NetworkHyper(epochs=1, batch_size=batch), seed=0)
+print(json.dumps({"s": time.perf_counter() - start,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def _timed(fn, repeats: int):
+    """The median wall time of ``repeats`` calls, every run, and the last result."""
+    runs = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        runs.append(time.perf_counter() - start)
+    return statistics.median(runs), runs, result
+
+
+def _layer_entry(forward, backward, in_shape, weights, repeats: int) -> dict:
+    fwd_s, fwd_runs, out = _timed(forward, repeats)
+    grad = np.random.default_rng(1).normal(size=out.shape)
+    bwd_s, bwd_runs, _ = _timed(lambda: backward(grad), repeats)
+    return {"input": list(in_shape), "weights": list(weights.shape),
+            "forward_s": fwd_s, "backward_s": bwd_s,
+            "forward_runs": fwd_runs, "backward_runs": bwd_runs}
+
+
+def bench_layers(size: int, batch: int, repeats: int) -> dict:
+    rng = np.random.default_rng(0)
+    layers = {}
+    for name, model, specs in (("cnn", networks.build_cnn_model(size), networks.CNN_SPECS),
+                               ("lstm", networks.build_lstm_model(size), networks.LSTM_SPECS)):
+        in_shapes = [model.input_shape] + infer_shapes(specs, model.input_shape)
+        for i, (spec, layer) in enumerate(zip(specs, model.net.layers)):
+            if not (spec.kind in ("conv2d", "lstm")
+                    or spec.kind == "dense" and specs[i - 1].kind == "flatten"):
+                continue
+            x = rng.normal(size=(batch, *in_shapes[i]))
+            if spec.kind == "conv2d":
+                w, b = layer.weights.data, layer.bias.data
+                entry = _layer_entry(lambda: ops.conv2d_forward(x, w, b),
+                                     lambda g: ops.conv2d_backward(x, w, g), x.shape, w, repeats)
+            elif spec.kind == "lstm":
+                cache = {}
+
+                def forward():
+                    hs, cache["lstm"] = ops.lstm_forward(x, layer.wx.data, layer.wh.data,
+                                                         layer.bias.data)
+                    return hs
+                entry = _layer_entry(forward, lambda g: ops.lstm_backward(cache["lstm"], g),
+                                     x.shape, layer.wx.data, repeats)
+            else:
+                w, b = layer.weights.data, layer.bias.data
+                entry = _layer_entry(lambda: ops.dense_forward(x, w, b),
+                                     lambda g: ops.dense_backward(x, w, g), x.shape, w, repeats)
+            layers[f"{name}.layer{i}.{spec.kind}"] = entry
+    return layers
+
+
+def bench_adam(size: int, repeats: int) -> dict:
+    params = networks.build_cnn_model(size).net.parameters()
+    rng = np.random.default_rng(2)
+    for _, tensor in params:
+        tensor.grad[...] = rng.normal(size=tensor.shape)
+    adam = Adam(params)
+    step_s, runs, _ = _timed(adam.step, repeats)
+    return {"params": sum(t.size for _, t in params), "s": step_s, "runs": runs}
+
+
+def bench_cnn_step(size: int, batch: int) -> dict:
+    package_root = str(Path(eegspeech.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _CNN_STEP, package_root, str(size), str(batch)],
+                          capture_output=True, text=True, check=True)
+    return {"batch": batch, **json.loads(done.stdout.strip().splitlines()[-1])}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--size", type=int, default=62, help="input matrix side")
+    parser.add_argument("--batch", type=int, default=64, help="rows per batch (at least 4)")
+    parser.add_argument("--repeats", type=int, default=3, help="timed runs per kernel")
+    args = parser.parse_args()
+    if args.batch < 4 or args.repeats < 1:
+        parser.error("--batch must be at least 4 and --repeats at least 1")
+    result = {
+        "input_size": args.size,
+        "batch": args.batch,
+        "repeats": args.repeats,
+        "env": {"numpy": np.__version__, "cpus": len(os.sched_getaffinity(0)),
+                **{k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
+        "layers": bench_layers(args.size, args.batch, args.repeats),
+        "adam_step": bench_adam(args.size, args.repeats),
+        "cnn_train_step": bench_cnn_step(args.size, args.batch),
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    print(json.dumps({name: [round(e["forward_s"], 4), round(e["backward_s"], 4)]
+                      for name, e in result["layers"].items()}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

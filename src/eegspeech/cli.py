@@ -207,7 +207,11 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"no trained bundles for task {task_id!r} under {models}")
         bundles = {p.name: pipeline.load_bundle(p) for p in folds}
         # the bundles' split is the one their run's config recorded
-        mode = next(iter(bundles.values())).mode
+        modes = sorted({bundle.mode for bundle in bundles.values()})
+        if len(modes) > 1:
+            raise DataError(f"bundles of task {task_id!r} under {models} mix the "
+                            f"{' and '.join(modes)} splits")
+        mode = modes[0]
         task_cfg = dataclasses.replace(cfg, split_mode=mode)
         plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
         _progress(f"evaluate: task {task_id} with {len(bundles)} fold bundle(s)")

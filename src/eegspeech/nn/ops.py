@@ -4,7 +4,8 @@ Every op takes batch-first arrays, the layout the layer classes use: dense
 (b, ..., n), conv2d (b, c, h, w) and lstm (b, T, n).  Backward functions
 return gradients with respect to inputs and parameters given the upstream
 gradient, and are verified against central finite differences in the test
-suite.
+suite.  Convolution runs on BLAS through im2col, which unfolds the input
+windows into a column block, and col2im, which folds its gradient back.
 """
 
 from __future__ import annotations
@@ -90,10 +91,17 @@ def dense_backward(x, weights, grad):
 
 
 # --- 2-D convolution (valid, stride 1) ---------------------------------------
+# im2col (Chellapilla, Puri and Simard, 2006): each sample's windows become a
+# contiguous block with one row per kernel tap (channel, i, j) and one column
+# per output pixel, so the forward pass and the weight gradient are one GEMM
+# per sample.  col2im adds the block's gradient back onto the input, one
+# strided add per kernel tap.
 
-def _windows(x, kh, kw):
-    # (b, c, h, w) -> (b, c, h', w', kh, kw)
-    return np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+def _im2col(x, kh, kw):
+    # (b, c, h, w) -> (b, c*kh*kw, h'*w'), rows in the order of a flattened kernel
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    b, c, h_out, w_out = win.shape[:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h_out * w_out)
 
 
 def conv2d_forward(x, weights, bias):
@@ -112,18 +120,24 @@ def conv2d_forward(x, weights, bias):
         raise ValueError(f"kernel {kh}x{kw} does not fit input {x.shape[2]}x{x.shape[3]}")
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
-    win = _windows(x, kh, kw)
-    return np.einsum("bchwij,ocij->bohw", win, weights) + bias[:, None, None]
+    out = weights.reshape(c_out, -1) @ _im2col(x, kh, kw)
+    out = out.reshape(len(x), c_out, x.shape[2] - kh + 1, x.shape[3] - kw + 1)
+    out += bias[:, None, None]
+    return out
 
 
 def conv2d_backward(x, weights, grad):
     x = np.asarray(x)
     c_out, c_in, kh, kw = weights.shape
+    b, _, h_out, w_out = grad.shape
+    g = grad.reshape(b, c_out, h_out * w_out)
     db = grad.sum(axis=(0, 2, 3))
-    dw = np.einsum("bcuvij,bouv->ocij", _windows(x, kh, kw), grad)
-    padded = np.pad(grad, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    flipped = weights[:, :, ::-1, ::-1]
-    dx = np.einsum("bohwij,ocij->bchw", _windows(padded, kh, kw), flipped)
+    dw = (g @ _im2col(x, kh, kw).transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
+    dcols = (weights.reshape(c_out, -1).T @ g).reshape(b, c_in, kh, kw, h_out, w_out)
+    dx = np.zeros(x.shape)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i:i + h_out, j:j + w_out] += dcols[:, :, i, j]
     return dx, dw, db
 
 

@@ -375,6 +375,22 @@ def test_crossval_records_its_split_and_replays(tmp_path):
         assert (eval_out / "uw" / name).read_bytes() == (models / "uw" / name).read_bytes()
 
 
+def test_evaluate_refuses_bundles_of_two_splits_with_exit_3(tmp_path, capsys):
+    # crossval into train's output directory leaves holdout and subject bundles side by side
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    models = tmp_path / "models"
+    cfg = _write_config(tmp_path / "run.json", models,
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    for verb in ("train", "crossval"):
+        assert main([verb, "--config", str(cfg), "--container", str(cont)]) == 0
+    eval_out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(eval_out)]) == 3
+    err = capsys.readouterr().err
+    assert "leave_one_subject_out" in err and "random_holdout" in err
+    assert not (eval_out / "uw" / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("verb, other_split",
                          [("train", "leave_one_subject_out"), ("crossval", "random_holdout")])
 def test_verb_refuses_a_config_naming_the_other_split_with_exit_2(tmp_path, capsys, verb,

@@ -201,6 +201,38 @@ def test_conv_matches_direct_sum():
     assert out[0, f, i, j] == pytest.approx(acc, rel=1e-12)
 
 
+def _einsum_conv(x, w, b, grad):
+    """Oracle: the einsum contractions the im2col kernels replaced."""
+    kh, kw = w.shape[2:]
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    out = np.einsum("bchwij,ocij->bohw", win, w) + b[:, None, None]
+    dw = np.einsum("bcuvij,bouv->ocij", win, grad)
+    padded = np.pad(grad, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    pwin = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    dx = np.einsum("bohwij,ocij->bchw", pwin, w[:, :, ::-1, ::-1])
+    return out, dx, dw, grad.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (5, 5), (2, 5)])
+@pytest.mark.parametrize("batch, c_in", [(1, 1), (1, 3), (4, 1), (3, 2)])
+def test_conv_matches_einsum_oracle(kernel, batch, c_in):
+    rng = np.random.default_rng(100 * batch + 10 * c_in + kernel[0])
+    x = rng.normal(size=(batch, c_in, 9, 7))
+    w = rng.normal(size=(4, c_in, *kernel))
+    b = rng.normal(size=4)
+    grad = rng.normal(size=(batch, 4, 10 - kernel[0], 8 - kernel[1]))
+    out = ops.conv2d_forward(x, w, b)
+    dx, dw, db = ops.conv2d_backward(x, w, grad)
+    got = (out, dx, dw, db)
+    for name, have, want in zip(("out", "dx", "dw", "db"), got, _einsum_conv(x, w, b, grad)):
+        assert have.shape == want.shape, name
+        assert have.dtype == np.float64 and have.flags.c_contiguous, name
+        assert np.max(np.abs(have - want)) <= 1e-10, name
+    again = (ops.conv2d_forward(x, w, b), *ops.conv2d_backward(x, w, grad))
+    for have, second in zip(got, again):
+        assert np.array_equal(have, second)
+
+
 # ---------------------------------------------------------------------------
 # lstm
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""The README's command sequence, as `scripts/synthetic_end_to_end.py` runs it:
-synth, featurize, train, evaluate and plot through the public CLI."""
+"""The scripts under `scripts/`, each run once through its `main`: the README's
+command sequence as `synthetic_end_to_end.py` runs it (synth, featurize,
+train, evaluate and plot through the public CLI), and the per-layer benchmark
+`bench_layers.py` at a small input size."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
+
+from eegspeech import networks
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "synthetic_end_to_end.py"
 
@@ -18,3 +23,27 @@ def test_synthetic_end_to_end_replays_train(tmp_path, monkeypatch):
                (tmp_path / "models" / task / "predictions.csv").read_bytes()
     assert (tmp_path / "features" / "features.tensors").is_file()
     assert (tmp_path / "plots" / "metrics.svg").is_file()
+
+
+BENCH_LAYERS = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
+
+
+def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
+    script = runpy.run_path(str(BENCH_LAYERS))
+    out = tmp_path / "layers.json"
+    monkeypatch.setattr(sys, "argv", [str(BENCH_LAYERS), "--out", str(out), "--size", "8",
+                                      "--batch", "4", "--repeats", "1"])
+    assert script["main"]() == 0
+    result = json.loads(out.read_text())
+    assert set(result) == {"input_size", "batch", "repeats", "env", "layers", "adam_step",
+                           "cnn_train_step"}
+    assert set(result["layers"]) == {"cnn.layer0.conv2d", "cnn.layer2.conv2d",
+                                     "cnn.layer6.dense", "lstm.layer0.lstm",
+                                     "lstm.layer1.lstm"}
+    assert result["layers"]["cnn.layer6.dense"]["weights"] == [64, 64 * 4 * 4]
+    for entry in result["layers"].values():
+        assert entry["forward_s"] > 0 and entry["backward_s"] > 0
+    cnn_params = sum(t.size for _, t in networks.build_cnn_model(8).net.parameters())
+    assert result["adam_step"]["params"] == cnn_params
+    assert result["cnn_train_step"]["batch"] == 4
+    assert result["cnn_train_step"]["peak_rss_mb"] > 0
