@@ -5,10 +5,11 @@ reference shapes, written as one JSON file.
 Times the CNN's two convolutions and the dense layer after its flatten, and
 the LSTM network's two LSTM layers, by calling each layer's ``nn.ops``
 kernels on random inputs with the built network's own weights, then one Adam
-step over every CNN parameter.  Last, a fresh child process
-runs one CNN train step (forward, backward, Adam) and reports its peak
-resident set size.  Each time is the median of ``--repeats`` runs, and the
-runs are kept beside it.
+step over every CNN parameter, then boosted trees: three trees fitted with
+the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
+predicting those rows.  Last, a fresh child process runs one CNN train step
+(forward, backward, Adam) and reports its peak resident set size.  Each time
+is the median of ``--repeats`` runs, and the runs are kept beside it.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_layers.py --out BENCH_layers.json
 
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 import eegspeech
-from eegspeech import networks
+from eegspeech import gbt, networks
 from eegspeech.nn import Adam, infer_shapes
 from eegspeech.nn import ops
 
@@ -111,6 +112,26 @@ def bench_adam(size: int, repeats: int) -> dict:
     return {"params": sum(t.size for _, t in params), "s": step_s, "runs": runs}
 
 
+#: The boosted trees' reference shape: about as many rows as the reference
+#: fold's training trials, and the autoencoder's 32 features.
+TREE_ROWS, TREE_FEATURES = 1500, 32
+
+
+def bench_trees(repeats: int, n_trees: int = 3) -> dict:
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(TREE_ROWS, TREE_FEATURES))
+    y = (x[:, 0] + rng.normal(size=TREE_ROWS) > 0).astype(np.float64)
+    config = gbt.GbtConfig(n_estimators=n_trees)
+    fit_s, fit_runs, model = _timed(lambda: gbt.fit(x, y, config), repeats)
+    predict_s, predict_runs, _ = _timed(lambda: [tree.predict(x) for tree in model.trees],
+                                        repeats)
+    return {"rows": TREE_ROWS, "features": TREE_FEATURES, "trees": n_trees,
+            "max_depth": config.max_depth,
+            "nodes": sum(tree.n_nodes() for tree in model.trees),
+            "fit_s_per_tree": fit_s / n_trees, "predict_s_per_tree": predict_s / n_trees,
+            "fit_runs": fit_runs, "predict_runs": predict_runs}
+
+
 def bench_cnn_step(size: int, batch: int) -> dict:
     package_root = str(Path(eegspeech.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _CNN_STEP, package_root, str(size), str(batch)],
@@ -136,11 +157,14 @@ def main() -> int:
                 **{k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "layers": bench_layers(args.size, args.batch, args.repeats),
         "adam_step": bench_adam(args.size, args.repeats),
+        "trees": bench_trees(args.repeats),
         "cnn_train_step": bench_cnn_step(args.size, args.batch),
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps({name: [round(e["forward_s"], 4), round(e["backward_s"], 4)]
-                      for name, e in result["layers"].items()}))
+    print(json.dumps({**{name: [round(e["forward_s"], 4), round(e["backward_s"], 4)]
+                         for name, e in result["layers"].items()},
+                      "tree": [round(result["trees"]["fit_s_per_tree"], 4),
+                               round(result["trees"]["predict_s_per_tree"], 4)]}))
     return 0
 
 

@@ -8,8 +8,12 @@ follow the regularised objective
     gain = 1/2 * (GL^2/(HL+lam) + GR^2/(HR+lam) - (GL+GR)^2/(HL+HR+lam)) - gamma
     leaf = -G / (H + lam)
 
-and a tree only splits while the gain is positive.  Row subsampling and
-per-tree column subsampling are seeded and reproducible.
+and a tree only splits while the gain is positive.  The split search sorts
+each sampled column once and reads GL and HL off prefix sums down the sorted
+rows, as in the exact greedy algorithm of Chen and Guestrin (KDD 2016).  A
+zero denominator never divides: a candidate whose child has H + lam == 0 is
+skipped, and such a leaf weighs 0.  Row subsampling and per-tree column
+subsampling are seeded and reproducible.
 """
 
 from __future__ import annotations
@@ -71,14 +75,21 @@ class TreeNode:
 class Tree:
     root: TreeNode
 
-    def predict_one(self, x: np.ndarray) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] < node.threshold else node.right
-        return node.weight
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(row) for row in x])
+        """Each row's leaf weight; all rows go down the tree together."""
+        out = np.empty(len(x))
+        columns = x.T
+        stack = [(self.root, np.arange(len(x)))]
+        while stack:
+            node, idx = stack.pop()
+            if node.is_leaf:
+                out[idx] = node.weight
+                continue
+            left = columns[node.feature][idx] < node.threshold
+            for child, rows in ((node.left, idx[left]), (node.right, idx[~left])):
+                if len(rows):
+                    stack.append((child, rows))
+        return out
 
     def n_nodes(self) -> int:
         return len(self.to_rows())
@@ -125,7 +136,9 @@ def grad_hess(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
-    return -g_sum / (h_sum + reg_lambda)
+    """-G / (H + lam), or 0.0 where H + lam is 0 (every hessian saturated)."""
+    denominator = h_sum + reg_lambda
+    return -g_sum / denominator if denominator != 0 else 0.0
 
 
 def split_gain(gl: float, hl: float, gr: float, hr: float,
@@ -147,37 +160,39 @@ def best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, columns: np.ndarray,
                config: GbtConfig) -> _Split | None:
     """Exact greedy search over midpoint thresholds of the given columns.
 
-    Ties on gain resolve to the lowest feature index, then the lowest
-    threshold, so the result does not depend on column order.
+    Each column is sorted once (stably), and GL and HL at every candidate are
+    prefix sums down the sorted rows.  The sums run in row order, so they are
+    the same floats a row-by-row loop accumulates, and the gain is
+    `split_gain` on the arrays.  A candidate is skipped where its two rows
+    hold equal values, where a child's hessian sum is below
+    `min_child_weight`, or where a child's H + reg_lambda is 0.  Ties on gain
+    resolve to the lowest feature index, then the lowest threshold, so the
+    result does not depend on column order.
     """
-    g_total = float(g.sum())
-    h_total = float(h.sum())
-    best: _Split | None = None
-    for feature in np.sort(columns):
-        values = x[:, feature]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sg = g[order]
-        sh = h[order]
-        gl = 0.0
-        hl = 0.0
-        for i in range(len(sv) - 1):
-            gl += float(sg[i])
-            hl += float(sh[i])
-            if sv[i] == sv[i + 1]:
-                continue
-            hr = h_total - hl
-            if hl < config.min_child_weight or hr < config.min_child_weight:
-                continue
-            gain = split_gain(gl, hl, g_total - gl, hr, config.reg_lambda, config.gamma)
-            threshold = 0.5 * (float(sv[i]) + float(sv[i + 1]))
-            # Features and thresholds are visited in ascending order, so a
-            # strict comparison keeps the lowest (feature, threshold) on ties.
-            if best is None or gain > best.gain:
-                best = _Split(int(feature), threshold, gain, values < threshold)
-    if best is None or best.gain <= 0.0:
+    if len(x) < 2:
         return None
-    return best
+    features = np.sort(columns)
+    xs = x[:, features]
+    order = np.argsort(xs, axis=0, kind="stable")
+    sv = np.take_along_axis(xs, order, axis=0)
+    # Row i of gl/hl sums the i + 1 smallest rows: the split after sorted row i.
+    gl = np.cumsum(g[order], axis=0)[:-1]
+    hl = np.cumsum(h[order], axis=0)[:-1]
+    gr = float(g.sum()) - gl
+    hr = float(h.sum()) - hl
+    lam = config.reg_lambda
+    valid = ((sv[:-1] != sv[1:]) & (hl >= config.min_child_weight)
+             & (hr >= config.min_child_weight) & (hl + lam != 0) & (hr + lam != 0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only skipped candidates divide by 0
+        gain = np.where(valid, split_gain(gl, hl, gr, hr, lam, config.gamma), -np.inf)
+    # Column-major order visits features, then thresholds, in ascending order,
+    # and argmax returns the first maximum.
+    j, i = divmod(int(np.argmax(gain.T)), gain.shape[0])
+    if not gain[i, j] > 0.0:
+        return None
+    threshold = 0.5 * (float(sv[i, j]) + float(sv[i + 1, j]))
+    feature = int(features[j])
+    return _Split(feature, threshold, float(gain[i, j]), x[:, feature] < threshold)
 
 
 def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, columns: np.ndarray,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -283,6 +284,22 @@ def test_crossval_filters_each_trial_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "bandpass_filter", counting)
     assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
     assert len(calls) == 24  # once per trial, not once per trial and task
+
+
+def test_crossval_with_saturated_hessians_exits_0_without_warnings(tmp_path):
+    # Without lambda, deep trees at learning rate 1 drive every probability to
+    # exactly 0 or 1, so whole nodes have H = 0 and H + lambda = 0.
+    assert main(["synth", "--out", str(tmp_path / "data"), "--n-trials", "180",
+                 "--n-channels", "8", "--n-subjects", "3", "--separability", "0",
+                 "--seed", "5"]) == 0
+    sections = {**ZERO_SECTIONS, "covariance": {"input_size": 8},
+                "gbt": {"n_estimators": 60, "max_depth": 10, "reg_lambda": 0,
+                        "min_child_weight": 0, "learning_rate": 1.0}}
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", sections=sections)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["crossval", "--config", str(cfg), "--container", str(tmp_path / "data")])
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

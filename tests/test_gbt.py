@@ -1,5 +1,8 @@
-"""Boosted-tree tests: split mathematics, a brute-force reference fit, and
+"""Boosted-tree tests: split mathematics, a brute-force reference fit, the
+row-by-row split search the array search replaced, batched prediction, and
 the pre-order tree rows that bundles store."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +49,13 @@ def test_leaf_weight_example():
 def test_leaf_weight_moves_against_gradient():
     assert gbt.leaf_weight(1.0, 1.0, 0.0) == -1.0
     assert gbt.leaf_weight(-3.0, 1.5, 0.5) == pytest.approx(1.5)
+
+
+def test_leaf_weight_of_saturated_hessians_is_zero():
+    # every row predicted with certainty: H = 0, and without lambda nothing divides
+    assert gbt.leaf_weight(0.0, 0.0, 0.0) == 0.0
+    assert gbt.leaf_weight(-2.0, 0.0, 0.0) == 0.0
+    assert gbt.leaf_weight(-2.0, 0.0, 0.5) == 4.0
 
 
 def test_split_gain_example():
@@ -127,6 +137,21 @@ def test_best_split_tie_breaks_to_lowest_feature():
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     split = gbt.best_split(x, g, np.ones(4), np.array([1, 0]), _cfg())
     assert split.feature == 0
+
+
+def test_best_split_skips_children_with_zero_denominator():
+    x = np.arange(4.0)[:, None]
+    g = np.array([-1.0, -1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gbt.best_split(x, g, np.zeros(4), np.array([0]), _cfg()) is None
+        # only the split that leaves both hessian rows on the left has H > 0 on one side
+        # and H = 0 on the other, so every candidate is skipped
+        h = np.array([0.0, 0.5, 0.0, 0.0])
+        assert gbt.best_split(x, g, h, np.array([0]), _cfg()) is None
+        h = np.array([0.0, 0.5, 0.5, 0.0])
+        split = gbt.best_split(x, g, h, np.array([0]), _cfg())
+    assert split.threshold == 1.5
 
 
 def test_best_split_tie_breaks_to_lowest_threshold():
@@ -358,6 +383,129 @@ def test_fit_matches_brute_force_reference(seed):
     for ours, ref in zip(model.trees, trees):
         _assert_same_structure(ours.root, ref.root)
     assert np.allclose(model.raw_scores(x), scores, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row split search that the array search replaced
+# ---------------------------------------------------------------------------
+
+
+def _loop_best_split(x, g, h, columns, config):
+    """Exact greedy search over midpoint thresholds of the given columns.
+
+    Ties on gain resolve to the lowest feature index, then the lowest
+    threshold, so the result does not depend on column order.
+    """
+    g_total = float(g.sum())
+    h_total = float(h.sum())
+    best = None
+    for feature in np.sort(columns):
+        values = x[:, feature]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        sg = g[order]
+        sh = h[order]
+        gl = 0.0
+        hl = 0.0
+        for i in range(len(sv) - 1):
+            gl += float(sg[i])
+            hl += float(sh[i])
+            if sv[i] == sv[i + 1]:
+                continue
+            hr = h_total - hl
+            if hl < config.min_child_weight or hr < config.min_child_weight:
+                continue
+            gain = gbt.split_gain(gl, hl, g_total - gl, hr, config.reg_lambda, config.gamma)
+            threshold = 0.5 * (float(sv[i]) + float(sv[i + 1]))
+            # Features and thresholds are visited in ascending order, so a
+            # strict comparison keeps the lowest (feature, threshold) on ties.
+            if best is None or gain > best.gain:
+                best = gbt._Split(int(feature), threshold, gain, values < threshold)
+    if best is None or best.gain <= 0.0:
+        return None
+    return best
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _random_split_input(rng):
+    """Rows with ties, constant columns, zero hessians and an unsorted column
+    subset, plus a config whose min_child_weight may sit exactly on a prefix sum."""
+    n = int(rng.integers(2, 41))
+    n_features = int(rng.integers(1, 7))
+    x = np.round(rng.normal(size=(n, n_features)), int(rng.integers(0, 3)))
+    x[:, rng.random(n_features) < 0.15] = 1.25
+    g = rng.normal(size=n)
+    h = rng.uniform(0.0, 0.25, size=n)
+    if rng.random() < 0.5:
+        g = np.round(g, 1)
+        h = np.round(h, 2)
+    h[rng.random(n) < 0.2] = 0.0
+    columns = rng.permutation(n_features)[:int(rng.integers(1, n_features + 1))]
+    min_cw = float(rng.choice([0.0, 0.1, 1.0]))
+    if rng.random() < 0.3:  # the edge: a child's hessian sum equals the bound exactly
+        feature = int(rng.choice(columns))
+        prefix = np.cumsum(h[np.argsort(x[:, feature], kind="stable")])
+        min_cw = float(prefix[int(rng.integers(0, n))])
+    cfg = _cfg(reg_lambda=float(rng.choice([0.0, 0.3, 1.0])), min_child_weight=min_cw,
+               gamma=float(rng.choice([0.0, 0.01])))
+    return x, g, h, columns, cfg
+
+
+def test_best_split_matches_the_loop_bit_for_bit():
+    rng = np.random.default_rng(2016)
+    compared = found = 0
+    for _ in range(2400):
+        x, g, h, columns, cfg = _random_split_input(rng)
+        try:
+            expected = _loop_best_split(x, g, h, columns, cfg)
+        except ZeroDivisionError:  # the loop divided by a zero H + lambda
+            continue
+        got = gbt.best_split(x, g, h, columns, cfg)
+        compared += 1
+        if expected is None:
+            assert got is None
+            continue
+        found += 1
+        assert got.feature == expected.feature
+        assert _bits(got.threshold) == _bits(expected.threshold)
+        assert _bits(got.gain) == _bits(expected.gain)
+        assert np.array_equal(got.left_mask, expected.left_mask)
+    assert compared >= 2000 and found >= 1000
+
+
+def test_fit_grows_the_loops_trees(monkeypatch):
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(120, 32))
+    y = (x[:, 0] + rng.normal(size=120) > 0).astype(np.float64)
+    for cfg in (gbt.GbtConfig(n_estimators=4, max_depth=10),
+                _cfg(n_estimators=4, max_depth=10, subsample=0.8, colsample=0.4)):
+        ours = _rows(gbt.fit(x, y, cfg))
+        with monkeypatch.context() as patch:
+            patch.setattr(gbt, "best_split", _loop_best_split)
+            loop = _rows(gbt.fit(x, y, cfg))
+        assert ours == loop
+
+
+def _walk(tree: gbt.Tree, row: np.ndarray) -> float:
+    node = tree.root
+    while not node.is_leaf:
+        node = node.left if row[node.feature] < node.threshold else node.right
+    return node.weight
+
+
+def test_predict_equals_a_walk_per_row():
+    rng = np.random.default_rng(33)
+    x = np.round(rng.normal(size=(150, 6)), 1)  # rows on thresholds go right
+    y = (x[:, 0] * x[:, 1] > 0).astype(np.float64)
+    model = gbt.fit(x, y, _cfg(n_estimators=5, max_depth=6))
+    probe = np.vstack([x, np.round(rng.normal(size=(40, 6)), 1)])
+    for tree in model.trees:
+        assert tree.predict(probe).tobytes() == \
+            np.array([_walk(tree, row) for row in probe]).tobytes()
+        assert tree.predict(probe[:0]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

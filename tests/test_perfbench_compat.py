@@ -1,14 +1,16 @@
 """The benchmark's span recorder still fits the package: every function it
-wraps exists under the name it looks up, and its work model reads the
-reference architectures.  A rename under src/ fails here before it breaks
-the benchmark."""
+wraps exists under the name it looks up, its counters read the calls the
+package makes, and its work model reads the reference architectures.  A
+rename or a changed call shape under src/ fails here before it breaks the
+benchmark."""
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eegspeech import networks
+from eegspeech import gbt, networks
 from eegspeech.nn import build_network
 from eegspeech.rng import stream
 
@@ -43,3 +45,26 @@ def test_network_work_counts_the_built_parameters(name):
     assert sum(backward.values()) > 0
     net = build_network(specs, shape, stream(0, "perfbench-compat"))
     assert params == sum(t.data.size for _, t in net.parameters())
+
+
+def test_traced_tree_fit_and_predict_count_their_work():
+    # The tracer's counters read positional arguments and the fitted ensemble,
+    # so a changed call shape in gbt would fail every traced benchmark run.
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(40, 6))
+    y = (x[:, 0] > 0).astype(np.float64)
+    tracer = tracing.Tracer()
+    try:
+        model = gbt.fit(x, y, gbt.GbtConfig(n_estimators=3, max_depth=3, min_child_weight=0.1))
+        model.predict_proba(x[:7])
+    finally:
+        tracer.close()
+    spans = {}
+    for _, _, name, *_, counts in tracer.spans:
+        spans.setdefault(name, []).append(counts)
+    [fit] = spans["gbt.fit"]
+    assert fit["trees"] == 3
+    assert fit["nodes"] == sum(tree.n_nodes() for tree in model.trees)
+    assert fit["tree_rows"] == 3 * 40
+    assert spans["gbt.best_split"] and all(c["cells"] > 0 for c in spans["gbt.best_split"])
+    assert spans["gbt.Ensemble.predict_proba"] == [{"rows": 7}]

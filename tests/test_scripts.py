@@ -1,7 +1,8 @@
 """The scripts under `scripts/`, each run once through its `main`: the README's
 command sequence as `synthetic_end_to_end.py` runs it (synth, featurize,
 train, evaluate and plot through the public CLI), and the per-layer benchmark
-`bench_layers.py` at a small input size."""
+`bench_layers.py` at a small input size, with its boosted trees at their
+reference shape."""
 
 import json
 import runpy
@@ -36,7 +37,7 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     assert script["main"]() == 0
     result = json.loads(out.read_text())
     assert set(result) == {"input_size", "batch", "repeats", "env", "layers", "adam_step",
-                           "cnn_train_step"}
+                           "trees", "cnn_train_step"}
     assert set(result["layers"]) == {"cnn.layer0.conv2d", "cnn.layer2.conv2d",
                                      "cnn.layer6.dense", "lstm.layer0.lstm",
                                      "lstm.layer1.lstm"}
@@ -45,5 +46,10 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
         assert entry["forward_s"] > 0 and entry["backward_s"] > 0
     cnn_params = sum(t.size for _, t in networks.build_cnn_model(8).net.parameters())
     assert result["adam_step"]["params"] == cnn_params
+    trees = result["trees"]
+    assert (trees["rows"], trees["features"], trees["trees"]) == (1500, 32, 3)
+    assert trees["nodes"] >= 3 * 3  # every tree splits at least once
+    assert trees["fit_s_per_tree"] > 0 and trees["predict_s_per_tree"] > 0
+    assert len(trees["fit_runs"]) == len(trees["predict_runs"]) == 1
     assert result["cnn_train_step"]["batch"] == 4
     assert result["cnn_train_step"]["peak_rss_mb"] > 0
