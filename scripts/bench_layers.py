@@ -4,8 +4,9 @@ reference shapes, written as one JSON file.
 
 Times the CNN's two convolutions and the dense layer after its flatten, and
 the LSTM network's two LSTM layers, by calling each layer's ``nn.ops``
-kernels on random inputs with the built network's own weights, then one Adam
-step over every CNN parameter, then boosted trees: three trees fitted with
+kernels on random inputs with the built network's own weights, then Adam
+steps over every CNN parameter (the first step on fresh moments apart from
+the warm steps), then boosted trees: three trees fitted with
 the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
 predicting those rows.  Last, a fresh child process runs one CNN train step
 (forward, backward, Adam) and reports its peak resident set size.  Each time
@@ -103,13 +104,23 @@ def bench_layers(size: int, batch: int, repeats: int) -> dict:
 
 
 def bench_adam(size: int, repeats: int) -> dict:
+    """The first step on fresh moment buffers (what a training run pays once)
+    and the median of ``repeats`` warm steps.  A step consumes its gradients,
+    so fresh ones, as a backward pass would write them, are set before each
+    step, outside the timing."""
     params = networks.build_cnn_model(size).net.parameters()
     rng = np.random.default_rng(2)
-    for _, tensor in params:
-        tensor.grad[...] = rng.normal(size=tensor.shape)
+    grads = [rng.normal(size=tensor.shape) for _, tensor in params]
     adam = Adam(params)
-    step_s, runs, _ = _timed(adam.step, repeats)
-    return {"params": sum(t.size for _, t in params), "s": step_s, "runs": runs}
+    runs = []
+    for _ in range(repeats + 1):
+        for (_, tensor), g in zip(params, grads):
+            tensor.grad = g.copy()
+        start = time.perf_counter()
+        adam.step()
+        runs.append(time.perf_counter() - start)
+    return {"params": sum(t.size for _, t in params), "first_s": runs[0],
+            "warm_s": statistics.median(runs[1:]), "warm_runs": runs[1:]}
 
 
 #: The boosted trees' reference shape: about as many rows as the reference

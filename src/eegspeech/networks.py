@@ -189,7 +189,6 @@ def _fit(model: Model, x: np.ndarray, targets: np.ndarray, hyper: NetworkHyper,
             idx = order[start:start + hyper.batch_size]
             xb, tb = x[idx], targets[idx]
             out = net.forward(xb, train=True)
-            net.zero_grad()
             if classify:
                 loss += ops.bce_loss_batch(out, tb) * len(idx)
                 hits += int((out.argmax(axis=1) == tb).sum())

@@ -2,9 +2,15 @@
 
 Every layer sees batch-first arrays.  ``forward(x, train=True)`` caches
 whatever its ``backward`` needs; eval-mode forward caches nothing, so a
-trained layer holds no activations between calls.  ``backward`` accumulates
-parameter gradients in place and returns the gradient with respect to its
-input.
+trained layer holds no activations between calls.  ``backward`` sets each
+of its parameters' ``grad`` to the array the op just returned (no copy, no
+add) and returns the gradient with respect to its input.
+
+Writing rather than accumulating is exact because every parameter belongs to
+exactly one layer, and a training step's backward pass reaches layer 0, so
+each step writes every gradient once.  The op's array is fresh: it shares
+memory with no parameter, cache or other gradient, which matters because
+``Adam.step`` overwrites gradients in place.
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ class Dense(Layer):
 
     def backward(self, grad):
         dx, dw, db = ops.dense_backward(self._x, self.weights.data, grad)
-        self.weights.accumulate(dw)
-        self.bias.accumulate(db)
+        self.weights.grad = dw
+        self.bias.grad = db
         return dx
 
     def parameters(self):
@@ -79,8 +85,8 @@ class Conv2D(Layer):
 
     def backward(self, grad):
         dx, dw, db = ops.conv2d_backward(self._x, self.weights.data, grad)
-        self.weights.accumulate(dw)
-        self.bias.accumulate(db)
+        self.weights.grad = dw
+        self.bias.grad = db
         return dx
 
     def parameters(self):
@@ -117,9 +123,9 @@ class Lstm(Layer):
 
     def backward(self, grad):
         dxs, dwx, dwh, db, _, _ = ops.lstm_backward(self._cache, grad)
-        self.wx.accumulate(dwx)
-        self.wh.accumulate(dwh)
-        self.bias.accumulate(db)
+        self.wx.grad = dwx
+        self.wh.grad = dwh
+        self.bias.grad = db
         return dxs
 
     def parameters(self):

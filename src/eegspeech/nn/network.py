@@ -121,7 +121,10 @@ class Network:
 
     def backward(self, grad, start: int | None = None):
         """Propagate ``grad`` backward from the output of layer ``start``
-        (default: the last layer), accumulating parameter gradients."""
+        (default: the last layer), writing each parameter's gradient.
+
+        Layers above ``start`` keep their old gradients.
+        """
         if start is None:
             start = len(self.layers) - 1
         for layer in reversed(self.layers[: start + 1]):

@@ -2,17 +2,21 @@ import numpy as np
 
 
 class Tensor:
-    """A contiguous float64 array with a same-shape gradient buffer.
+    """A contiguous float64 array with a same-shape gradient.
 
-    Parameters and their accumulated gradients are the only mutable state in
-    the network core; activations flow through as plain ndarrays.
+    Parameters and their gradients are the only mutable state in the network
+    core; activations flow through as plain ndarrays.  The owning layer's
+    ``backward`` replaces ``grad`` with the array its op returned, and
+    ``Adam.step`` then consumes it in place as a work buffer.  For a large
+    parameter the initial ``np.zeros`` maps its pages lazily, so a gradient
+    that is replaced before it is read costs no memory traffic.
     """
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -24,11 +28,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
-
-    def accumulate(self, g) -> None:
-        if np.shape(g) != self.data.shape:
-            raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {self.data.shape}")
-        self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"

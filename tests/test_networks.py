@@ -5,7 +5,10 @@ import pytest
 
 from conftest import separable_matrices
 from eegspeech import networks
+from eegspeech import rng as rng_mod
 from eegspeech.nn import LayerSpec, infer_shapes
+from eegspeech.nn import ops
+from test_optim import _ReferenceAdam
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +173,109 @@ def test_label_validation():
         networks.train_cnn(x, np.array([0, 1, 2, 0, 1, 0, 1, 0]), hyper, 0)
     with pytest.raises(ValueError, match="length"):
         networks.train_cnn(x, np.array([0, 1, 0, 1]), hyper, 0)
+
+
+# ---------------------------------------------------------------------------
+# the training loop against the accumulating loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _accumulating_fit(model, x, targets, hyper, seed, name):
+    """The earlier ``_fit`` verbatim, with its ``zero_grad``, its
+    ``Tensor.accumulate`` (inlined: each layer's fresh gradient is added into
+    the zeroed buffer the tensor held) and the textbook Adam step."""
+    net = model.net
+    classify = targets.dtype.kind == "i"
+    adam = _ReferenceAdam(net.parameters(), learning_rate=hyper.learning_rate)
+    shuffle_rng = rng_mod.stream(seed, name, "shuffle")
+    net.set_dropout_rng(rng_mod.stream(seed, name, "dropout"))
+    n = len(x)
+    for epoch in range(hyper.epochs):
+        order = shuffle_rng.permutation(n)
+        loss = 0.0
+        hits = 0
+        for start in range(0, n, hyper.batch_size):
+            idx = order[start:start + hyper.batch_size]
+            xb, tb = x[idx], targets[idx]
+            out = net.forward(xb, train=True)
+            net.zero_grad()
+            buffers = [t.grad for _, t in net.parameters()]
+            if classify:
+                loss += ops.bce_loss_batch(out, tb) * len(idx)
+                hits += int((out.argmax(axis=1) == tb).sum())
+                net.backward(ops.cross_entropy_logit_grad(out, tb), start=len(net.layers) - 2)
+            else:
+                loss += ops.mse_loss(out, tb) * len(idx)
+                net.backward(ops.mse_grad(out, tb))
+            for buffer, (_, t) in zip(buffers, net.parameters()):
+                buffer += t.grad
+                t.grad = buffer
+            adam.step()
+        model.trace.append(networks.EpochStats(epoch, loss / n, hits / n))
+    net.set_dropout_rng(None)
+
+
+def _train_all_three():
+    gen = np.random.default_rng(21)
+    x, y = separable_matrices(gen, 12, 8, 2.0)
+    hyper = networks.NetworkHyper(epochs=2, batch_size=5)  # three batches, the last short
+    cnn = networks.train_cnn(x, y, hyper, 3)
+    lstm = networks.train_lstm(x, y, hyper, 3)
+    dae = networks.train_dae(gen.normal(size=(12, 40)), hyper, 3)
+    return cnn, lstm, dae
+
+
+def test_written_gradients_and_in_place_adam_match_the_accumulating_loop(monkeypatch):
+    ours = _train_all_three()
+    monkeypatch.setattr(networks, "_fit", _accumulating_fit)
+    reference = _train_all_three()
+    for name, a, b in zip(("cnn", "lstm", "dae"), ours, reference):
+        sa, sb = a.net.state_dict(), b.net.state_dict()
+        assert set(sa) == set(sb)
+        for key in sa:
+            assert sa[key].tobytes() == sb[key].tobytes(), f"{name}.{key}"
+        assert [(s.loss, s.accuracy) for s in a.trace] == [(s.loss, s.accuracy) for s in b.trace]
+
+
+def _arrays(value):
+    """Every ndarray in a layer attribute: caches nest them in dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("name", ["cnn", "lstm", "dae"])
+def test_backward_writes_every_gradient_fresh(name):
+    # Adam overwrites gradients in place, so each must be a fresh array that
+    # one backward pass writes in full
+    gen = np.random.default_rng(4)
+    if name == "dae":
+        model = networks.build_dae_model(40, seed=1)
+        x = gen.normal(size=(5, 40))
+    else:
+        model = getattr(networks, f"build_{name}_model")(8, seed=1)
+        x, y = separable_matrices(gen, 5, 8, 2.0)
+    net = model.net
+    params = net.parameters()
+    for _, t in params:
+        t.grad = np.full(t.shape, np.nan)
+    net.set_dropout_rng(np.random.default_rng(5))
+    out = net.forward(x.reshape(len(x), *model.input_shape), train=True)
+    if name == "dae":
+        net.backward(ops.mse_grad(out, x))
+    else:
+        net.backward(ops.cross_entropy_logit_grad(out, y), start=len(net.layers) - 2)
+    caches = [a for layer in net.layers for a in _arrays(vars(layer))]
+    for i, (key, t) in enumerate(params):
+        assert np.all(np.isfinite(t.grad)), key
+        assert t.grad.shape == t.shape, key
+        others = [u.data for _, u in params] + [u.grad for j, (_, u) in enumerate(params) if j != i]
+        assert not any(np.shares_memory(t.grad, a) for a in others + caches), key
 
 
 # ---------------------------------------------------------------------------

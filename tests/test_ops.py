@@ -414,7 +414,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
 def test_adam_first_step_magnitude_is_learning_rate():
     t = Tensor(np.zeros(4))
     opt = Adam([("w", t)], learning_rate=0.01)
-    t.accumulate(np.array([1.0, -1.0, 0.5, -2.0]))
+    t.grad = np.array([1.0, -1.0, 0.5, -2.0])
     opt.step()
     # bias correction makes the very first update +-lr regardless of scale
     assert np.allclose(np.abs(t.data), 0.01, rtol=1e-6)
@@ -424,12 +424,11 @@ def test_adam_first_step_magnitude_is_learning_rate():
 def test_adam_repeated_identical_gradients_shrink_updates():
     t = Tensor(np.zeros(1))
     opt = Adam([("w", t)], learning_rate=0.05)
-    t.accumulate(np.array([2.0]))
+    t.grad = np.array([2.0])
     opt.step()
     first = abs(t.data[0])
     prev = t.data[0]
-    t.zero_grad()
-    t.accumulate(np.array([2.0]))
+    t.grad = np.array([2.0])
     opt.step()
     second = abs(t.data[0] - prev)
     assert second <= first + 1e-12
@@ -439,7 +438,7 @@ def test_adam_tracks_multiple_parameters_independently():
     a = Tensor(np.zeros(2))
     b = Tensor(np.zeros(3))
     opt = Adam([("a", a), ("b", b)], learning_rate=0.1)
-    a.accumulate(np.ones(2))
+    a.grad = np.ones(2)
     opt.step()
     assert np.all(a.data != 0)
     assert np.all(b.data == 0)
@@ -449,7 +448,6 @@ def test_adam_converges_on_quadratic():
     t = Tensor(np.array([5.0]))
     opt = Adam([("w", t)], learning_rate=0.2)
     for _ in range(200):
-        t.zero_grad()
-        t.accumulate(2.0 * t.data)
+        t.grad = 2.0 * t.data
         opt.step()
     assert abs(t.data[0]) < 1e-3

@@ -68,3 +68,18 @@ def test_traced_tree_fit_and_predict_count_their_work():
     assert fit["tree_rows"] == 3 * 40
     assert spans["gbt.best_split"] and all(c["cells"] > 0 for c in spans["gbt.best_split"])
     assert spans["gbt.Ensemble.predict_proba"] == [{"rows": 7}]
+
+
+def test_traced_adam_steps_count_every_parameter():
+    # The tracer reads Adam.step's bound instance for its parameter count, so
+    # a changed step signature would fail every traced benchmark run.
+    features = np.random.default_rng(10).normal(size=(10, 12))
+    tracer = tracing.Tracer()
+    try:
+        dae = networks.train_dae(features, networks.NetworkHyper(epochs=2, batch_size=4), 0)
+    finally:
+        tracer.close()
+    steps = [counts for _, _, name, *_, counts in tracer.spans if name == "nn.optim.Adam.step"]
+    assert len(steps) == 2 * 3  # two epochs of three batches
+    n_params = sum(t.data.size for _, t in dae.net.parameters())
+    assert all(counts == {"params": n_params} for counts in steps)

@@ -45,7 +45,11 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     for entry in result["layers"].values():
         assert entry["forward_s"] > 0 and entry["backward_s"] > 0
     cnn_params = sum(t.size for _, t in networks.build_cnn_model(8).net.parameters())
-    assert result["adam_step"]["params"] == cnn_params
+    adam = result["adam_step"]
+    assert set(adam) == {"params", "first_s", "warm_s", "warm_runs"}
+    assert adam["params"] == cnn_params
+    assert adam["first_s"] > 0 and adam["warm_s"] > 0
+    assert len(adam["warm_runs"]) == 1
     trees = result["trees"]
     assert (trees["rows"], trees["features"], trees["trees"]) == (1500, 32, 3)
     assert trees["nodes"] >= 3 * 3  # every tree splits at least once
