@@ -9,7 +9,8 @@ steps over every CNN parameter (the first step on fresh moments apart from
 the warm steps), then boosted trees: three trees fitted with
 the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
 predicting those rows.  Last, a fresh child process runs one CNN train step
-(forward, backward, Adam) and reports its peak resident set size.  Each time
+(forward, backward, Adam) and reports its peak resident set size and the
+arrays the trained layers still hold, which should be none.  Each time
 is the median of ``--repeats`` runs, and the runs are kept beside it.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_layers.py --out BENCH_layers.json
@@ -35,7 +36,9 @@ from eegspeech import gbt, networks
 from eegspeech.nn import Adam, infer_shapes
 from eegspeech.nn import ops
 
-#: One CNN train step in a fresh interpreter; prints its wall time and peak RSS.
+#: One CNN train step in a fresh interpreter; prints its wall time, its peak
+#: RSS and the MB of arrays the trained model's layers still hold (caches a
+#: backward should have released).
 _CNN_STEP = """
 import json, resource, sys, time
 import numpy as np
@@ -46,9 +49,19 @@ rng = np.random.default_rng(0)
 x = rng.normal(size=(batch, size, size))
 y = np.arange(batch) % 2
 start = time.perf_counter()
-networks.train_cnn(x, y, networks.NetworkHyper(epochs=1, batch_size=batch), seed=0)
-print(json.dumps({"s": time.perf_counter() - start,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+model = networks.train_cnn(x, y, networks.NetworkHyper(epochs=1, batch_size=batch), seed=0)
+s = time.perf_counter() - start
+
+def held(value):
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        value = list(value.values())
+    return sum(map(held, value)) if isinstance(value, (list, tuple)) else 0
+
+print(json.dumps({"s": s,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "held_mb": sum(held(vars(layer)) for layer in model.net.layers) / 2**20}))
 """
 
 

@@ -1,8 +1,10 @@
 """Layer objects wrapping the functional ops with parameter storage.
 
-Every layer sees batch-first arrays.  ``forward(x, train=True)`` caches
-whatever its ``backward`` needs; eval-mode forward caches nothing, so a
-trained layer holds no activations between calls.  ``backward`` sets each
+Every layer sees batch-first arrays.  ``forward(x, train=True)`` caches what
+its ``backward`` reads, and ``backward`` takes the cache, setting the
+attribute back to ``None`` before it computes: a cache lives from a
+train-mode forward to that layer's backward.  Eval-mode forward caches
+nothing, so a trained layer holds no activations.  ``backward`` sets each
 of its parameters' ``grad`` to the array the op just returned (no copy, no
 add) and returns the gradient with respect to its input.
 
@@ -56,7 +58,8 @@ class Dense(Layer):
         return ops.dense_forward(x, self.weights.data, self.bias.data)
 
     def backward(self, grad):
-        dx, dw, db = ops.dense_backward(self._x, self.weights.data, grad)
+        x, self._x = self._x, None
+        dx, dw, db = ops.dense_backward(x, self.weights.data, grad)
         self.weights.grad = dw
         self.bias.grad = db
         return dx
@@ -84,7 +87,8 @@ class Conv2D(Layer):
         return ops.conv2d_forward(x, self.weights.data, self.bias.data)
 
     def backward(self, grad):
-        dx, dw, db = ops.conv2d_backward(self._x, self.weights.data, grad)
+        x, self._x = self._x, None
+        dx, dw, db = ops.conv2d_backward(x, self.weights.data, grad)
         self.weights.grad = dw
         self.bias.grad = db
         return dx
@@ -122,7 +126,8 @@ class Lstm(Layer):
         return hs
 
     def backward(self, grad):
-        dxs, dwx, dwh, db, _, _ = ops.lstm_backward(self._cache, grad)
+        cache, self._cache = self._cache, None
+        dxs, dwx, dwh, db, _, _ = ops.lstm_backward(cache, grad)
         self.wx.grad = dwx
         self.wh.grad = dwh
         self.bias.grad = db
@@ -137,31 +142,25 @@ class Activation(Layer):
         if fn not in ops.ACTIVATIONS:
             raise ValueError(f"unknown activation {fn!r}")
         self.fn = fn
-        self._x = None
         self._out = None
 
     def forward(self, x, train=False):
         out = ops.activation_forward(x, self.fn)
         if train:
-            self._x, self._out = x, out
+            self._out = out
         return out
 
     def backward(self, grad):
-        return ops.activation_backward(self._x, self._out, self.fn, grad)
+        out, self._out = self._out, None
+        return ops.activation_backward(None, out, self.fn, grad)
 
 
 class Softmax(Layer):
-    def __init__(self):
-        self._probs = None
+    """Class probabilities over the last axis, with no backward: the
+    cross-entropy gradient is taken with respect to the logits below it."""
 
     def forward(self, x, train=False):
-        probs = ops.softmax(x)
-        if train:
-            self._probs = probs
-        return probs
-
-    def backward(self, grad):
-        return ops.softmax_backward(self._probs, grad)
+        return ops.softmax(x)
 
 
 class Dropout(Layer):
@@ -179,7 +178,8 @@ class Dropout(Layer):
         return out
 
     def backward(self, grad):
-        return ops.dropout_backward(self._mask, self.rate, grad)
+        mask, self._mask = self._mask, None
+        return ops.dropout_backward(mask, self.rate, grad)
 
 
 class Flatten(Layer):

@@ -123,7 +123,8 @@ class Network:
         """Propagate ``grad`` backward from the output of layer ``start``
         (default: the last layer), writing each parameter's gradient.
 
-        Layers above ``start`` keep their old gradients.
+        Layers above ``start`` keep their old gradients.  ``Softmax`` has no
+        backward, so a network ending in one starts below it, at the logits.
         """
         if start is None:
             start = len(self.layers) - 1

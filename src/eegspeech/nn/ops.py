@@ -19,13 +19,10 @@ def relu(x):
 
 
 def sigmoid(x):
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument never overflows; both branches are
+    # computed everywhere and each element takes the one for its sign
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
@@ -42,9 +39,14 @@ def activation_forward(x, kind: str):
 
 
 def activation_backward(x, out, kind: str, grad):
-    """Gradient through an activation given its input ``x`` and output ``out``."""
+    """Gradient through an activation given its output ``out``.
+
+    No kind reads the input ``x``: relu's ``out > 0`` is the predicate
+    ``x > 0`` for every float, NaN and signed zero included.  The layer
+    passes ``None``, so a kind that needed ``x`` would fail loudly.
+    """
     if kind == "relu":
-        return grad * (x > 0)
+        return grad * (out > 0)
     if kind == "sigmoid":
         return grad * out * (1.0 - out)
     if kind == "tanh":
@@ -59,11 +61,6 @@ def softmax(x):
     shifted = x - np.max(x, axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def softmax_backward(probs, grad):
-    dot = np.sum(grad * probs, axis=-1, keepdims=True)
-    return probs * (grad - dot)
 
 
 # --- dense -------------------------------------------------------------------

@@ -270,12 +270,47 @@ def test_backward_writes_every_gradient_fresh(name):
         net.backward(ops.mse_grad(out, x))
     else:
         net.backward(ops.cross_entropy_logit_grad(out, y), start=len(net.layers) - 2)
-    caches = [a for layer in net.layers for a in _arrays(vars(layer))]
+    # every layer a backward reached has released its cache, so no gradient
+    # can alias one
+    assert not [a for layer in net.layers for a in _arrays(vars(layer))]
     for i, (key, t) in enumerate(params):
         assert np.all(np.isfinite(t.grad)), key
         assert t.grad.shape == t.shape, key
         others = [u.data for _, u in params] + [u.grad for j, (_, u) in enumerate(params) if j != i]
-        assert not any(np.shares_memory(t.grad, a) for a in others + caches), key
+        assert not any(np.shares_memory(t.grad, a) for a in others), key
+
+
+def _step_gradients(model, x, targets):
+    """One train-mode forward and backward with a fixed dropout stream, as
+    ``_fit`` runs it; returns a copy of every gradient."""
+    net = model.net
+    net.set_dropout_rng(np.random.default_rng(8))
+    out = net.forward(model.standardize(x), train=True)
+    if targets.dtype.kind == "i":
+        net.backward(ops.cross_entropy_logit_grad(out, targets), start=len(net.layers) - 2)
+    else:
+        net.backward(ops.mse_grad(out, targets))
+    net.set_dropout_rng(None)
+    return {key: t.grad.copy() for key, t in net.parameters()}
+
+
+def test_trained_models_hold_no_activations():
+    gen = np.random.default_rng(9)
+    x, y = separable_matrices(gen, 6, 8, 2.0)
+    hyper = networks.NetworkHyper(epochs=1, batch_size=4)
+    features = gen.normal(size=(6, 40))
+    dae = networks.train_dae(features, hyper, 2)
+    cases = [(networks.train_cnn(x, y, hyper, 2), x, y),
+             (networks.train_lstm(x, y, hyper, 2), x, y),
+             (dae, features, dae.standardize(features))]
+    for model, rows, targets in cases:
+        assert not [a for layer in model.net.layers for a in _arrays(vars(layer))]
+        # a released cache is never read again: a second step repeats the first
+        first = _step_gradients(model, rows, targets)
+        assert not [a for layer in model.net.layers for a in _arrays(vars(layer))]
+        second = _step_gradients(model, rows, targets)
+        for key, grad in first.items():
+            assert grad.tobytes() == second[key].tobytes(), key
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eegspeech.nn import ops
+from eegspeech.nn import Activation, ops
 from eegspeech.nn.optim import Adam
 from eegspeech.nn.tensor import Tensor
 
@@ -55,6 +55,60 @@ def test_activation_backward_matches_derivative():
         else:
             expect = grad * (1.0 - out**2)
         assert np.allclose(got, expect, atol=1e-12)
+
+
+def _edge_values(rng, n):
+    """Signed zeros, infinities, values where exp over- or underflows,
+    subnormals, then ``n`` normal draws at two scales."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0, 710.0, -710.0,
+             tiny, -tiny, 1e-310, -1e-310]
+    draws = [rng.normal(size=n // 2), rng.normal(scale=30.0, size=n - n // 2)]
+    return np.concatenate([edges, *draws])
+
+
+def _sigmoid_split_by_sign(x):
+    """The earlier ``ops.sigmoid`` verbatim: two boolean masks and fancy indexing."""
+    # split by sign to avoid overflow in exp
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_split_by_sign_form():
+    rng = np.random.default_rng(12)
+    gates = rng.normal(scale=5.0, size=(64, 1024))[:, 256:512]  # an LSTM gate's column slice
+    for x in (_edge_values(rng, 800_000), gates):
+        got, expect = ops.sigmoid(x), _sigmoid_split_by_sign(x)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    assert np.isnan(ops.sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+def _activation_backward_from_input(x, out, kind, grad):
+    """The earlier ``ops.activation_backward`` verbatim: relu reads its input."""
+    if kind == "relu":
+        return grad * (x > 0)
+    if kind == "sigmoid":
+        return grad * out * (1.0 - out)
+    if kind == "tanh":
+        return grad * (1.0 - out * out)
+    raise ValueError(f"unknown activation {kind!r}")
+
+
+@pytest.mark.parametrize("kind", ops.ACTIVATIONS)
+def test_activation_layer_backward_matches_the_input_form(kind):
+    # the layer keeps only its output; relu's out > 0 must be x > 0 bit for bit
+    rng = np.random.default_rng(13)
+    x = np.concatenate([_edge_values(rng, 2000), [np.nan, -np.nan]])
+    grad = rng.normal(size=x.shape)
+    layer = Activation(kind)
+    layer.forward(x, train=True)
+    got = layer.backward(grad)
+    expect = _activation_backward_from_input(x, ops.activation_forward(x, kind), kind, grad)
+    assert got.tobytes() == expect.tobytes()
 
 
 # ---------------------------------------------------------------------------
