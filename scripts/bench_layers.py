@@ -9,8 +9,9 @@ steps over every CNN parameter (the first step on fresh moments apart from
 the warm steps), then boosted trees: three trees fitted with
 the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
 predicting those rows.  Last, a fresh child process runs one CNN train step
-(forward, backward, Adam) and reports its peak resident set size and the
-arrays the trained layers still hold, which should be none.  Each time
+(forward, backward, Adam) and reports its peak resident set size, the
+arrays the trained layers still hold and the gradients its parameters
+still hold, both of which should be none.  Each time
 is the median of ``--repeats`` runs, and the runs are kept beside it.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_layers.py --out BENCH_layers.json
@@ -37,8 +38,9 @@ from eegspeech.nn import Adam, infer_shapes
 from eegspeech.nn import ops
 
 #: One CNN train step in a fresh interpreter; prints its wall time, its peak
-#: RSS and the MB of arrays the trained model's layers still hold (caches a
-#: backward should have released).
+#: RSS, the MB of arrays the trained model's layers still hold (caches a
+#: backward should have released) and the MB of gradients its parameters
+#: still hold (gradients Adam should have released).
 _CNN_STEP = """
 import json, resource, sys, time
 import numpy as np
@@ -61,7 +63,8 @@ def held(value):
 
 print(json.dumps({"s": s,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "held_mb": sum(held(vars(layer)) for layer in model.net.layers) / 2**20}))
+                  "held_mb": sum(held(vars(layer)) for layer in model.net.layers) / 2**20,
+                  "grad_mb": sum(held(t.grad) for _, t in model.net.parameters()) / 2**20}))
 """
 
 

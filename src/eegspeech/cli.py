@@ -114,18 +114,44 @@ def cmd_featurize(args) -> int:
     return EXIT_OK
 
 
-def _write_scored_task(report: pipeline.EvalReport, task_dir: Path) -> plotting.TaskMetrics:
-    """Write a scored task's report.json and predictions.csv; return its
-    summary-table row."""
+def _write_scored_task(report: pipeline.EvalReport, task_dir: Path) -> None:
+    """Write a scored task's report.json and predictions.csv."""
     task_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_report_json(report, task_dir / "report.json")
     pipeline.write_predictions_csv(report, task_dir / "predictions.csv")
-    return _metrics_row(report.task_id, report.accuracy, report.kappa)
+
+
+def _summary_rows(reports) -> list[plotting.TaskMetrics]:
+    return [_metrics_row(r.task_id, r.accuracy, r.kappa) for r in reports]
 
 
 def _metrics_row(task: str, accuracy: float, kappa: float) -> plotting.TaskMetrics:
     # (po - pe) / (1 - pe) can leave [-1, 1] by float rounding; TaskMetrics refuses that
     return plotting.TaskMetrics(task=task, accuracy=accuracy, kappa=max(-1.0, min(1.0, kappa)))
+
+
+def _train_task(task_id: str, recordings, ids, covs, cfg: RunConfig,
+                plan: pipeline.SplitPlan, out: Path) -> pipeline.EvalReport:
+    """Train and score one task and write its report, bundles and traces.
+    The bundles are locals, so they are released when this returns, before
+    the next task trains."""
+    task = pipeline.task_from_config(cfg, task_id)
+    _progress(f"{plan.mode}: task {task_id} on {len(recordings)} trials")
+    bundles, report = pipeline.run_task(recordings, task, plan, cfg,
+                                        trial_ids=ids, covs=covs)
+    task_dir = out / task_id
+    _write_scored_task(report, task_dir)
+    traces = task_dir / "traces"
+    traces.mkdir(parents=True, exist_ok=True)
+    for fold_name, bundle in sorted(bundles.items()):
+        pipeline.save_bundle(bundle, task_dir / "bundles" / fold_name)
+        for model_name, model in (("cnn", bundle.cnn), ("lstm", bundle.lstm),
+                                  ("dae", bundle.dae)):
+            networks.write_trace_csv(traces / f"{fold_name}.{model_name}.csv",
+                                     model.trace)
+    _progress(f"{plan.mode}: task {task_id} accuracy {report.accuracy:.4f} "
+              f"kappa {report.kappa:.4f}")
+    return report
 
 
 def _run_protocol(args, mode: str) -> int:
@@ -142,30 +168,10 @@ def _run_protocol(args, mode: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_json_atomic(out / "config.resolved.json", cfg.canonical_dict())
     plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
-    entries = []
-    accuracies = []
-    kappas = []
-    for task_id in cfg.tasks:
-        task = pipeline.task_from_config(cfg, task_id)
-        _progress(f"{mode}: task {task_id} on {len(recordings)} trials")
-        bundles, report = pipeline.run_task(recordings, task, plan, cfg,
-                                            trial_ids=ids, covs=covs)
-        task_dir = out / task_id
-        entries.append(_write_scored_task(report, task_dir))
-        traces = task_dir / "traces"
-        traces.mkdir(parents=True, exist_ok=True)
-        for fold_name, bundle in sorted(bundles.items()):
-            pipeline.save_bundle(bundle, task_dir / "bundles" / fold_name)
-            for model_name, model in (("cnn", bundle.cnn), ("lstm", bundle.lstm),
-                                      ("dae", bundle.dae)):
-                networks.write_trace_csv(traces / f"{fold_name}.{model_name}.csv",
-                                         model.trace)
-        accuracies.append(report.accuracy)
-        kappas.append(report.kappa)
-        _progress(f"{mode}: task {task_id} accuracy {report.accuracy:.4f} "
-                  f"kappa {report.kappa:.4f}")
-    acc = metrics.summarize(accuracies)
-    kap = metrics.summarize(kappas)
+    reports = [_train_task(task_id, recordings, ids, covs, cfg, plan, out)
+               for task_id in cfg.tasks]
+    acc = metrics.summarize([r.accuracy for r in reports])
+    kap = metrics.summarize([r.kappa for r in reports])
     write_json_atomic(out / "summary.json", {
         "mode": mode,
         "seed": cfg.seed,
@@ -176,7 +182,7 @@ def _run_protocol(args, mode: str) -> int:
         "kappa": {"mean": kap.mean, "std": kap.std, "min": kap.minimum,
                   "max": kap.maximum},
     })
-    plotting.write_metric_table_csv(entries, out / "summary.csv")
+    plotting.write_metric_table_csv(_summary_rows(reports), out / "summary.csv")
     return EXIT_OK
 
 
@@ -188,6 +194,34 @@ def cmd_crossval(args) -> int:
     return _run_protocol(args, pipeline.LOSO)
 
 
+def _evaluate_task(task_id: str, recordings, ids, covs, cfg: RunConfig, models: Path,
+                   out: Path) -> pipeline.EvalReport:
+    """Replay one task's saved bundles and write its report.  The bundles
+    are locals, so they are released when this returns, before the next
+    task's load."""
+    task = pipeline.task_from_config(cfg, task_id)
+    bundles_dir = models / task_id / "bundles"
+    folds = sorted(p for p in bundles_dir.iterdir() if p.is_dir()) \
+        if bundles_dir.is_dir() else []
+    if not folds:
+        raise DataError(f"no trained bundles for task {task_id!r} under {models}")
+    bundles = {p.name: pipeline.load_bundle(p) for p in folds}
+    # the bundles' split is the one their run's config recorded
+    modes = sorted({bundle.mode for bundle in bundles.values()})
+    if len(modes) > 1:
+        raise DataError(f"bundles of task {task_id!r} under {models} mix the "
+                        f"{' and '.join(modes)} splits")
+    mode = modes[0]
+    task_cfg = dataclasses.replace(cfg, split_mode=mode)
+    plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
+    _progress(f"evaluate: task {task_id} with {len(bundles)} fold bundle(s)")
+    report = pipeline.evaluate_bundles(recordings, task, plan, task_cfg, bundles,
+                                       trial_ids=ids, covs=covs)
+    _write_scored_task(report, out / task_id)
+    _progress(f"evaluate: task {task_id} accuracy {report.accuracy:.4f}")
+    return report
+
+
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     cont, recordings, ids = _load_recordings(args.container)
@@ -197,29 +231,9 @@ def cmd_evaluate(args) -> int:
     covs = pipeline.ccv_features(recordings, cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for task_id in cfg.tasks:
-        task = pipeline.task_from_config(cfg, task_id)
-        bundles_dir = models / task_id / "bundles"
-        folds = sorted(p for p in bundles_dir.iterdir() if p.is_dir()) \
-            if bundles_dir.is_dir() else []
-        if not folds:
-            raise DataError(f"no trained bundles for task {task_id!r} under {models}")
-        bundles = {p.name: pipeline.load_bundle(p) for p in folds}
-        # the bundles' split is the one their run's config recorded
-        modes = sorted({bundle.mode for bundle in bundles.values()})
-        if len(modes) > 1:
-            raise DataError(f"bundles of task {task_id!r} under {models} mix the "
-                            f"{' and '.join(modes)} splits")
-        mode = modes[0]
-        task_cfg = dataclasses.replace(cfg, split_mode=mode)
-        plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
-        _progress(f"evaluate: task {task_id} with {len(bundles)} fold bundle(s)")
-        report = pipeline.evaluate_bundles(recordings, task, plan, task_cfg, bundles,
-                                           trial_ids=ids, covs=covs)
-        entries.append(_write_scored_task(report, out / task_id))
-        _progress(f"evaluate: task {task_id} accuracy {report.accuracy:.4f}")
-    plotting.write_metric_table_csv(entries, out / "summary.csv")
+    reports = [_evaluate_task(task_id, recordings, ids, covs, cfg, models, out)
+               for task_id in cfg.tasks]
+    plotting.write_metric_table_csv(_summary_rows(reports), out / "summary.csv")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ Writing rather than accumulating is exact because every parameter belongs to
 exactly one layer, and a training step's backward pass reaches layer 0, so
 each step writes every gradient once.  The op's array is fresh: it shares
 memory with no parameter, cache or other gradient, which matters because
-``Adam.step`` overwrites gradients in place.
+``Adam.step`` overwrites gradients in place before it releases them.
 """
 
 from __future__ import annotations

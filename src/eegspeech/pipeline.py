@@ -5,9 +5,10 @@ matrix once per container (`ccv_features`).  Then, for each fold of the
 chosen protocol: fit channel rejection on the training fold, build
 standardized network inputs, train the CNN and LSTM branches, fuse their
 penultimate features, train the autoencoder, encode, and fit the boosted-tree
-classifier; then score held-out trials through the fold's bundle, the same
-way `evaluate_bundles` replays it.  A leakage audit object checks that no
-fitting step ever sees a held-out trial index.
+classifier.  Held-out trials are then scored by `evaluate_bundles`, the one
+path that scores a fold, whether its bundle was just trained or loaded from
+disk.  A leakage audit object checks that no fitting step ever sees a
+held-out trial index.
 """
 
 from __future__ import annotations
@@ -336,14 +337,7 @@ class EvalReport:
 @dataclass
 class _FoldOutcome:
     report: FoldReport
-    bundle: ModelBundle | None
     predictions: list[TrialPrediction]
-
-
-def _skipped(fold: Fold, reason: str) -> _FoldOutcome:
-    report = FoldReport(name=fold.name, skipped=True, reason=reason, n_train=len(fold.train),
-                        n_dev=len(fold.dev), n_test=len(fold.test))
-    return _FoldOutcome(report=report, bundle=None, predictions=[])
 
 
 def _network_inputs(covs, kept: tuple[int, ...], input_size: int) -> np.ndarray:
@@ -358,11 +352,7 @@ def _bundle_proba(bundle: ModelBundle, covs, indices) -> np.ndarray:
 
 def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, recordings,
                trial_ids) -> _FoldOutcome:
-    """Score a fold's test trials through its bundle.
-
-    This is the one scoring path: train and evaluate both call it on the same
-    trials in the same order, so their predictions match by construction.
-    """
+    """Score a fold's test trials through its bundle."""
     probs = _bundle_proba(bundle, covs, fold.test)
     pred = (probs >= 0.5).astype(np.int64)
     truth = labels[list(fold.test)]
@@ -380,7 +370,7 @@ def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, recordings,
                         probability=float(probs[j]))
         for j, i in enumerate(fold.test)
     ]
-    return _FoldOutcome(report=report, bundle=bundle, predictions=predictions)
+    return _FoldOutcome(report=report, predictions=predictions)
 
 
 def _skip_reason(fold: Fold, labels) -> str:
@@ -393,12 +383,8 @@ def _skip_reason(fold: Fold, labels) -> str:
     return ""
 
 
-def _run_fold(recordings, covs, labels, task: Task, fold: Fold, cfg: RunConfig,
-              mode: str, fingerprint: str, trial_ids) -> _FoldOutcome:
-    reason = _skip_reason(fold, labels)
-    if reason:
-        return _skipped(fold, reason)
-
+def _train_fold(covs, labels, task: Task, fold: Fold, cfg: RunConfig, mode: str,
+                fingerprint: str, trial_ids) -> ModelBundle:
     train_labels = labels[list(fold.train)]
     audit = LeakageAudit(held_out=frozenset(fold.dev) | frozenset(fold.test))
     kept = fit_channel_rejection(covs, trial_ids, fold.train, cfg.covariance.threshold,
@@ -429,43 +415,72 @@ def _run_fold(recordings, covs, labels, task: Task, fold: Fold, cfg: RunConfig,
     if fold.dev:
         dev_pred = _bundle_proba(bundle, covs, fold.dev) >= 0.5
         bundle.dev_accuracy = float((dev_pred == labels[list(fold.dev)]).mean())
-    return score_fold(bundle, fold, covs, labels, recordings, trial_ids)
+    return bundle
 
 
-def _prepare(recordings, task: Task, cfg: RunConfig, trial_ids, covs):
-    """Recordings as a list, trial ids, CCV matrices and task labels, with
-    ids and matrices filled in when not given."""
+def _prepare(recordings, task: Task, cfg: RunConfig, covs):
+    """Recordings as a list, CCV matrices (computed when not given) and task labels."""
     recordings = list(recordings)
-    if trial_ids is None:
-        trial_ids = [f"t{i:04d}" for i in range(len(recordings))]
     if covs is None:
         covs = ccv_features(recordings, cfg)
     labels = np.array([derive_label(rec.prompt, task) for rec in recordings],
                       dtype=np.int64)
-    return recordings, trial_ids, covs, labels
+    return recordings, covs, labels
 
 
-def run_task(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
-             trial_ids=None, covs=None):
-    """Train and score every fold of one task.
+def run_task(recordings, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids,
+             covs=None):
+    """Train every fold of one task, then score them all with `evaluate_bundles`.
 
     ``covs`` are the trials' CCV matrices from `ccv_features`, computed here
     when not given.  Returns (bundles by fold name, EvalReport).  Folds whose
-    training labels lack two examples of each class are skipped and flagged;
-    if every fold is skipped the task cannot be scored and a TrainingError is
+    training labels lack two examples of each class get no bundle;
+    `evaluate_bundles` flags them as skipped, and raises TrainingError when
+    every fold is.
+    """
+    recordings, covs, labels = _prepare(recordings, task, cfg, covs)
+    fingerprint = cfg.fingerprint()
+    bundles = {fold.name: _train_fold(covs, labels, task, fold, cfg, plan.mode, fingerprint,
+                                      trial_ids)
+               for fold in make_splits(recordings, plan) if not _skip_reason(fold, labels)}
+    return bundles, evaluate_bundles(recordings, task, plan, cfg, bundles, trial_ids, covs)
+
+
+def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
+                     bundles: dict, trial_ids, covs=None) -> EvalReport:
+    """Score held-out trials with trained fold bundles and pool the folds.
+
+    The split is recomputed from the plan seed.  A bundle whose stored test
+    trials differ from its recomputed fold's (another seed or container)
+    raises DataError, so no bundle ever scores a trial it was trained on, as
+    does one that keeps channels the container lacks; another config's
+    bundle raises ConfigError.  Folds that `run_task` skips, and folds without
+    a bundle, are flagged as skipped, the former with `run_task`'s reason; if
+    every fold is skipped the task cannot be scored and a TrainingError is
     raised.
     """
-    recordings, trial_ids, covs, labels = _prepare(recordings, task, cfg, trial_ids, covs)
-    fingerprint = cfg.fingerprint()
-    outcomes = [_run_fold(recordings, covs, labels, task, fold, cfg, plan.mode,
-                          fingerprint, trial_ids)
-                for fold in make_splits(recordings, plan)]
-    report = _assemble_report(outcomes, task, plan, cfg)
-    bundles = {o.report.name: o.bundle for o in outcomes if o.bundle is not None}
-    return bundles, report
-
-
-def _assemble_report(outcomes, task: Task, plan: SplitPlan, cfg: RunConfig) -> EvalReport:
+    recordings, covs, labels = _prepare(recordings, task, cfg, covs)
+    outcomes = []
+    for fold in make_splits(recordings, plan):
+        bundle = bundles.get(fold.name)
+        reason = _skip_reason(fold, labels) or ("no bundle for fold" if bundle is None else "")
+        if reason:
+            report = FoldReport(name=fold.name, skipped=True, reason=reason,
+                                n_train=len(fold.train), n_dev=len(fold.dev),
+                                n_test=len(fold.test))
+            outcomes.append(_FoldOutcome(report=report, predictions=[]))
+            continue
+        if tuple(trial_ids[i] for i in fold.test) != bundle.test_trial_ids:
+            raise DataError(
+                f"task {task.task_id!r} fold {fold.name!r}: the bundle was trained for "
+                f"other test trials than this split holds (different seed or container?)")
+        if any(c >= covs[0].k for c in bundle.kept_channels):
+            raise DataError(f"task {task.task_id!r} fold {fold.name!r}: the bundle keeps "
+                            f"channels the container's {covs[0].k} do not include")
+        if bundle.config_fingerprint != cfg.fingerprint():
+            raise ConfigError(f"task {task.task_id!r} fold {fold.name!r}: the bundle was "
+                              f"trained under another config fingerprint")
+        outcomes.append(score_fold(bundle, fold, covs, labels, recordings, trial_ids))
     scored = [o for o in outcomes if not o.report.skipped]
     if not scored:
         raise TrainingError(
@@ -481,39 +496,6 @@ def _assemble_report(outcomes, task: Task, plan: SplitPlan, cfg: RunConfig) -> E
                       folds=[o.report for o in outcomes], confusion=pooled,
                       accuracy=metrics.accuracy(pooled), kappa=kappa.value,
                       kappa_degenerate=kappa.degenerate, predictions=predictions)
-
-
-def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
-                     bundles: dict, trial_ids=None, covs=None) -> EvalReport:
-    """Re-score held-out trials with previously trained fold bundles.
-
-    The split is recomputed from the plan seed.  A bundle whose stored test
-    trials differ from its recomputed fold's (another seed or container)
-    raises DataError, so no bundle ever scores a trial it was trained on, as
-    does one that keeps channels the container lacks; another config's
-    bundle raises ConfigError.  Folds that `run_task` skips, and folds without
-    a bundle, are flagged as skipped, the former with `run_task`'s reason.
-    """
-    recordings, trial_ids, covs, labels = _prepare(recordings, task, cfg, trial_ids, covs)
-    outcomes = []
-    for fold in make_splits(recordings, plan):
-        bundle = bundles.get(fold.name)
-        reason = _skip_reason(fold, labels) or ("no bundle for fold" if bundle is None else "")
-        if reason:
-            outcomes.append(_skipped(fold, reason))
-            continue
-        if tuple(trial_ids[i] for i in fold.test) != bundle.test_trial_ids:
-            raise DataError(
-                f"task {task.task_id!r} fold {fold.name!r}: the bundle was trained for "
-                f"other test trials than this split holds (different seed or container?)")
-        if any(c >= covs[0].k for c in bundle.kept_channels):
-            raise DataError(f"task {task.task_id!r} fold {fold.name!r}: the bundle keeps "
-                            f"channels the container's {covs[0].k} do not include")
-        if bundle.config_fingerprint != cfg.fingerprint():
-            raise ConfigError(f"task {task.task_id!r} fold {fold.name!r}: the bundle was "
-                              f"trained under another config fingerprint")
-        outcomes.append(score_fold(bundle, fold, covs, labels, recordings, trial_ids))
-    return _assemble_report(outcomes, task, plan, cfg)
 
 
 def report_to_dict(report: EvalReport) -> dict:

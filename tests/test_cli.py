@@ -1,9 +1,11 @@
 """End-to-end command-line tests, run in-process against `main`."""
 
+import gc
 import json
 import subprocess
 import sys
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -302,6 +304,33 @@ def test_crossval_with_saturated_hessians_exits_0_without_warnings(tmp_path):
     assert code == 0
 
 
+def _model_refs(bundle):
+    return [weakref.ref(obj) for obj in (bundle, bundle.cnn, bundle.lstm, bundle.dae)]
+
+
+def _alive(refs) -> int:
+    gc.collect()
+    return sum(ref() is not None for ref in refs)
+
+
+def test_crossval_releases_a_tasks_bundles_before_the_next_task(tmp_path, monkeypatch):
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", tasks=["uw", "iy"],
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    refs, alive_at_start = [], []
+    original = pipeline.run_task
+
+    def tracking(*args, **kwargs):
+        alive_at_start.append(_alive(refs))
+        bundles, report = original(*args, **kwargs)
+        refs.extend(ref for bundle in bundles.values() for ref in _model_refs(bundle))
+        return bundles, report
+
+    monkeypatch.setattr(pipeline, "run_task", tracking)
+    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    assert refs and alive_at_start == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -318,6 +347,30 @@ def test_evaluate_replays_train_predictions(tmp_path, trained_run):
     # the dev accuracy comes back from the bundle, so the whole report replays
     for name in ("report.json", "predictions.csv"):
         assert (eval_out / "uw" / name).read_bytes() == (train_out / "uw" / name).read_bytes()
+
+
+def test_evaluate_releases_a_tasks_bundles_before_the_next_load(tmp_path, monkeypatch):
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    models = tmp_path / "models"
+    cfg = _write_config(tmp_path / "run.json", models, tasks=["uw", "iy"],
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    refs = {}  # task -> weak references to its loaded bundles and models
+    earlier_alive = []
+    original = pipeline.load_bundle
+
+    def tracking(root):
+        task = Path(root).parent.parent.name
+        earlier_alive.append(_alive([r for t, rs in refs.items() if t != task for r in rs]))
+        bundle = original(root)
+        refs.setdefault(task, []).extend(_model_refs(bundle))
+        return bundle
+
+    monkeypatch.setattr(pipeline, "load_bundle", tracking)
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(tmp_path / "eval")]) == 0
+    assert sorted(refs) == ["iy", "uw"] and len(earlier_alive) == 6
+    assert earlier_alive == [0] * 6
 
 
 def test_evaluate_missing_models_exits_3(tmp_path, trained_run):

@@ -313,6 +313,22 @@ def test_trained_models_hold_no_activations():
             assert grad.tobytes() == second[key].tobytes(), key
 
 
+def test_trained_models_hold_no_gradients():
+    # Adam releases each gradient it consumes, so a trained model keeps its
+    # weights only
+    gen = np.random.default_rng(10)
+    x, y = separable_matrices(gen, 6, 8, 2.0)
+    hyper = networks.NetworkHyper(epochs=1, batch_size=4)
+    models = {"cnn": networks.train_cnn(x, y, hyper, 2),
+              "lstm": networks.train_lstm(x, y, hyper, 2),
+              "dae": networks.train_dae(gen.normal(size=(6, 40)), hyper, 2)}
+    for name, model in models.items():
+        held = [key for key, t in model.net.parameters() if t.grad is not None]
+        assert not held, f"{name}: {held}"
+        model.net.zero_grad()
+        assert all(not t.grad.any() for _, t in model.net.parameters()), name
+
+
 # ---------------------------------------------------------------------------
 # fusion
 # ---------------------------------------------------------------------------

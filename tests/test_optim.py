@@ -10,13 +10,14 @@ import tracemalloc
 import numpy as np
 
 from eegspeech.nn import Adam, Tensor
+from eegspeech.nn.optim import BETA1, BETA2, EPSILON
 
 
 class _ReferenceAdam(Adam):
     def step(self) -> None:
         """Apply one update from the gradients currently stored on the params."""
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for name, tensor in self.params:
@@ -29,7 +30,7 @@ class _ReferenceAdam(Adam):
             v += (1.0 - b2) * g * g
             m_hat = m / bias1
             v_hat = v / bias2
-            tensor.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            tensor.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 #: Parameter shapes of different sizes and ranks, so each takes a different

@@ -58,3 +58,4 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     assert result["cnn_train_step"]["batch"] == 4
     assert result["cnn_train_step"]["peak_rss_mb"] > 0
     assert result["cnn_train_step"]["held_mb"] == 0
+    assert result["cnn_train_step"]["grad_mb"] == 0
