@@ -11,7 +11,10 @@ the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
 predicting those rows.  Last, a fresh child process runs one CNN train step
 (forward, backward, Adam) and reports its peak resident set size, the
 arrays the trained layers still hold and the gradients its parameters
-still hold, both of which should be none.  Each time
+still hold, both of which should be none.  Then another fresh child loads
+an untrained bundle (the three networks at ``--size``, no trees) saved by
+``pipeline.save_bundle``, and reports ``pipeline.load_bundle``'s first and
+warm times and its peak resident set size.  Each time
 is the median of ``--repeats`` runs, and the runs are kept beside it.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_layers.py --out BENCH_layers.json
@@ -27,13 +30,14 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 import eegspeech
-from eegspeech import gbt, networks
+from eegspeech import gbt, networks, pipeline
 from eegspeech.nn import Adam, infer_shapes
 from eegspeech.nn import ops
 
@@ -65,6 +69,25 @@ print(json.dumps({"s": s,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "held_mb": sum(held(vars(layer)) for layer in model.net.layers) / 2**20,
                   "grad_mb": sum(held(t.grad) for _, t in model.net.parameters()) / 2**20}))
+"""
+
+#: Loads one saved bundle in a fresh interpreter, once and then ``repeats``
+#: more times, each result dropped before the next load; prints the first
+#: load's time, the warm loads' times and the peak RSS.  The peak is Linux's
+#: VmHWM, the child's own; its ``ru_maxrss`` would start at the peak of the
+#: process that started it.
+_BUNDLE_LOAD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from eegspeech import pipeline
+runs = []
+for _ in range(int(sys.argv[3]) + 1):
+    start = time.perf_counter()
+    pipeline.load_bundle(sys.argv[2])
+    runs.append(time.perf_counter() - start)
+with open("/proc/self/status") as f:
+    peak_kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+print(json.dumps({"first_s": runs[0], "warm_runs": runs[1:], "peak_rss_mb": peak_kb / 1024}))
 """
 
 
@@ -166,6 +189,28 @@ def bench_cnn_step(size: int, batch: int) -> dict:
     return {"batch": batch, **json.loads(done.stdout.strip().splitlines()[-1])}
 
 
+def bench_bundle_load(size: int, repeats: int) -> dict:
+    cnn, lstm = networks.build_cnn_model(size), networks.build_lstm_model(size)
+    dae = networks.build_dae_model(networks.FUSED_DIM)
+    dae.mean, dae.std = np.zeros(networks.FUSED_DIM), np.ones(networks.FUSED_DIM)
+    bundle = pipeline.ModelBundle(
+        task_id="bench", fold_name="holdout", mode=pipeline.HOLDOUT, config_fingerprint="bench",
+        kept_channels=tuple(range(size)), input_size=size, cnn=cnn, lstm=lstm, dae=dae,
+        ensemble=gbt.Ensemble(config=gbt.GbtConfig(n_estimators=0), base_score=0.0),
+        test_trial_ids=(), dev_accuracy=0.5)
+    params = sum(t.size for model in (cnn, lstm, dae) for _, t in model.net.parameters())
+    package_root = str(Path(eegspeech.__file__).resolve().parents[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        pipeline.save_bundle(bundle, tmp)
+        archive_mb = (Path(tmp) / pipeline.BUNDLE_ARCHIVE).stat().st_size / 2**20
+        done = subprocess.run([sys.executable, "-c", _BUNDLE_LOAD, package_root, tmp,
+                               str(repeats)], capture_output=True, text=True, check=True)
+    timed = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"params": params, "archive_mb": archive_mb, "first_s": timed["first_s"],
+            "warm_s": statistics.median(timed["warm_runs"]), "warm_runs": timed["warm_runs"],
+            "peak_rss_mb": timed["peak_rss_mb"]}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -186,12 +231,15 @@ def main() -> int:
         "adam_step": bench_adam(args.size, args.repeats),
         "trees": bench_trees(args.repeats),
         "cnn_train_step": bench_cnn_step(args.size, args.batch),
+        "bundle_load": bench_bundle_load(args.size, args.repeats),
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps({**{name: [round(e["forward_s"], 4), round(e["backward_s"], 4)]
                          for name, e in result["layers"].items()},
                       "tree": [round(result["trees"]["fit_s_per_tree"], 4),
-                               round(result["trees"]["predict_s_per_tree"], 4)]}))
+                               round(result["trees"]["predict_s_per_tree"], 4)],
+                      "bundle_load": [round(result["bundle_load"]["first_s"], 4),
+                                      round(result["bundle_load"]["warm_s"], 4)]}))
     return 0
 
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rng_mod
-from .nn import Adam, LayerSpec, Network, build_network, infer_shapes
+from .nn import Adam, LayerSpec, Network, infer_shapes, initial_state
 from .nn import ops
 from .nn.checkpoint import write_bytes_atomic
 
@@ -201,33 +202,51 @@ def _fit(model: Model, x: np.ndarray, targets: np.ndarray, hyper: NetworkHyper,
     net.set_dropout_rng(None)
 
 
-def _build(name: str, specs: list[LayerSpec], input_shape: tuple[int, ...],
-           feature_index: int, width: int, what: str, seed: int) -> Model:
-    """An untrained model whose layer ``feature_index`` (built from the spec
-    at that index) must output ``width`` features, checked before any weight
-    is drawn."""
-    actual = infer_shapes(specs, input_shape)[feature_index][-1]
+def _architecture(name: str, size: int) -> tuple[list[LayerSpec], tuple[int, ...], int]:
+    """Network ``name``'s layer specs, input shape and feature layer for input
+    side (or, for the autoencoder, input width) ``size``.  Raises ValueError
+    if the feature layer (built from the spec at that index) does not output
+    the width the fusion arithmetic reads."""
+    if name == "cnn":
+        specs, shape, index, width, what = (CNN_SPECS, (1, size, size), 10, CNN_PENULTIMATE,
+                                            "penultimate")
+    elif name == "lstm":
+        specs, shape, index, width, what = (LSTM_SPECS, (size, size), 8, LSTM_PENULTIMATE,
+                                            "penultimate")
+    else:
+        specs, shape, index, width, what = dae_specs(size), (size,), 7, DAE_LATENT, "latent"
+    actual = infer_shapes(specs, shape)[index][-1]
     if actual != width:
         raise ValueError(f"{name} {what} width is {actual}, expected {width}")
-    net = build_network(specs, input_shape, rng_mod.stream(seed, name, "init"))
-    return Model(net=net, input_shape=input_shape, feature_index=feature_index)
+    return specs, shape, index
+
+
+def build_model(name: str, size: int, state: Mapping[str, np.ndarray]) -> Model:
+    """Network ``name`` ("cnn", "lstm" or "dae") at ``size``, its parameters
+    ``state``'s arrays themselves (see `Network.from_state`)."""
+    specs, shape, index = _architecture(name, size)
+    return Model(net=Network.from_state(specs, shape, state), input_shape=shape,
+                 feature_index=index)
+
+
+def _untrained(name: str, size: int, seed: int) -> Model:
+    specs, shape, _ = _architecture(name, size)  # checked before any weight is drawn
+    return build_model(name, size, initial_state(specs, shape, rng_mod.stream(seed, name, "init")))
 
 
 def build_cnn_model(input_size: int, seed: int = 0) -> Model:
     """An untrained CNN of the reference architecture for the given matrix
     size; it reads each matrix as a one-channel image."""
-    return _build("cnn", CNN_SPECS, (1, input_size, input_size), 10, CNN_PENULTIMATE,
-                  "penultimate", seed)
+    return _untrained("cnn", input_size, seed)
 
 
 def build_lstm_model(input_size: int, seed: int = 0) -> Model:
     """An untrained LSTM network; it reads each matrix row by row as a sequence."""
-    return _build("lstm", LSTM_SPECS, (input_size, input_size), 8, LSTM_PENULTIMATE,
-                  "penultimate", seed)
+    return _untrained("lstm", input_size, seed)
 
 
 def build_dae_model(input_dim: int, seed: int = 0) -> Model:
-    return _build("dae", dae_specs(input_dim), (input_dim,), 7, DAE_LATENT, "latent", seed)
+    return _untrained("dae", input_dim, seed)
 
 
 def _train_branch(build, name: str, inputs, labels, hyper: NetworkHyper, seed: int) -> Model:

@@ -5,11 +5,13 @@ dumps (only a trial container's samples are raw).  Layout (little-endian):
     per tensor: u16 name length | name utf-8 | u8 ndim | u32 dims... | f64 data
 
 Writes are atomic (temp file + rename) and byte-deterministic for a given
-mapping; reading any malformed archive raises ValueError.
+mapping.  Reads fill one fresh float64 array per tensor from the file, with
+no intermediate copy; reading any malformed archive raises ValueError.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -33,35 +35,42 @@ def _chunks(named: dict[str, np.ndarray]):
         yield np.ascontiguousarray(arr, dtype="<f8").data
 
 
-def tensors_from_bytes(blob: bytes) -> dict[str, np.ndarray]:
-    if blob[:4] != MAGIC:
+def _exactly(f, n: int) -> bytes:
+    chunk = f.read(n)
+    if len(chunk) != n:
+        raise ValueError("truncated archive")
+    return chunk
+
+
+def _read_tensors(f, total: int) -> dict[str, np.ndarray]:
+    """Parse the archive of ``total`` bytes that the binary file ``f`` holds,
+    reading each tensor's data straight into its own array.  A size is
+    checked against ``total`` before its array is allocated."""
+    if f.read(4) != MAGIC:
         raise ValueError("not a named-tensor archive")
-    try:
-        version, count = struct.unpack_from("<II", blob, 4)
-        if version != VERSION:
-            raise ValueError(f"unsupported archive version {version}")
-        offset = 12
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            size = math.prod(dims)
-            if offset + 8 * size > len(blob):
-                raise ValueError(f"tensor {name!r} runs past the end of the archive")
-            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(dims)
-            offset += 8 * size
-            out[name] = arr.astype(np.float64)
-    except struct.error as exc:
-        raise ValueError(f"truncated archive: {exc}") from exc
-    if offset != len(blob):
+    version, count = struct.unpack("<II", _exactly(f, 8))
+    if version != VERSION:
+        raise ValueError(f"unsupported archive version {version}")
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", _exactly(f, 2))
+        name = _exactly(f, name_len).decode("utf-8")
+        ndim = _exactly(f, 1)[0]
+        dims = struct.unpack(f"<{ndim}I", _exactly(f, 4 * ndim))
+        nbytes = 8 * math.prod(dims)
+        if nbytes > total - f.tell():
+            raise ValueError(f"tensor {name!r} runs past the end of the archive")
+        arr = np.empty(dims, dtype="<f8")
+        if f.readinto(arr) != nbytes:
+            raise ValueError(f"tensor {name!r} is truncated")
+        out[name] = arr
+    if f.tell() != total:
         raise ValueError("trailing bytes after last tensor")
     return out
+
+
+def tensors_from_bytes(blob: bytes) -> dict[str, np.ndarray]:
+    return _read_tensors(io.BytesIO(blob), len(blob))
 
 
 def write_bytes_atomic(path: str | os.PathLike, *chunks) -> None:
@@ -91,4 +100,4 @@ def save_tensors(path: str | os.PathLike, named: dict[str, np.ndarray]) -> None:
 
 def load_tensors(path: str | os.PathLike) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        return tensors_from_bytes(f.read())
+        return _read_tensors(f, os.fstat(f.fileno()).st_size)

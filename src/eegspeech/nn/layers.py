@@ -13,6 +13,11 @@ exactly one layer, and a training step's backward pass reaches layer 0, so
 each step writes every gradient once.  The op's array is fresh: it shares
 memory with no parameter, cache or other gradient, which matters because
 ``Adam.step`` overwrites gradients in place before it releases them.
+
+A layer with parameters is built from their ``Tensor``s.  Its static
+``initial(rng, **shapes)`` draws starting values for them, given each
+parameter's shape by name; `nn.network.initial_state` calls it layer by
+layer.
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ class Dense(Layer):
         self.bias = bias
         self._x = None
 
-    @classmethod
-    def create(cls, n_in: int, n_out: int, rng: np.random.Generator) -> "Dense":
-        w = _glorot_uniform(rng, n_in, n_out, (n_out, n_in))
-        return cls(Tensor(w), Tensor(np.zeros(n_out)))
+    @staticmethod
+    def initial(rng: np.random.Generator, weights, bias) -> dict[str, np.ndarray]:
+        n_out, n_in = weights
+        return {"weights": _glorot_uniform(rng, n_in, n_out, weights), "bias": np.zeros(bias)}
 
     def forward(self, x, train=False):
         if train:
@@ -74,12 +79,11 @@ class Conv2D(Layer):
         self.bias = bias
         self._x = None
 
-    @classmethod
-    def create(cls, c_in: int, c_out: int, kernel: int, rng: np.random.Generator) -> "Conv2D":
-        fan_in = c_in * kernel * kernel
-        fan_out = c_out * kernel * kernel
-        w = _glorot_uniform(rng, fan_in, fan_out, (c_out, c_in, kernel, kernel))
-        return cls(Tensor(w), Tensor(np.zeros(c_out)))
+    @staticmethod
+    def initial(rng: np.random.Generator, weights, bias) -> dict[str, np.ndarray]:
+        c_out, c_in, kh, kw = weights
+        return {"weights": _glorot_uniform(rng, c_in * kh * kw, c_out * kh * kw, weights),
+                "bias": np.zeros(bias)}
 
     def forward(self, x, train=False):
         if train:
@@ -106,14 +110,14 @@ class Lstm(Layer):
         self.bias = bias
         self._cache = None
 
-    @classmethod
-    def create(cls, n_in: int, units: int, rng: np.random.Generator) -> "Lstm":
+    @staticmethod
+    def initial(rng: np.random.Generator, wx, wh, bias) -> dict[str, np.ndarray]:
         # uniform +-1/sqrt(fan_in), forget-gate bias raised to +1
-        wx = rng.uniform(-1, 1, size=(4 * units, n_in)) / math.sqrt(n_in)
-        wh = rng.uniform(-1, 1, size=(4 * units, units)) / math.sqrt(units)
-        b = np.zeros(4 * units)
+        units = wh[1]
+        b = np.zeros(bias)
         b[units:2 * units] = 1.0
-        return cls(Tensor(wx), Tensor(wh), Tensor(b))
+        return {"wx": rng.uniform(-1, 1, size=wx) / math.sqrt(wx[1]),
+                "wh": rng.uniform(-1, 1, size=wh) / math.sqrt(units), "bias": b}
 
     @property
     def units(self) -> int:

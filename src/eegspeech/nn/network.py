@@ -4,6 +4,7 @@ mid-training."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,33 +73,45 @@ def infer_shapes(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[t
     return shapes
 
 
+def _parameter_shapes(specs: list[LayerSpec],
+                      input_shape: tuple[int, ...]) -> list[dict[str, tuple[int, ...]]]:
+    """Per layer, the shape of each parameter by name, in the layer's order."""
+    in_shapes = [tuple(input_shape)] + infer_shapes(specs, input_shape)[:-1]
+    shapes = []
+    for spec, shape in zip(specs, in_shapes):
+        if spec.kind == "conv2d":
+            k = spec.kernel
+            shapes.append({"weights": (spec.filters, shape[0], k, k), "bias": (spec.filters,)})
+        elif spec.kind == "dense":
+            shapes.append({"weights": (spec.units, shape[0]), "bias": (spec.units,)})
+        elif spec.kind == "lstm":
+            gates = 4 * spec.units
+            shapes.append({"wx": (gates, shape[1]), "wh": (gates, spec.units), "bias": (gates,)})
+        else:
+            shapes.append({})
+    return shapes
+
+
+_PARAMETRIC = {"conv2d": Conv2D, "dense": Dense, "lstm": Lstm}
+
+
+def initial_state(specs: list[LayerSpec], input_shape: tuple[int, ...],
+                  rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Freshly drawn parameters for the network of ``specs``, named as
+    `Network.parameters` names them and drawn from ``rng`` layer by layer,
+    in that order.  The shape chain is checked before anything is drawn."""
+    state = {}
+    for i, (spec, shapes) in enumerate(zip(specs, _parameter_shapes(specs, input_shape))):
+        if shapes:
+            drawn = _PARAMETRIC[spec.kind].initial(rng, **shapes)
+            state.update((f"layer{i:02d}.{name}", drawn[name]) for name in shapes)
+    return state
+
+
 def build_network(specs: list[LayerSpec], input_shape: tuple[int, ...],
                   rng: np.random.Generator) -> "Network":
-    """Instantiate and initialise a network, validating the shape chain.
-
-    Layer i is built from spec i.
-    """
-    shapes = infer_shapes(specs, input_shape)  # fail fast on any mismatch
-    layers: list[Layer] = []
-    for i, spec in enumerate(specs):
-        shape = shapes[i - 1] if i else tuple(input_shape)
-        if spec.kind == "conv2d":
-            layers.append(Conv2D.create(shape[0], spec.filters, spec.kernel, rng))
-        elif spec.kind == "dense":
-            layers.append(Dense.create(shape[0], spec.units, rng))
-        elif spec.kind == "lstm":
-            layers.append(Lstm.create(shape[1], spec.units, rng))
-        elif spec.kind == "last_step":
-            layers.append(LastStep())
-        elif spec.kind == "dropout":
-            layers.append(Dropout(spec.rate))
-        elif spec.kind == "activation":
-            layers.append(Activation(spec.fn))
-        elif spec.kind == "softmax":
-            layers.append(Softmax())
-        elif spec.kind == "flatten":
-            layers.append(Flatten())
-    return Network(layers)
+    """A network of ``specs`` with freshly drawn parameters."""
+    return Network.from_state(specs, input_shape, initial_state(specs, input_shape, rng))
 
 
 class Network:
@@ -106,6 +119,47 @@ class Network:
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
+
+    @classmethod
+    def from_state(cls, specs: list[LayerSpec], input_shape: tuple[int, ...],
+                   state: Mapping[str, np.ndarray]) -> "Network":
+        """The network of ``specs`` whose parameters are ``state``'s arrays.
+
+        Layer i is built from spec i, and its parameter ``layer<ii>.<name>``
+        wraps ``state``'s array as it is: a contiguous float64 array becomes
+        the parameter's data without a copy, so training the network writes
+        into it.  Raises ValueError, naming the tensors, when ``state`` lacks
+        a parameter, holds a name the network does not have, or holds an
+        array of another shape.
+        """
+        shapes = _parameter_shapes(specs, input_shape)  # fail fast on any mismatch
+        expected = {f"layer{i:02d}.{name}" for i, layer in enumerate(shapes) for name in layer}
+        if set(state) != expected:
+            missing = sorted(expected - set(state))
+            extra = sorted(set(state) - expected)
+            raise ValueError(f"checkpoint mismatch: missing={missing} extra={extra}")
+        layers: list[Layer] = []
+        for i, spec in enumerate(specs):
+            params = {}
+            for name, shape in shapes[i].items():
+                tensor = Tensor(state[f"layer{i:02d}.{name}"])
+                if tensor.shape != shape:
+                    raise ValueError(f"layer{i:02d}.{name}: checkpoint shape {tensor.shape} "
+                                     f"!= model shape {shape}")
+                params[name] = tensor
+            if spec.kind in _PARAMETRIC:
+                layers.append(_PARAMETRIC[spec.kind](**params))
+            elif spec.kind == "last_step":
+                layers.append(LastStep())
+            elif spec.kind == "dropout":
+                layers.append(Dropout(spec.rate))
+            elif spec.kind == "activation":
+                layers.append(Activation(spec.fn))
+            elif spec.kind == "softmax":
+                layers.append(Softmax())
+            elif spec.kind == "flatten":
+                layers.append(Flatten())
+        return cls(layers)
 
     def forward(self, x, train: bool = True, stop: int | None = None):
         """Run the layers up to and including layer ``stop`` (default: all).
@@ -150,17 +204,3 @@ class Network:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        params = dict(self.parameters())
-        if set(state) != set(params):
-            missing = set(params) - set(state)
-            extra = set(state) - set(params)
-            raise ValueError(f"checkpoint mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, tensor in params.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != tensor.data.shape:
-                raise ValueError(
-                    f"{name}: checkpoint shape {value.shape} != model shape {tensor.data.shape}"
-                )
-            tensor.data[...] = value

@@ -263,17 +263,15 @@ def _bundle_from(meta: dict, tensors: dict) -> ModelBundle:
     def section(prefix: str) -> dict:
         return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
 
-    cnn = networks.build_cnn_model(size)
-    cnn.net.load_state_dict(section("cnn."))
-    lstm = networks.build_lstm_model(size)
-    lstm.net.load_state_dict(section("lstm."))
-    dae = networks.build_dae_model(networks.FUSED_DIM)
+    cnn = networks.build_model("cnn", size, section("cnn."))
+    lstm = networks.build_model("lstm", size, section("lstm."))
     dae_state = section("dae.")
-    dae.mean = dae_state.pop("standardize.mean")
-    dae.std = dae_state.pop("standardize.std")
-    if dae.mean.shape != (networks.FUSED_DIM,) or dae.std.shape != (networks.FUSED_DIM,):
+    mean = dae_state.pop("standardize.mean")
+    std = dae_state.pop("standardize.std")
+    if mean.shape != (networks.FUSED_DIM,) or std.shape != (networks.FUSED_DIM,):
         raise ValueError("the autoencoder's standardisation does not fit its input width")
-    dae.net.load_state_dict(dae_state)
+    dae = networks.build_model("dae", networks.FUSED_DIM, dae_state)
+    dae.mean, dae.std = mean, std
     rows = section("gbt.tree.")
     trees = [gbt.Tree.from_rows(rows.pop(str(i)), networks.DAE_LATENT)
              for i in range(config.n_estimators)]

@@ -42,16 +42,49 @@ def test_every_truncation_raises_value_error(tmp_path):
             tensors_from_bytes(blob[:end])
 
 
-def test_malformed_archives_raise_value_error(tmp_path):
-    blob = _archive(tmp_path, {"w": np.zeros(2)})
+def test_every_truncation_of_a_file_raises_value_error(tmp_path):
+    # the file reader takes the archive's size from the file, not from a blob
+    blob = _archive(tmp_path, NAMED)
+    for end in range(len(blob)):
+        (tmp_path / "cut.tensors").write_bytes(blob[:end])
+        with pytest.raises(ValueError):
+            load_tensors(tmp_path / "cut.tensors")
+
+
+def _malformed(blob: bytes) -> list[bytes]:
     header = 12 + 2 + 1 + 1  # magic, version, count, name length, name, ndim
     huge_dims = blob[:header] + struct.pack("<I", 2**32 - 1) + blob[header + 4:]
     two_dims = blob[:header - 1] + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1) + blob[header + 4:]
-    for bad in (b"XXXX" + blob[4:], blob + b"\0", huge_dims, two_dims,
-                blob[:4] + struct.pack("<I", 2) + blob[8:],
-                blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:]):
+    return [b"XXXX" + blob[4:], blob + b"\0", huge_dims, two_dims,
+            blob[:4] + struct.pack("<I", 2) + blob[8:],
+            blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:]]
+
+
+def test_malformed_archives_raise_value_error(tmp_path):
+    for bad in _malformed(_archive(tmp_path, {"w": np.zeros(2)})):
         with pytest.raises(ValueError):
             tensors_from_bytes(bad)
+
+
+def test_malformed_files_raise_value_error(tmp_path):
+    for bad in _malformed(_archive(tmp_path, {"w": np.zeros(2)})):
+        (tmp_path / "bad.tensors").write_bytes(bad)
+        with pytest.raises(ValueError):
+            load_tensors(tmp_path / "bad.tensors")
+
+
+def test_file_reader_gives_each_tensor_its_own_array(tmp_path):
+    named = {**NAMED, "empty": np.zeros((0, 3)),
+             "big": np.random.default_rng(0).normal(size=(70, 90))}
+    blob = _archive(tmp_path, named)
+    loaded = load_tensors(tmp_path / "a.tensors")
+    from_blob = tensors_from_bytes(blob)
+    assert list(loaded) == list(from_blob) == list(named)
+    for name, arr in loaded.items():
+        assert arr.dtype == np.float64 and arr.base is None, name
+        assert arr.flags.aligned and arr.flags.writeable and arr.flags.c_contiguous, name
+        assert arr.shape == from_blob[name].shape == named[name].shape, name
+        assert arr.tobytes() == from_blob[name].tobytes() == named[name].tobytes(), name
 
 
 def test_written_files_follow_the_umask(tmp_path):

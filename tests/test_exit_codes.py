@@ -18,6 +18,7 @@ from eegspeech import pipeline
 from eegspeech.cli import main
 from eegspeech.config import CONFIG_SCHEMA
 from eegspeech.gbt import GbtConfig
+from eegspeech.nn import load_tensors, save_tensors
 
 CONTRACT = {0, 2, 3, 4}
 VERBS = ("featurize", "train", "crossval", "evaluate")
@@ -266,3 +267,29 @@ def test_corrupted_bundle_keeps_the_contract(corpus, kind, fraction, offset, key
     assert code in CONTRACT
     if kind in ("truncate", "delete") or (kind == "meta" and (key, value) in PINNED_META):
         assert code == 3
+
+
+def _wrong_cnn_shape(tensors: dict) -> None:
+    tensors["cnn.layer06.weights"] = tensors["cnn.layer06.weights"][:, :-1].copy()
+
+
+def _extra_dae_tensor(tensors: dict) -> None:
+    tensors["dae.layer99.weights"] = np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("misfit", [_wrong_cnn_shape, _extra_dae_tensor])
+def test_archive_that_does_not_fit_the_model_exits_3(corpus, misfit):
+    # a well-formed archive whose tensors are not the networks' parameters
+    data, models = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(models / "uw", work / "models" / "uw")
+        archive = work / "models" / BUNDLE / pipeline.BUNDLE_ARCHIVE
+        tensors = load_tensors(archive)
+        misfit(tensors)
+        save_tensors(archive, tensors)
+        (work / "run.json").write_text(json.dumps(BASE))
+        code = main(["evaluate", "--config", str(work / "run.json"), "--container",
+                     str(data), "--models", str(work / "models"), "--out",
+                     str(work / "eval")])
+    assert code == 3

@@ -6,7 +6,7 @@ import pytest
 from conftest import separable_matrices
 from eegspeech import networks
 from eegspeech import rng as rng_mod
-from eegspeech.nn import LayerSpec, infer_shapes
+from eegspeech.nn import LayerSpec, Network, infer_shapes, initial_state
 from eegspeech.nn import ops
 from test_optim import _ReferenceAdam
 
@@ -92,6 +92,86 @@ def test_cnn_rejects_too_small_input():
     # two valid 3x3 convolutions need at least a 5x5 matrix
     with pytest.raises(ValueError):
         networks.build_cnn_model(4)
+
+
+# ---------------------------------------------------------------------------
+# assembling a network from named arrays
+# ---------------------------------------------------------------------------
+
+
+ARCHITECTURES = {
+    "cnn": (networks.CNN_SPECS, (1, 6, 6)),
+    "lstm": (networks.LSTM_SPECS, (6, 6)),
+    "dae": (networks.dae_specs(10), (10,)),
+}
+
+
+def _reference_draws(specs, input_shape, rng):
+    # the per-layer draws as the layers made them before `initial_state`
+    # existed: glorot for conv and dense weights, scaled uniform for LSTM
+    # weights, in layer order; biases draw nothing
+    state = {}
+    in_shapes = [input_shape] + infer_shapes(specs, input_shape)
+    for i, spec in enumerate(specs):
+        shape = in_shapes[i]
+        if spec.kind in ("conv2d", "dense"):
+            if spec.kind == "conv2d":
+                k = spec.kernel
+                fan_in, fan_out = shape[0] * k * k, spec.filters * k * k
+                w_shape = (spec.filters, shape[0], k, k)
+            else:
+                fan_in, fan_out, w_shape = shape[0], spec.units, (spec.units, shape[0])
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            state[f"layer{i:02d}.weights"] = rng.uniform(-limit, limit, size=w_shape)
+            state[f"layer{i:02d}.bias"] = np.zeros(w_shape[0])
+        elif spec.kind == "lstm":
+            u, n = spec.units, shape[1]
+            state[f"layer{i:02d}.wx"] = rng.uniform(-1, 1, size=(4 * u, n)) / np.sqrt(n)
+            state[f"layer{i:02d}.wh"] = rng.uniform(-1, 1, size=(4 * u, u)) / np.sqrt(u)
+            bias = np.zeros(4 * u)
+            bias[u:2 * u] = 1.0
+            state[f"layer{i:02d}.bias"] = bias
+    return state
+
+
+@pytest.mark.parametrize("name", sorted(ARCHITECTURES))
+def test_initial_state_keeps_the_layer_by_layer_draws(name):
+    specs, shape = ARCHITECTURES[name]
+    got = initial_state(specs, shape, np.random.default_rng(4))
+    want = _reference_draws(specs, shape, np.random.default_rng(4))
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("name", sorted(ARCHITECTURES))
+def test_from_state_wraps_the_given_arrays(name):
+    specs, shape = ARCHITECTURES[name]
+    state = initial_state(specs, shape, np.random.default_rng(5))
+    net = Network.from_state(specs, shape, state)
+    params = net.parameters()
+    assert [n for n, _ in params] == list(state)
+    for key, tensor in params:
+        assert tensor.data is state[key], key
+
+
+def _misfits():
+    specs, shape = ARCHITECTURES["cnn"]
+    state = initial_state(specs, shape, np.random.default_rng(6))
+    missing = dict(state)
+    del missing["layer06.bias"]
+    extra = {**state, "layer07.weights": np.zeros((2, 2))}
+    wrong = {**state, "layer06.weights": state["layer06.weights"].T.copy()}
+    return {"missing": (missing, "layer06.bias"), "extra": (extra, "layer07.weights"),
+            "wrong-shape": (wrong, "layer06.weights")}
+
+
+@pytest.mark.parametrize("kind", ["missing", "extra", "wrong-shape"])
+def test_from_state_names_the_tensor_that_does_not_fit(kind):
+    specs, shape = ARCHITECTURES["cnn"]
+    state, name = _misfits()[kind]
+    with pytest.raises(ValueError, match=name):
+        Network.from_state(specs, shape, state)
 
 
 # ---------------------------------------------------------------------------

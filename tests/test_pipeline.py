@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from eegspeech import config, covariance, metrics, pipeline, synth
+from eegspeech import config, covariance, metrics, networks, nn, pipeline, synth
+from eegspeech.nn import layers, network
 from eegspeech.config import CovarianceSettings, NetworkHyper, RunConfig
 from eegspeech.errors import ConfigError, DataError, LeakageError, TrainingError
 from eegspeech.gbt import GbtConfig
@@ -275,6 +276,31 @@ def test_bundle_round_trip_reproduces_predictions(tmp_path, small_run):
     assert replayed.accuracy == report.accuracy
     assert [p.probability for p in replayed.predictions] == \
            [p.probability for p in report.predictions]
+
+
+def test_loading_a_bundle_draws_nothing_and_copies_nothing(tmp_path, small_run, monkeypatch):
+    # every parameter of a loaded network is the array read from the archive
+    *_, bundles, _ = small_run
+    pipeline.save_bundle(bundles["holdout"], tmp_path / "b")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("loading a bundle drew initial weights")
+
+    monkeypatch.setattr(networks, "initial_state", no_draw)
+    monkeypatch.setattr(network, "initial_state", no_draw)
+    monkeypatch.setattr(layers, "_glorot_uniform", no_draw)
+    read = {}
+
+    def tracked(path):
+        read.update(nn.load_tensors(path))
+        return read
+
+    monkeypatch.setattr(pipeline, "load_tensors", tracked)
+    loaded = pipeline.load_bundle(tmp_path / "b")
+    for prefix in ("cnn", "lstm", "dae"):
+        for name, tensor in getattr(loaded, prefix).net.parameters():
+            assert tensor.data is read[f"{prefix}.{name}"], (prefix, name)
+    assert loaded.dae.mean is read["dae.standardize.mean"]
 
 
 def test_bundle_preserves_unsigned_fold_seed(tmp_path, small_run):

@@ -2,7 +2,7 @@
 command sequence as `synthetic_end_to_end.py` runs it (synth, featurize,
 train, evaluate and plot through the public CLI), and the per-layer benchmark
 `bench_layers.py` at a small input size, with its boosted trees at their
-reference shape."""
+reference shape and its bundle load at that small size."""
 
 import json
 import runpy
@@ -37,7 +37,7 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     assert script["main"]() == 0
     result = json.loads(out.read_text())
     assert set(result) == {"input_size", "batch", "repeats", "env", "layers", "adam_step",
-                           "trees", "cnn_train_step"}
+                           "trees", "cnn_train_step", "bundle_load"}
     assert set(result["layers"]) == {"cnn.layer0.conv2d", "cnn.layer2.conv2d",
                                      "cnn.layer6.dense", "lstm.layer0.lstm",
                                      "lstm.layer1.lstm"}
@@ -59,3 +59,13 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     assert result["cnn_train_step"]["peak_rss_mb"] > 0
     assert result["cnn_train_step"]["held_mb"] == 0
     assert result["cnn_train_step"]["grad_mb"] == 0
+    load = result["bundle_load"]
+    assert set(load) == {"params", "archive_mb", "first_s", "warm_s", "warm_runs",
+                         "peak_rss_mb"}
+    assert load["params"] == cnn_params + sum(
+        t.size for model in (networks.build_lstm_model(8),
+                             networks.build_dae_model(networks.FUSED_DIM))
+        for _, t in model.net.parameters())
+    assert load["archive_mb"] > 8 * load["params"] / 2**20
+    assert load["first_s"] > 0 and load["warm_s"] > 0 and load["peak_rss_mb"] > 0
+    assert len(load["warm_runs"]) == 1
