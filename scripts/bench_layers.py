@@ -6,10 +6,10 @@ Times the CNN's two convolutions and the dense layer after its flatten, and
 the LSTM network's two LSTM layers, by calling each layer's ``nn.ops``
 kernels on random inputs with the built network's own weights, then Adam
 steps over every CNN parameter (the first step on fresh moments apart from
-the warm steps), then boosted trees: three trees fitted with
-the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
-predicting those rows.  Last, a fresh child process runs one CNN train step
-(forward, backward, Adam) and reports its peak resident set size, the
+the warm steps, each also in ns per parameter), then boosted trees: three
+trees fitted with the default ``GbtConfig`` on 1500 x 32 random rows, and
+each of them predicting those rows.  Last, a fresh child process runs one CNN train step
+(forward, backward, Adam) and reports its own peak resident set size, the
 arrays the trained layers still hold and the gradients its parameters
 still hold, both of which should be none.  Then another fresh child loads
 an untrained bundle (the three networks at ``--size``, no trees) saved by
@@ -42,11 +42,12 @@ from eegspeech.nn import Adam, infer_shapes
 from eegspeech.nn import ops
 
 #: One CNN train step in a fresh interpreter; prints its wall time, its peak
-#: RSS, the MB of arrays the trained model's layers still hold (caches a
-#: backward should have released) and the MB of gradients its parameters
-#: still hold (gradients Adam should have released).
+#: RSS (Linux's VmHWM, as for ``_BUNDLE_LOAD``), the MB of arrays the trained
+#: model's layers still hold (caches a backward should have released) and the
+#: MB of gradients its parameters still hold (gradients Adam should have
+#: released).
 _CNN_STEP = """
-import json, resource, sys, time
+import json, sys, time
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from eegspeech import networks
@@ -65,8 +66,10 @@ def held(value):
         value = list(value.values())
     return sum(map(held, value)) if isinstance(value, (list, tuple)) else 0
 
+with open("/proc/self/status") as f:
+    peak_kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
 print(json.dumps({"s": s,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "peak_rss_mb": peak_kb / 1024,
                   "held_mb": sum(held(vars(layer)) for layer in model.net.layers) / 2**20,
                   "grad_mb": sum(held(t.grad) for _, t in model.net.parameters()) / 2**20}))
 """
@@ -144,9 +147,9 @@ def bench_layers(size: int, batch: int, repeats: int) -> dict:
 
 def bench_adam(size: int, repeats: int) -> dict:
     """The first step on fresh moment buffers (what a training run pays once)
-    and the median of ``repeats`` warm steps.  A step consumes its gradients,
-    so fresh ones, as a backward pass would write them, are set before each
-    step, outside the timing."""
+    and the median of ``repeats`` warm steps, also per parameter.  A step
+    releases its gradients, so fresh ones, as a backward pass would write
+    them, are set before each step, outside the timing."""
     params = networks.build_cnn_model(size).net.parameters()
     rng = np.random.default_rng(2)
     grads = [rng.normal(size=tensor.shape) for _, tensor in params]
@@ -158,8 +161,10 @@ def bench_adam(size: int, repeats: int) -> dict:
         start = time.perf_counter()
         adam.step()
         runs.append(time.perf_counter() - start)
-    return {"params": sum(t.size for _, t in params), "first_s": runs[0],
-            "warm_s": statistics.median(runs[1:]), "warm_runs": runs[1:]}
+    n = sum(t.size for _, t in params)
+    warm_s = statistics.median(runs[1:])
+    return {"params": n, "first_s": runs[0], "warm_s": warm_s, "warm_runs": runs[1:],
+            "first_ns_per_param": runs[0] / n * 1e9, "warm_ns_per_param": warm_s / n * 1e9}
 
 
 #: The boosted trees' reference shape: about as many rows as the reference

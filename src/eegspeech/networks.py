@@ -221,11 +221,12 @@ def _architecture(name: str, size: int) -> tuple[list[LayerSpec], tuple[int, ...
     return specs, shape, index
 
 
-def build_model(name: str, size: int, state: Mapping[str, np.ndarray]) -> Model:
+def build_model(name: str, size: int, state: Mapping[str, np.ndarray],
+                prefix: str = "") -> Model:
     """Network ``name`` ("cnn", "lstm" or "dae") at ``size``, its parameters
-    ``state``'s arrays themselves (see `Network.from_state`)."""
+    ``state``'s arrays under ``prefix`` themselves (see `Network.from_state`)."""
     specs, shape, index = _architecture(name, size)
-    return Model(net=Network.from_state(specs, shape, state), input_shape=shape,
+    return Model(net=Network.from_state(specs, shape, state, prefix), input_shape=shape,
                  feature_index=index)
 
 

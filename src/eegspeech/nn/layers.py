@@ -11,8 +11,8 @@ add) and returns the gradient with respect to its input.
 Writing rather than accumulating is exact because every parameter belongs to
 exactly one layer, and a training step's backward pass reaches layer 0, so
 each step writes every gradient once.  The op's array is fresh: it shares
-memory with no parameter, cache or other gradient, which matters because
-``Adam.step`` overwrites gradients in place before it releases them.
+memory with no parameter, cache or other gradient, so ``Adam.step``, which
+reads each gradient and then drops it, sees the values the op computed.
 
 A layer with parameters is built from their ``Tensor``s.  Its static
 ``initial(rng, **shapes)`` draws starting values for them, given each

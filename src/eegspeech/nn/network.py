@@ -122,18 +122,20 @@ class Network:
 
     @classmethod
     def from_state(cls, specs: list[LayerSpec], input_shape: tuple[int, ...],
-                   state: Mapping[str, np.ndarray]) -> "Network":
+                   state: Mapping[str, np.ndarray], prefix: str = "") -> "Network":
         """The network of ``specs`` whose parameters are ``state``'s arrays.
 
         Layer i is built from spec i, and its parameter ``layer<ii>.<name>``
-        wraps ``state``'s array as it is: a contiguous float64 array becomes
-        the parameter's data without a copy, so training the network writes
-        into it.  Raises ValueError, naming the tensors, when ``state`` lacks
-        a parameter, holds a name the network does not have, or holds an
-        array of another shape.
+        wraps the array ``state`` holds under ``prefix + "layer<ii>.<name>"``
+        as it is: a contiguous float64 array becomes the parameter's data
+        without a copy, so training the network writes into it.  Raises
+        ValueError, naming the tensors by their keys in ``state``, when
+        ``state`` lacks a parameter, holds a key the network does not have,
+        or holds an array of another shape.
         """
         shapes = _parameter_shapes(specs, input_shape)  # fail fast on any mismatch
-        expected = {f"layer{i:02d}.{name}" for i, layer in enumerate(shapes) for name in layer}
+        expected = {f"{prefix}layer{i:02d}.{name}" for i, layer in enumerate(shapes)
+                    for name in layer}
         if set(state) != expected:
             missing = sorted(expected - set(state))
             extra = sorted(set(state) - expected)
@@ -142,9 +144,10 @@ class Network:
         for i, spec in enumerate(specs):
             params = {}
             for name, shape in shapes[i].items():
-                tensor = Tensor(state[f"layer{i:02d}.{name}"])
+                key = f"{prefix}layer{i:02d}.{name}"
+                tensor = Tensor(state[key])
                 if tensor.shape != shape:
-                    raise ValueError(f"layer{i:02d}.{name}: checkpoint shape {tensor.shape} "
+                    raise ValueError(f"{key}: checkpoint shape {tensor.shape} "
                                      f"!= model shape {shape}")
                 params[name] = tensor
             if spec.kind in _PARAMETRIC:

@@ -7,7 +7,7 @@ class Tensor:
     Parameters and their gradients are the only mutable state in the network
     core; activations flow through as plain ndarrays.  The owning layer's
     ``backward`` replaces ``grad`` with the array its op returned, and
-    ``Adam.step`` then consumes it in place as a work buffer and sets it to
+    ``Adam.step`` then reads it, without writing to it, and sets it to
     ``None``.  For a large parameter the initial ``np.zeros`` maps its pages
     lazily, so a gradient that is replaced before it is read costs no memory
     traffic.

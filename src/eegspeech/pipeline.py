@@ -261,19 +261,21 @@ def _bundle_from(meta: dict, tensors: dict) -> ModelBundle:
     config = gbt.GbtConfig(**gbt_meta)
 
     def section(prefix: str) -> dict:
-        return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
+        return {k: v for k, v in tensors.items() if k.startswith(prefix)}
 
-    cnn = networks.build_model("cnn", size, section("cnn."))
-    lstm = networks.build_model("lstm", size, section("lstm."))
+    # each network reads its section under the archive's own keys, so a
+    # tensor that does not fit is named with its network
+    cnn = networks.build_model("cnn", size, section("cnn."), "cnn.")
+    lstm = networks.build_model("lstm", size, section("lstm."), "lstm.")
     dae_state = section("dae.")
-    mean = dae_state.pop("standardize.mean")
-    std = dae_state.pop("standardize.std")
+    mean = dae_state.pop("dae.standardize.mean")
+    std = dae_state.pop("dae.standardize.std")
     if mean.shape != (networks.FUSED_DIM,) or std.shape != (networks.FUSED_DIM,):
         raise ValueError("the autoencoder's standardisation does not fit its input width")
-    dae = networks.build_model("dae", networks.FUSED_DIM, dae_state)
+    dae = networks.build_model("dae", networks.FUSED_DIM, dae_state, "dae.")
     dae.mean, dae.std = mean, std
     rows = section("gbt.tree.")
-    trees = [gbt.Tree.from_rows(rows.pop(str(i)), networks.DAE_LATENT)
+    trees = [gbt.Tree.from_rows(rows.pop(f"gbt.tree.{i}"), networks.DAE_LATENT)
              for i in range(config.n_estimators)]
     if rows:
         raise ValueError("the archive holds more trees than gbt.n_estimators")

@@ -269,27 +269,31 @@ def test_corrupted_bundle_keeps_the_contract(corpus, kind, fraction, offset, key
         assert code == 3
 
 
-def _wrong_cnn_shape(tensors: dict) -> None:
+def _wrong_cnn_shape(tensors: dict) -> str:
     tensors["cnn.layer06.weights"] = tensors["cnn.layer06.weights"][:, :-1].copy()
+    return "cnn.layer06.weights"
 
 
-def _extra_dae_tensor(tensors: dict) -> None:
+def _extra_dae_tensor(tensors: dict) -> str:
     tensors["dae.layer99.weights"] = np.zeros((2, 2))
+    return "dae.layer99.weights"
 
 
 @pytest.mark.parametrize("misfit", [_wrong_cnn_shape, _extra_dae_tensor])
-def test_archive_that_does_not_fit_the_model_exits_3(corpus, misfit):
-    # a well-formed archive whose tensors are not the networks' parameters
+def test_archive_that_does_not_fit_the_model_exits_3(corpus, misfit, capsys):
+    # a well-formed archive whose tensors are not the networks' parameters;
+    # the message names the misfit by its archive key, network included
     data, models = corpus
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(models / "uw", work / "models" / "uw")
         archive = work / "models" / BUNDLE / pipeline.BUNDLE_ARCHIVE
         tensors = load_tensors(archive)
-        misfit(tensors)
+        key = misfit(tensors)
         save_tensors(archive, tensors)
         (work / "run.json").write_text(json.dumps(BASE))
         code = main(["evaluate", "--config", str(work / "run.json"), "--container",
                      str(data), "--models", str(work / "models"), "--out",
                      str(work / "eval")])
     assert code == 3
+    assert key in capsys.readouterr().err

@@ -331,8 +331,8 @@ def _arrays(value):
 
 @pytest.mark.parametrize("name", ["cnn", "lstm", "dae"])
 def test_backward_writes_every_gradient_fresh(name):
-    # Adam overwrites gradients in place, so each must be a fresh array that
-    # one backward pass writes in full
+    # Adam updates each parameter from its gradient and then drops it, so
+    # each must be a fresh array that one backward pass writes in full
     gen = np.random.default_rng(4)
     if name == "dae":
         model = networks.build_dae_model(40, seed=1)

@@ -1,16 +1,18 @@
-"""The in-place Adam step against the textbook form it replaced.
+"""The blocked, in-place Adam step against the textbook form it replaced.
 
 ``_ReferenceAdam`` is the earlier ``Adam.step`` verbatim: it allocates fresh
-temporaries and leaves the gradients alone.  The in-place step must give
-bit-equal weights and moments, and must allocate no parameter-sized array.
+temporaries and leaves the gradients alone.  The blocked step must give
+bit-equal weights and moments, leave its gradients' bytes alone, and
+allocate no parameter-sized array.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from eegspeech.nn import Adam, Tensor
-from eegspeech.nn.optim import BETA1, BETA2, EPSILON
+from eegspeech.nn.optim import BETA1, BETA2, BLOCK, EPSILON
 
 
 class _ReferenceAdam(Adam):
@@ -34,8 +36,12 @@ class _ReferenceAdam(Adam):
 
 
 #: Parameter shapes of different sizes and ranks, so each takes a different
-#: slice of the shared scratch array (the largest first, then smaller ones).
+#: slice of the shared work buffers (the largest first, then smaller ones).
 SHAPES = [(7, 5, 3), (11,), (4, 6), (1,)]
+#: Parameters on either side of the block edges, in several ranks: one
+#: element, one short of a block, one block, one past it, and two blocks
+#: and a short tail.
+BLOCK_SHAPES = [(1,), (BLOCK - 1, 1), (8, BLOCK // 8), (BLOCK + 1,), (1, 2 * BLOCK + 3, 1)]
 
 
 def _gradient(rng, shape):
@@ -45,13 +51,13 @@ def _gradient(rng, shape):
     return g
 
 
-def _params(seed):
+def _params(seed, shapes=SHAPES):
     rng = np.random.default_rng(seed)
-    return [(f"p{i}", Tensor(rng.normal(size=shape))) for i, shape in enumerate(SHAPES)]
+    return [(f"p{i}", Tensor(rng.normal(size=shape))) for i, shape in enumerate(shapes)]
 
 
-def test_in_place_step_matches_the_reference_bit_for_bit():
-    ours, ref = _params(0), _params(0)
+def _assert_steps_match_the_reference(shapes):
+    ours, ref = _params(0, shapes), _params(0, shapes)
     adam = Adam(ours, learning_rate=0.003)
     reference = _ReferenceAdam(ref, learning_rate=0.003)
     rng = np.random.default_rng(1)
@@ -69,11 +75,62 @@ def test_in_place_step_matches_the_reference_bit_for_bit():
     assert adam.step_count == reference.step_count == 8
 
 
-def test_scratch_is_one_array_of_the_largest_parameter():
-    adam = Adam(_params(2))
-    bases = {id(s.base) for s in adam._scratch.values()}
-    assert len(bases) == 1
-    assert next(iter(adam._scratch.values())).base.size == max(int(np.prod(s)) for s in SHAPES)
+def test_in_place_step_matches_the_reference_bit_for_bit():
+    _assert_steps_match_the_reference(SHAPES)
+
+
+def test_blocked_step_matches_the_reference_at_block_edges():
+    _assert_steps_match_the_reference(BLOCK_SHAPES)
+
+
+def test_work_buffers_hold_at_most_block_elements():
+    for shapes in (SHAPES, BLOCK_SHAPES):
+        adam = Adam(_params(2, shapes))
+        largest = max(int(np.prod(s)) for s in shapes)
+        assert [w.size for w in adam._work] == [min(BLOCK, largest)] * 2
+
+
+def test_step_reads_the_gradient_and_leaves_its_bytes():
+    params = _params(3, BLOCK_SHAPES)
+    rng = np.random.default_rng(4)
+    grads = []
+    for _, t in params:
+        t.grad = _gradient(rng, t.shape)
+        grads.append((t.grad, t.grad.tobytes()))
+    Adam(params).step()
+    for (name, t), (g, before) in zip(params, grads):
+        assert g.tobytes() == before, name
+        assert t.grad is None, name
+
+
+def test_step_without_a_gradient_names_the_parameter():
+    params = _params(5)
+    adam = Adam(params)
+    for _, t in params:
+        t.grad = np.ones(t.shape)
+    adam.step()
+    params[0][1].grad = np.ones(params[0][1].shape)
+    before = [t.data.copy() for _, t in params]
+    with pytest.raises(ValueError, match="^p1 has no gradient; run a backward pass"):
+        adam.step()
+    # the step checks every gradient before it updates anything
+    assert adam.step_count == 1
+    assert all(np.array_equal(t.data, b) for (_, t), b in zip(params, before))
+
+
+def test_first_step_allocates_nothing_beyond_the_moments():
+    t = Tensor(np.random.default_rng(6).normal(size=1_000_000))
+    t.grad = np.ones(t.shape)
+    tracemalloc.start()
+    try:
+        adam = Adam([("w", t)])
+        adam.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    moments = adam._m["w"].nbytes + adam._v["w"].nbytes
+    # one float64 temporary of this parameter would be 8 MB
+    assert peak - moments < 1_000_000
 
 
 def test_warm_step_allocates_no_parameter_sized_array():
