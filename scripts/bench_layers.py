@@ -6,9 +6,9 @@ Times the CNN's two convolutions and the dense layer after its flatten, and
 the LSTM network's two LSTM layers, by calling each layer's ``nn.ops``
 kernels on random inputs with the built network's own weights, then Adam
 steps over every CNN parameter (the first step on fresh moments apart from
-the warm steps, each also in ns per parameter), then boosted trees: three
-trees fitted with the default ``GbtConfig`` on 1500 x 32 random rows, and
-each of them predicting those rows.  Last, a fresh child process runs one CNN train step
+the warm steps), then boosted trees: three trees fitted with
+the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
+predicting those rows.  Last, a fresh child process runs one CNN train step
 (forward, backward, Adam) and reports its own peak resident set size, the
 arrays the trained layers still hold and the gradients its parameters
 still hold, both of which should be none.  Then another fresh child loads
@@ -41,11 +41,17 @@ from eegspeech import gbt, networks, pipeline
 from eegspeech.nn import Adam, infer_shapes
 from eegspeech.nn import ops
 
+#: The child scripts' own peak RSS in MB, Linux's VmHWM: a child's
+#: ``ru_maxrss`` would start at the peak of the process that started it.
+_PEAK_MB = """
+with open("/proc/self/status") as f:
+    peak_mb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+"""
+
 #: One CNN train step in a fresh interpreter; prints its wall time, its peak
-#: RSS (Linux's VmHWM, as for ``_BUNDLE_LOAD``), the MB of arrays the trained
-#: model's layers still hold (caches a backward should have released) and the
-#: MB of gradients its parameters still hold (gradients Adam should have
-#: released).
+#: RSS (``_PEAK_MB``), the MB of arrays the trained model's layers still hold
+#: (caches a backward should have released) and the MB of gradients its
+#: parameters still hold (gradients Adam should have released).
 _CNN_STEP = """
 import json, sys, time
 import numpy as np
@@ -66,19 +72,16 @@ def held(value):
         value = list(value.values())
     return sum(map(held, value)) if isinstance(value, (list, tuple)) else 0
 
-with open("/proc/self/status") as f:
-    peak_kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+""" + _PEAK_MB + """
 print(json.dumps({"s": s,
-                  "peak_rss_mb": peak_kb / 1024,
+                  "peak_rss_mb": peak_mb,
                   "held_mb": sum(held(vars(layer)) for layer in model.net.layers) / 2**20,
                   "grad_mb": sum(held(t.grad) for _, t in model.net.parameters()) / 2**20}))
 """
 
 #: Loads one saved bundle in a fresh interpreter, once and then ``repeats``
 #: more times, each result dropped before the next load; prints the first
-#: load's time, the warm loads' times and the peak RSS.  The peak is Linux's
-#: VmHWM, the child's own; its ``ru_maxrss`` would start at the peak of the
-#: process that started it.
+#: load's time, the warm loads' times and the peak RSS (``_PEAK_MB``).
 _BUNDLE_LOAD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -88,9 +91,8 @@ for _ in range(int(sys.argv[3]) + 1):
     start = time.perf_counter()
     pipeline.load_bundle(sys.argv[2])
     runs.append(time.perf_counter() - start)
-with open("/proc/self/status") as f:
-    peak_kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
-print(json.dumps({"first_s": runs[0], "warm_runs": runs[1:], "peak_rss_mb": peak_kb / 1024}))
+""" + _PEAK_MB + """
+print(json.dumps({"first_s": runs[0], "warm_runs": runs[1:], "peak_rss_mb": peak_mb}))
 """
 
 
@@ -147,9 +149,9 @@ def bench_layers(size: int, batch: int, repeats: int) -> dict:
 
 def bench_adam(size: int, repeats: int) -> dict:
     """The first step on fresh moment buffers (what a training run pays once)
-    and the median of ``repeats`` warm steps, also per parameter.  A step
-    releases its gradients, so fresh ones, as a backward pass would write
-    them, are set before each step, outside the timing."""
+    and the median of ``repeats`` warm steps.  A step releases its gradients,
+    so fresh ones, as a backward pass would write them, are set before each
+    step, outside the timing."""
     params = networks.build_cnn_model(size).net.parameters()
     rng = np.random.default_rng(2)
     grads = [rng.normal(size=tensor.shape) for _, tensor in params]
@@ -161,10 +163,8 @@ def bench_adam(size: int, repeats: int) -> dict:
         start = time.perf_counter()
         adam.step()
         runs.append(time.perf_counter() - start)
-    n = sum(t.size for _, t in params)
-    warm_s = statistics.median(runs[1:])
-    return {"params": n, "first_s": runs[0], "warm_s": warm_s, "warm_runs": runs[1:],
-            "first_ns_per_param": runs[0] / n * 1e9, "warm_ns_per_param": warm_s / n * 1e9}
+    return {"params": sum(t.size for _, t in params), "first_s": runs[0],
+            "warm_s": statistics.median(runs[1:]), "warm_runs": runs[1:]}
 
 
 #: The boosted trees' reference shape: about as many rows as the reference

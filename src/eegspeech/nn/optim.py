@@ -56,7 +56,9 @@ class Adam:
         for name, tensor in self.params:
             grad = tensor.grad.reshape(-1)
             m_flat, v_flat = self._m[name].reshape(-1), self._v[name].reshape(-1)
-            data = tensor.data.reshape(-1, copy=False)  # a copy would lose the update
+            # Tensor makes ``data`` C-contiguous and nothing rebinds it, so
+            # this reshape is a view and the update lands in the weights.
+            data = tensor.data.reshape(-1)
             for lo in range(0, data.size, BLOCK):
                 hi = min(lo + BLOCK, data.size)
                 g, m, v, p = grad[lo:hi], m_flat[lo:hi], v_flat[lo:hi], data[lo:hi]
