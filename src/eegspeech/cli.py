@@ -46,14 +46,18 @@ def _env_int(name: str) -> int | None:
         raise ConfigError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
+def _resolve_seed(args) -> int | None:
+    """The --seed flag, else EEGSPEECH_SEED, else None; a negative seed is a ConfigError."""
+    seed = args.seed if args.seed is not None else _env_int(SEED_ENV)
+    if seed is not None and seed < 0:
+        raise ConfigError("seed must be >= 0")
+    return seed
+
+
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _env_int(SEED_ENV)
-    updates = {}
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError("seed must be >= 0")
-        updates["seed"] = seed
+    seed = _resolve_seed(args)
+    updates = {} if seed is None else {"seed": seed}
     if args.out is not None:
         updates["output_dir"] = args.out
     if args.tasks is not None:
@@ -67,6 +71,17 @@ def _resolve_config(args) -> RunConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+def _output_dir(path) -> Path:
+    """Create the directory ``path`` and its parents; a path that cannot be
+    a directory is a ConfigError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {path}: {exc.strerror}") from exc
+    return path
+
+
 def _load_recordings(path: str):
     cont = container_mod.read_container(path)
     recordings = [container_mod.load_recording(cont, r) for r in cont.trials]
@@ -75,9 +90,7 @@ def _load_recordings(path: str):
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else _env_int(SEED_ENV)
-    if seed is None:
-        seed = 0
+    seed = _resolve_seed(args) or 0
     if args.task not in TASK_IDS:
         raise ConfigError(f"unknown task {args.task!r}; choose from {list(TASK_IDS)}")
     try:
@@ -88,6 +101,7 @@ def cmd_synth(args) -> int:
             noise_scale=args.noise)
     except ValueError as exc:
         raise ConfigError(f"synth: {exc}") from exc
+    _output_dir(args.out)
     container_mod.write_container(args.out, name=f"synthetic-{args.task}",
                                   sample_rate_hz=args.sample_rate,
                                   channel_names=[f"ch{c:02d}" for c in range(args.n_channels)],
@@ -100,8 +114,7 @@ def cmd_featurize(args) -> int:
     cfg = _resolve_config(args)
     cont, recordings, ids = _load_recordings(args.container)
     covs = pipeline.ccv_features(recordings, cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg.output_dir)
     # one archive keyed by trial id, so no file name comes from a trial id
     save_tensors(out / "features.tensors", dict(zip(ids, (cov.values for cov in covs))))
     write_json_atomic(out / "features.json", {
@@ -114,44 +127,38 @@ def cmd_featurize(args) -> int:
     return EXIT_OK
 
 
-def _write_scored_task(report: pipeline.EvalReport, task_dir: Path) -> None:
-    """Write a scored task's report.json and predictions.csv."""
-    task_dir.mkdir(parents=True, exist_ok=True)
-    pipeline.write_report_json(report, task_dir / "report.json")
-    pipeline.write_predictions_csv(report, task_dir / "predictions.csv")
-
-
-def _summary_rows(reports) -> list[plotting.TaskMetrics]:
-    return [_metrics_row(r.task_id, r.accuracy, r.kappa) for r in reports]
-
-
 def _metrics_row(task: str, accuracy: float, kappa: float) -> plotting.TaskMetrics:
     # (po - pe) / (1 - pe) can leave [-1, 1] by float rounding; TaskMetrics refuses that
     return plotting.TaskMetrics(task=task, accuracy=accuracy, kappa=max(-1.0, min(1.0, kappa)))
 
 
-def _train_task(task_id: str, recordings, ids, covs, cfg: RunConfig,
-                plan: pipeline.SplitPlan, out: Path) -> pipeline.EvalReport:
-    """Train and score one task and write its report, bundles and traces.
-    The bundles are locals, so they are released when this returns, before
-    the next task trains."""
-    task = pipeline.task_from_config(cfg, task_id)
-    _progress(f"{plan.mode}: task {task_id} on {len(recordings)} trials")
-    bundles, report = pipeline.run_task(recordings, task, plan, cfg,
-                                        trial_ids=ids, covs=covs)
-    task_dir = out / task_id
-    _write_scored_task(report, task_dir)
-    traces = task_dir / "traces"
-    traces.mkdir(parents=True, exist_ok=True)
-    for fold_name, bundle in sorted(bundles.items()):
-        pipeline.save_bundle(bundle, task_dir / "bundles" / fold_name)
-        for model_name, model in (("cnn", bundle.cnn), ("lstm", bundle.lstm),
-                                  ("dae", bundle.dae)):
-            networks.write_trace_csv(traces / f"{fold_name}.{model_name}.csv",
-                                     model.trace)
-    _progress(f"{plan.mode}: task {task_id} accuracy {report.accuracy:.4f} "
-              f"kappa {report.kappa:.4f}")
-    return report
+def _score_tasks(args, cfg: RunConfig, score_task,
+                 record_config: bool) -> list[pipeline.EvalReport]:
+    """The per-task loop of train, crossval and evaluate: read and featurize
+    the container, create the output directory (with config.resolved.json
+    when ``record_config``), write each task's report.json and predictions.csv
+    from ``score_task(task, recordings, ids, covs, task_dir)``, then
+    summary.csv.  What ``score_task`` builds is released when it returns."""
+    _, recordings, ids = _load_recordings(args.container)
+    covs = pipeline.ccv_features(recordings, cfg)
+    out = _output_dir(cfg.output_dir)
+    if record_config:
+        write_json_atomic(out / "config.resolved.json", cfg.canonical_dict())
+    reports = []
+    for task_id in cfg.tasks:
+        _progress(f"{args.verb}: task {task_id} on {len(recordings)} trials")
+        task_dir = out / task_id
+        report = score_task(pipeline.task_from_config(cfg, task_id), recordings, ids, covs,
+                            task_dir)
+        _output_dir(task_dir)
+        pipeline.write_report_json(report, task_dir / "report.json")
+        pipeline.write_predictions_csv(report, task_dir / "predictions.csv")
+        _progress(f"{args.verb}: task {task_id} accuracy {report.accuracy:.4f} "
+                  f"kappa {report.kappa:.4f}")
+        reports.append(report)
+    plotting.write_metric_table_csv([_metrics_row(r.task_id, r.accuracy, r.kappa)
+                                     for r in reports], out / "summary.csv")
+    return reports
 
 
 def _run_protocol(args, mode: str) -> int:
@@ -162,27 +169,28 @@ def _run_protocol(args, mode: str) -> int:
         raise ConfigError(f"config key split/mode: {args.verb} runs {mode}, "
                           f"not {cfg.split_mode}")
     cfg = dataclasses.replace(cfg, split_mode=mode)
-    cont, recordings, ids = _load_recordings(args.container)
-    covs = pipeline.ccv_features(recordings, cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json_atomic(out / "config.resolved.json", cfg.canonical_dict())
     plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
-    reports = [_train_task(task_id, recordings, ids, covs, cfg, plan, out)
-               for task_id in cfg.tasks]
-    acc = metrics.summarize([r.accuracy for r in reports])
-    kap = metrics.summarize([r.kappa for r in reports])
-    write_json_atomic(out / "summary.json", {
-        "mode": mode,
-        "seed": cfg.seed,
-        "config_fingerprint": cfg.fingerprint(),
-        "tasks": list(cfg.tasks),
-        "accuracy": {"mean": acc.mean, "std": acc.std, "min": acc.minimum,
-                     "max": acc.maximum},
-        "kappa": {"mean": kap.mean, "std": kap.std, "min": kap.minimum,
-                  "max": kap.maximum},
-    })
-    plotting.write_metric_table_csv(_summary_rows(reports), out / "summary.csv")
+
+    def train_task(task, recordings, ids, covs, task_dir):
+        bundles, report = pipeline.run_task(recordings, task, plan, cfg,
+                                            trial_ids=ids, covs=covs)
+        traces = _output_dir(task_dir / "traces")
+        for fold_name, bundle in sorted(bundles.items()):
+            pipeline.save_bundle(bundle, _output_dir(task_dir / "bundles" / fold_name))
+            for model_name, model in (("cnn", bundle.cnn), ("lstm", bundle.lstm),
+                                      ("dae", bundle.dae)):
+                networks.write_trace_csv(traces / f"{fold_name}.{model_name}.csv",
+                                         model.trace)
+        return report
+
+    reports = _score_tasks(args, cfg, train_task, record_config=True)
+    summary = {"mode": mode, "seed": cfg.seed, "config_fingerprint": cfg.fingerprint(),
+               "tasks": list(cfg.tasks)}
+    for key in ("accuracy", "kappa"):
+        stats = metrics.summarize([getattr(r, key) for r in reports])
+        summary[key] = {"mean": stats.mean, "std": stats.std, "min": stats.minimum,
+                        "max": stats.maximum}
+    write_json_atomic(Path(cfg.output_dir) / "summary.json", summary)
     return EXIT_OK
 
 
@@ -194,46 +202,31 @@ def cmd_crossval(args) -> int:
     return _run_protocol(args, pipeline.LOSO)
 
 
-def _evaluate_task(task_id: str, recordings, ids, covs, cfg: RunConfig, models: Path,
-                   out: Path) -> pipeline.EvalReport:
-    """Replay one task's saved bundles and write its report.  The bundles
-    are locals, so they are released when this returns, before the next
-    task's load."""
-    task = pipeline.task_from_config(cfg, task_id)
-    bundles_dir = models / task_id / "bundles"
-    folds = sorted(p for p in bundles_dir.iterdir() if p.is_dir()) \
-        if bundles_dir.is_dir() else []
-    if not folds:
-        raise DataError(f"no trained bundles for task {task_id!r} under {models}")
-    bundles = {p.name: pipeline.load_bundle(p) for p in folds}
-    # the bundles' split is the one their run's config recorded
-    modes = sorted({bundle.mode for bundle in bundles.values()})
-    if len(modes) > 1:
-        raise DataError(f"bundles of task {task_id!r} under {models} mix the "
-                        f"{' and '.join(modes)} splits")
-    mode = modes[0]
-    task_cfg = dataclasses.replace(cfg, split_mode=mode)
-    plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
-    _progress(f"evaluate: task {task_id} with {len(bundles)} fold bundle(s)")
-    report = pipeline.evaluate_bundles(recordings, task, plan, task_cfg, bundles,
-                                       trial_ids=ids, covs=covs)
-    _write_scored_task(report, out / task_id)
-    _progress(f"evaluate: task {task_id} accuracy {report.accuracy:.4f}")
-    return report
-
-
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
-    cont, recordings, ids = _load_recordings(args.container)
     models = Path(args.models)
     if not models.is_dir():
         raise DataError(f"no model directory at {models}")
-    covs = pipeline.ccv_features(recordings, cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    reports = [_evaluate_task(task_id, recordings, ids, covs, cfg, models, out)
-               for task_id in cfg.tasks]
-    plotting.write_metric_table_csv(_summary_rows(reports), out / "summary.csv")
+
+    def evaluate_task(task, recordings, ids, covs, task_dir):
+        bundles_dir = models / task.task_id / "bundles"
+        folds = sorted(p for p in bundles_dir.iterdir() if p.is_dir()) \
+            if bundles_dir.is_dir() else []
+        if not folds:
+            raise DataError(f"no trained bundles for task {task.task_id!r} under {models}")
+        bundles = {p.name: pipeline.load_bundle(p) for p in folds}
+        # the bundles' split is the one their run's config recorded
+        modes = sorted({bundle.mode for bundle in bundles.values()})
+        if len(modes) > 1:
+            raise DataError(f"bundles of task {task.task_id!r} under {models} mix the "
+                            f"{' and '.join(modes)} splits")
+        plan = pipeline.SplitPlan(mode=modes[0], seed=cfg.seed)
+        _progress(f"evaluate: task {task.task_id} with {len(bundles)} fold bundle(s)")
+        return pipeline.evaluate_bundles(recordings, task, plan,
+                                         dataclasses.replace(cfg, split_mode=modes[0]),
+                                         bundles, trial_ids=ids, covs=covs)
+
+    _score_tasks(args, cfg, evaluate_task, record_config=False)
     return EXIT_OK
 
 
@@ -249,8 +242,7 @@ def cmd_plot(args) -> int:
                                         float(payload["kappa"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad report file {path}: {exc}") from exc
-    out = Path(args.out if args.out is not None else ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out if args.out is not None else ".")
     plotting.write_task_bars_svg(entries, out / "metrics.svg")
     plotting.write_metric_table_csv(entries, out / "metrics.csv")
     _progress(f"plot: wrote metrics.svg and metrics.csv for {len(entries)} task(s)")

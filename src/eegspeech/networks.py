@@ -13,8 +13,6 @@ standardised input for the autoencoder.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -24,7 +22,7 @@ import numpy as np
 from . import rng as rng_mod
 from .nn import Adam, LayerSpec, Network, infer_shapes, initial_state
 from .nn import ops
-from .nn.checkpoint import write_bytes_atomic
+from .nn.checkpoint import write_csv_atomic
 
 # Architecture constants; the penultimate/latent widths are load-bearing for
 # the fusion arithmetic and are re-checked at build time.
@@ -305,9 +303,5 @@ def reconstruction_mse(dae: Model, features) -> float:
 
 
 def write_trace_csv(path: str | os.PathLike, trace: list[EpochStats]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["epoch", "loss", "accuracy"])
-    for row in trace:
-        writer.writerow([row.epoch, repr(row.loss), repr(row.accuracy)])
-    write_bytes_atomic(path, buf.getvalue().encode("utf-8"))
+    write_csv_atomic(path, [["epoch", "loss", "accuracy"],
+                            *([row.epoch, repr(row.loss), repr(row.accuracy)] for row in trace)])

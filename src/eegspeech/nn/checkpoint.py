@@ -11,6 +11,7 @@ no intermediate copy; reading any malformed archive raises ValueError.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -69,10 +70,6 @@ def _read_tensors(f, total: int) -> dict[str, np.ndarray]:
     return out
 
 
-def tensors_from_bytes(blob: bytes) -> dict[str, np.ndarray]:
-    return _read_tensors(io.BytesIO(blob), len(blob))
-
-
 def write_bytes_atomic(path: str | os.PathLike, *chunks) -> None:
     """Write the chunks through a temp file and a rename.  The temp file is
     created with mode 0666, so the process umask sets the result's mode."""
@@ -92,6 +89,13 @@ def write_bytes_atomic(path: str | os.PathLike, *chunks) -> None:
 
 def write_json_atomic(path: str | os.PathLike, payload) -> None:
     write_bytes_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+
+
+def write_csv_atomic(path: str | os.PathLike, rows) -> None:
+    """Write ``rows`` as CSV, each line ending in ``\\n``, through `write_bytes_atomic`."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_bytes_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def save_tensors(path: str | os.PathLike, named: dict[str, np.ndarray]) -> None:

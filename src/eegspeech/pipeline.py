@@ -13,9 +13,7 @@ held-out trial index.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -28,7 +26,7 @@ from . import rng as rng_mod
 from .config import RunConfig
 from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn import load_tensors, save_tensors
-from .nn.checkpoint import write_bytes_atomic, write_json_atomic
+from .nn.checkpoint import write_csv_atomic, write_json_atomic
 from .recording import PROMPTS, Recording, bandpass_filter, subtract_channel_means
 
 HOLDOUT = "random_holdout"
@@ -334,12 +332,6 @@ class EvalReport:
         return [f.name for f in self.folds if f.skipped]
 
 
-@dataclass
-class _FoldOutcome:
-    report: FoldReport
-    predictions: list[TrialPrediction]
-
-
 def _network_inputs(covs, kept: tuple[int, ...], input_size: int) -> np.ndarray:
     return np.stack([covariance.to_network_input(covariance.submatrix(cov, kept), input_size)
                      for cov in covs])
@@ -351,8 +343,8 @@ def _bundle_proba(bundle: ModelBundle, covs, indices) -> np.ndarray:
 
 
 def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, recordings,
-               trial_ids) -> _FoldOutcome:
-    """Score a fold's test trials through its bundle."""
+               trial_ids) -> tuple[FoldReport, list[TrialPrediction]]:
+    """Score a fold's test trials through its bundle: its FoldReport and predictions."""
     probs = _bundle_proba(bundle, covs, fold.test)
     pred = (probs >= 0.5).astype(np.int64)
     truth = labels[list(fold.test)]
@@ -370,7 +362,7 @@ def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, recordings,
                         probability=float(probs[j]))
         for j, i in enumerate(fold.test)
     ]
-    return _FoldOutcome(report=report, predictions=predictions)
+    return report, predictions
 
 
 def _skip_reason(fold: Fold, labels) -> str:
@@ -450,26 +442,28 @@ def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
                      bundles: dict, trial_ids, covs=None) -> EvalReport:
     """Score held-out trials with trained fold bundles and pool the folds.
 
-    The split is recomputed from the plan seed.  A bundle whose stored test
-    trials differ from its recomputed fold's (another seed or container)
-    raises DataError, so no bundle ever scores a trial it was trained on, as
-    does one that keeps channels the container lacks; another config's
-    bundle raises ConfigError.  Folds that `run_task` skips, and folds without
-    a bundle, are flagged as skipped, the former with `run_task`'s reason; if
-    every fold is skipped the task cannot be scored and a TrainingError is
-    raised.
+    The split is recomputed from the plan seed.  DataError is raised for a
+    bundle trained for another task or fold, for one whose stored test trials
+    differ from its recomputed fold's (another seed or container), so no
+    bundle ever scores a trial it was trained on, and for one that keeps
+    channels the container lacks; another config's bundle raises ConfigError.
+    Folds that `run_task` skips, and folds without a bundle, are flagged as
+    skipped, the former with `run_task`'s reason; if every fold is skipped
+    the task cannot be scored and a TrainingError is raised.
     """
     recordings, covs, labels = _prepare(recordings, task, cfg, covs)
-    outcomes = []
+    folds, predictions = [], []
     for fold in make_splits(recordings, plan):
         bundle = bundles.get(fold.name)
         reason = _skip_reason(fold, labels) or ("no bundle for fold" if bundle is None else "")
         if reason:
-            report = FoldReport(name=fold.name, skipped=True, reason=reason,
-                                n_train=len(fold.train), n_dev=len(fold.dev),
-                                n_test=len(fold.test))
-            outcomes.append(_FoldOutcome(report=report, predictions=[]))
+            folds.append(FoldReport(name=fold.name, skipped=True, reason=reason,
+                                    n_train=len(fold.train), n_dev=len(fold.dev),
+                                    n_test=len(fold.test)))
             continue
+        if (bundle.task_id, bundle.fold_name) != (task.task_id, fold.name):
+            raise DataError(f"task {task.task_id!r} fold {fold.name!r}: the bundle was "
+                            f"trained for task {bundle.task_id!r} fold {bundle.fold_name!r}")
         if tuple(trial_ids[i] for i in fold.test) != bundle.test_trial_ids:
             raise DataError(
                 f"task {task.task_id!r} fold {fold.name!r}: the bundle was trained for "
@@ -480,20 +474,20 @@ def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
         if bundle.config_fingerprint != cfg.fingerprint():
             raise ConfigError(f"task {task.task_id!r} fold {fold.name!r}: the bundle was "
                               f"trained under another config fingerprint")
-        outcomes.append(score_fold(bundle, fold, covs, labels, recordings, trial_ids))
-    scored = [o for o in outcomes if not o.report.skipped]
+        report, fold_predictions = score_fold(bundle, fold, covs, labels, recordings,
+                                              trial_ids)
+        folds.append(report)
+        predictions.extend(fold_predictions)
+    scored = [f for f in folds if not f.skipped]
     if not scored:
         raise TrainingError(
-            f"task {task.task_id!r}: every fold was skipped "
-            f"({outcomes[0].report.reason})")
+            f"task {task.task_id!r}: every fold was skipped ({folds[0].reason})")
     pooled = np.zeros((2, 2), dtype=np.int64)
-    for o in scored:
-        pooled += o.report.confusion
+    for f in scored:
+        pooled += f.confusion
     kappa = metrics.cohen_kappa(pooled)
-    predictions = [p for o in outcomes for p in o.predictions]
     return EvalReport(task_id=task.task_id, mode=plan.mode, seed=cfg.seed,
-                      config_fingerprint=cfg.fingerprint(),
-                      folds=[o.report for o in outcomes], confusion=pooled,
+                      config_fingerprint=cfg.fingerprint(), folds=folds, confusion=pooled,
                       accuracy=metrics.accuracy(pooled), kappa=kappa.value,
                       kappa_degenerate=kappa.degenerate, predictions=predictions)
 
@@ -510,23 +504,8 @@ def report_to_dict(report: EvalReport) -> dict:
         "kappa_degenerate": report.kappa_degenerate,
         "confusion": report.confusion.tolist(),
         "skipped_folds": report.skipped_folds,
-        "folds": [
-            {
-                "name": f.name,
-                "skipped": f.skipped,
-                "reason": f.reason,
-                "n_train": f.n_train,
-                "n_dev": f.n_dev,
-                "n_test": f.n_test,
-                "kept_channels": list(f.kept_channels),
-                "accuracy": f.accuracy,
-                "kappa": f.kappa,
-                "kappa_degenerate": f.kappa_degenerate,
-                "dev_accuracy": f.dev_accuracy,
-                "confusion": np.asarray(f.confusion).tolist(),
-            }
-            for f in report.folds
-        ],
+        "folds": [{**dataclasses.asdict(f), "kept_channels": list(f.kept_channels),
+                   "confusion": f.confusion.tolist()} for f in report.folds],
     }
 
 
@@ -535,11 +514,9 @@ def write_report_json(report: EvalReport, path: str | os.PathLike) -> None:
 
 
 def write_predictions_csv(report: EvalReport, path: str | os.PathLike) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial_id", "subject_id", "prompt", "task", "fold",
-                     "truth", "prediction", "probability"])
-    for p in sorted(report.predictions, key=lambda p: p.index):
-        writer.writerow([p.trial_id, p.subject_id, p.prompt, report.task_id,
-                         p.fold, p.truth, p.prediction, repr(p.probability)])
-    write_bytes_atomic(path, buf.getvalue().encode("utf-8"))
+    predictions = sorted(report.predictions, key=lambda p: p.index)
+    write_csv_atomic(path, [["trial_id", "subject_id", "prompt", "task", "fold",
+                             "truth", "prediction", "probability"],
+                            *([p.trial_id, p.subject_id, p.prompt, report.task_id, p.fold,
+                               p.truth, p.prediction, repr(p.probability)]
+                              for p in predictions)])

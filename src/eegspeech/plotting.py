@@ -7,12 +7,10 @@ parse the printed values back out of the text nodes.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
 
-from .nn.checkpoint import write_bytes_atomic
+from .nn.checkpoint import write_bytes_atomic, write_csv_atomic
 
 _BAR_W = 34
 _GAP = 10
@@ -97,9 +95,6 @@ def write_metric_table_csv(entries: list[TaskMetrics], path: str | os.PathLike) 
     """Wide table: one column per task, one row per metric (accuracy in %)."""
     if not entries:
         raise ValueError("nothing to tabulate: empty metrics list")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", *(e.task for e in entries)])
-    writer.writerow(["accuracy_pct", *(_fmt(e.accuracy * 100.0) for e in entries)])
-    writer.writerow(["kappa", *(_fmt(e.kappa) for e in entries)])
-    write_bytes_atomic(path, buf.getvalue().encode("utf-8"))
+    write_csv_atomic(path, [["metric", *(e.task for e in entries)],
+                            ["accuracy_pct", *(_fmt(e.accuracy * 100.0) for e in entries)],
+                            ["kappa", *(_fmt(e.kappa) for e in entries)]])

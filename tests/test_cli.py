@@ -2,6 +2,7 @@
 
 import gc
 import json
+import shutil
 import subprocess
 import sys
 import warnings
@@ -461,6 +462,22 @@ def test_evaluate_refuses_bundles_of_two_splits_with_exit_3(tmp_path, capsys):
     assert not (eval_out / "uw" / "predictions.csv").exists()
 
 
+def test_evaluate_refuses_another_tasks_bundles_with_exit_3(tmp_path, capsys):
+    # splits do not depend on the task, so nasal's bundles hold uw's test trials
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    models = tmp_path / "models"
+    cfg = _write_config(tmp_path / "run.json", models, tasks=["uw", "nasal"],
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    shutil.rmtree(models / "uw" / "bundles")
+    shutil.copytree(models / "nasal" / "bundles", models / "uw" / "bundles")
+    eval_out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(eval_out), "--tasks", "uw"]) == 3
+    assert "'nasal'" in capsys.readouterr().err
+    assert not (eval_out / "uw" / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("verb, other_split",
                          [("train", "leave_one_subject_out"), ("crossval", "random_holdout")])
 def test_verb_refuses_a_config_naming_the_other_split_with_exit_2(tmp_path, capsys, verb,
@@ -544,10 +561,51 @@ def test_non_integer_env_seed_exits_2(tmp_path, monkeypatch):
     assert main(["train", "--config", str(cfg), "--container", str(cont)]) == 2
 
 
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")])
+def test_synth_refuses_a_negative_seed(tmp_path, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("EEGSPEECH_SEED", env)
+    assert main(["synth", "--out", str(tmp_path / "c"), "--n-trials", "6", *flag]) == 2
+    assert not (tmp_path / "c").exists()
+
+
 def test_unknown_task_flag_exits_2(tmp_path, trained_run):
     cont, cfg, _ = trained_run
     assert main(["train", "--config", str(cfg), "--container", str(cont),
                  "--tasks", "uw,vowels", "--out", str(tmp_path / "out")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# output paths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("verb", ["synth", "featurize", "train", "crossval", "evaluate",
+                                  "plot"])
+def test_an_output_path_that_is_a_file_exits_2(tmp_path, capsys, trained_run, verb):
+    cont, cfg, models = trained_run
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    run = ["--config", str(cfg), "--container", str(cont)]
+    argv = {"synth": ["synth", "--n-trials", "6"],
+            "featurize": ["featurize", *run],
+            "train": ["train", *run],
+            "crossval": ["crossval", *run],
+            "evaluate": ["evaluate", *run, "--models", str(models)],
+            "plot": ["plot", str(models / "uw" / "report.json")]}[verb]
+    assert main([*argv, "--out", str(blocked)]) == 2
+    err = capsys.readouterr().err
+    assert str(blocked) in err and "Traceback" not in err
+
+
+def test_a_bundle_path_that_is_a_file_exits_2(tmp_path, capsys):
+    cont = _make_container(tmp_path / "data", n_trials=20)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out, sections=ZERO_SECTIONS)
+    (out / "uw").mkdir(parents=True)
+    (out / "uw" / "bundles").write_text("")
+    assert main(["train", "--config", str(cfg), "--container", str(cont)]) == 2
+    assert str(out / "uw" / "bundles" / "holdout") in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

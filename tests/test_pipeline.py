@@ -320,6 +320,15 @@ def test_evaluate_bundles_refuses_channels_the_container_lacks(tmp_path, small_r
         pipeline.evaluate_bundles(recs, task, plan, cfg, {"holdout": wide}, trial_ids=ids)
 
 
+@pytest.mark.parametrize("key, value", [("task_id", "nasal"), ("fold_name", "subject-s01")])
+def test_evaluate_bundles_refuses_another_tasks_or_folds_bundle(small_run, key, value):
+    # splits do not depend on the task, so the test-trial check alone would pass
+    recs, ids, cfg, task, plan, bundles, _ = small_run
+    other = dataclasses.replace(bundles["holdout"], **{key: value})
+    with pytest.raises(DataError, match=value):
+        pipeline.evaluate_bundles(recs, task, plan, cfg, {"holdout": other}, trial_ids=ids)
+
+
 def test_evaluate_bundles_refuses_another_config(small_run):
     recs, ids, cfg, task, plan, bundles, _ = small_run
     other = dataclasses.replace(cfg, gbt=dataclasses.replace(cfg.gbt, n_estimators=31))
