@@ -1,4 +1,6 @@
-"""Layer objects wrapping the functional ops with parameter storage.
+"""Layer objects wrapping the functional ops with parameter storage.  Each
+class is also the one definition of its layer kind (see `Layer`), and
+`nn.network.KINDS` maps each `LayerSpec` kind to its class.
 
 Every layer sees batch-first arrays.  ``forward(x, train=True)`` caches what
 its ``backward`` reads, and ``backward`` takes the cache, setting the
@@ -13,11 +15,6 @@ exactly one layer, and a training step's backward pass reaches layer 0, so
 each step writes every gradient once.  The op's array is fresh: it shares
 memory with no parameter, cache or other gradient, so ``Adam.step``, which
 reads each gradient and then drops it, sees the values the op computed.
-
-A layer with parameters is built from their ``Tensor``s.  Its static
-``initial(rng, **shapes)`` draws starting values for them, given each
-parameter's shape by name; `nn.network.initial_state` calls it layer by
-layer.
 """
 
 from __future__ import annotations
@@ -31,6 +28,35 @@ from .tensor import Tensor
 
 
 class Layer:
+    """A layer, and the one definition of its kind.  ``check(spec)`` refuses
+    a `LayerSpec` the kind cannot build.  ``shapes(spec, shape)`` gives the
+    per-example output shape and each parameter's shape by name, or refuses
+    an input shape that does not fit (its message follows the kind's name).
+    ``initial(rng, **shapes)`` draws the parameters, and ``build(spec,
+    **params)`` makes the layer from their ``Tensor``s.  Refusals raise
+    ValueError.  The defaults fit a shape-keeping kind without parameters.
+    """
+
+    #: the spec fields that must be positive for this kind
+    positive: tuple[str, ...] = ()
+    #: the parameters' attribute names, in the order `parameters` lists them
+    param_names: tuple[str, ...] = ()
+
+    @classmethod
+    def check(cls, spec) -> None:
+        for field in cls.positive:
+            value = getattr(spec, field)
+            if not (value and value > 0):
+                raise ValueError(f"{spec.kind} {field} must be positive, got {value!r}")
+
+    @staticmethod
+    def shapes(spec, shape):
+        return shape, {}
+
+    @classmethod
+    def build(cls, spec, **params: Tensor) -> Layer:
+        return cls(**params)
+
     def forward(self, x, train: bool = False):
         raise NotImplementedError
 
@@ -38,7 +64,7 @@ class Layer:
         raise NotImplementedError
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return []
+        return [(name, getattr(self, name)) for name in self.param_names]
 
 
 def _glorot_uniform(rng, fan_in, fan_out, shape):
@@ -46,38 +72,60 @@ def _glorot_uniform(rng, fan_in, fan_out, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Dense(Layer):
+class _WeightsAndBias(Layer):
+    """The body of Dense and Conv2D.  It calls ``ops.<op>_forward`` and
+    ``ops.<op>_backward``, looked up in `nn.ops` at each call, so a kernel
+    rebound there (by a profiler, say) is the one that runs."""
+
+    op = ""
+    param_names = ("weights", "bias")
+
     def __init__(self, weights: Tensor, bias: Tensor):
         self.weights = weights
         self.bias = bias
         self._x = None
+
+    def forward(self, x, train=False):
+        if train:
+            self._x = x
+        return getattr(ops, f"{self.op}_forward")(x, self.weights.data, self.bias.data)
+
+    def backward(self, grad):
+        x, self._x = self._x, None
+        dx, self.weights.grad, self.bias.grad = getattr(ops, f"{self.op}_backward")(
+            x, self.weights.data, grad)
+        return dx
+
+
+class Dense(_WeightsAndBias):
+    op = "dense"
+    positive = ("units",)
+
+    @staticmethod
+    def shapes(spec, shape):
+        if len(shape) != 1:
+            raise ValueError(f"needs a flat input, got {shape}")
+        return (spec.units,), {"weights": (spec.units, shape[0]), "bias": (spec.units,)}
 
     @staticmethod
     def initial(rng: np.random.Generator, weights, bias) -> dict[str, np.ndarray]:
         n_out, n_in = weights
         return {"weights": _glorot_uniform(rng, n_in, n_out, weights), "bias": np.zeros(bias)}
 
-    def forward(self, x, train=False):
-        if train:
-            self._x = x
-        return ops.dense_forward(x, self.weights.data, self.bias.data)
 
-    def backward(self, grad):
-        x, self._x = self._x, None
-        dx, dw, db = ops.dense_backward(x, self.weights.data, grad)
-        self.weights.grad = dw
-        self.bias.grad = db
-        return dx
+class Conv2D(_WeightsAndBias):
+    op = "conv2d"
+    positive = ("filters", "kernel")
 
-    def parameters(self):
-        return [("weights", self.weights), ("bias", self.bias)]
-
-
-class Conv2D(Layer):
-    def __init__(self, weights: Tensor, bias: Tensor):
-        self.weights = weights
-        self.bias = bias
-        self._x = None
+    @staticmethod
+    def shapes(spec, shape):
+        if len(shape) != 3:
+            raise ValueError(f"needs (c, h, w) input, got {shape}")
+        c, h, w = shape
+        f, k = spec.filters, spec.kernel
+        if h < k or w < k:
+            raise ValueError(f"kernel {k} does not fit {h}x{w}")
+        return (f, h - k + 1, w - k + 1), {"weights": (f, c, k, k), "bias": (f,)}
 
     @staticmethod
     def initial(rng: np.random.Generator, weights, bias) -> dict[str, np.ndarray]:
@@ -85,30 +133,26 @@ class Conv2D(Layer):
         return {"weights": _glorot_uniform(rng, c_in * kh * kw, c_out * kh * kw, weights),
                 "bias": np.zeros(bias)}
 
-    def forward(self, x, train=False):
-        if train:
-            self._x = x
-        return ops.conv2d_forward(x, self.weights.data, self.bias.data)
-
-    def backward(self, grad):
-        x, self._x = self._x, None
-        dx, dw, db = ops.conv2d_backward(x, self.weights.data, grad)
-        self.weights.grad = dw
-        self.bias.grad = db
-        return dx
-
-    def parameters(self):
-        return [("weights", self.weights), ("bias", self.bias)]
-
 
 class Lstm(Layer):
     """An LSTM over full sequences, emitting the hidden state at every step."""
+
+    positive = ("units",)
+    param_names = ("wx", "wh", "bias")
 
     def __init__(self, wx: Tensor, wh: Tensor, bias: Tensor):
         self.wx = wx
         self.wh = wh
         self.bias = bias
         self._cache = None
+
+    @staticmethod
+    def shapes(spec, shape):
+        if len(shape) != 2:
+            raise ValueError(f"needs (T, features) input, got {shape}")
+        gates = 4 * spec.units
+        return (shape[0], spec.units), {"wx": (gates, shape[1]), "wh": (gates, spec.units),
+                                        "bias": (gates,)}
 
     @staticmethod
     def initial(rng: np.random.Generator, wx, wh, bias) -> dict[str, np.ndarray]:
@@ -119,10 +163,6 @@ class Lstm(Layer):
         return {"wx": rng.uniform(-1, 1, size=wx) / math.sqrt(wx[1]),
                 "wh": rng.uniform(-1, 1, size=wh) / math.sqrt(units), "bias": b}
 
-    @property
-    def units(self) -> int:
-        return self.wh.data.shape[1]
-
     def forward(self, x, train=False):
         hs, cache = ops.lstm_forward(x, self.wx.data, self.wh.data, self.bias.data)
         if train:
@@ -131,20 +171,19 @@ class Lstm(Layer):
 
     def backward(self, grad):
         cache, self._cache = self._cache, None
-        dxs, dwx, dwh, db, _, _ = ops.lstm_backward(cache, grad)
-        self.wx.grad = dwx
-        self.wh.grad = dwh
-        self.bias.grad = db
+        dxs, self.wx.grad, self.wh.grad, self.bias.grad, _, _ = ops.lstm_backward(cache, grad)
         return dxs
-
-    def parameters(self):
-        return [("wx", self.wx), ("wh", self.wh), ("bias", self.bias)]
 
 
 class Activation(Layer):
+    @staticmethod
+    def check(spec):
+        if spec.fn not in ops.ACTIVATIONS:
+            raise ValueError(f"activation fn must be one of {ops.ACTIVATIONS}, got {spec.fn!r}")
+
+    build = classmethod(lambda cls, spec: cls(spec.fn))
+
     def __init__(self, fn: str):
-        if fn not in ops.ACTIVATIONS:
-            raise ValueError(f"unknown activation {fn!r}")
         self.fn = fn
         self._out = None
 
@@ -168,9 +207,14 @@ class Softmax(Layer):
 
 
 class Dropout(Layer):
+    @staticmethod
+    def check(spec):
+        if spec.rate is None or not 0 <= spec.rate < 1:
+            raise ValueError("dropout rate must lie in [0, 1)")
+
+    build = classmethod(lambda cls, spec: cls(spec.rate))
+
     def __init__(self, rate: float):
-        if not 0 <= rate < 1:
-            raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
         self.rate = rate
         self.rng: np.random.Generator | None = None
         self._mask = None
@@ -187,8 +231,11 @@ class Dropout(Layer):
 
 
 class Flatten(Layer):
-    def __init__(self):
-        self._shape = None
+    _shape: tuple[int, ...] | None = None
+
+    @staticmethod
+    def shapes(spec, shape):
+        return (int(np.prod(shape)),), {}
 
     def forward(self, x, train=False):
         if train:
@@ -202,8 +249,13 @@ class Flatten(Layer):
 class LastStep(Layer):
     """Select the final timestep of a (batch, T, features) sequence."""
 
-    def __init__(self):
-        self._shape = None
+    _shape: tuple[int, ...] | None = None
+
+    @staticmethod
+    def shapes(spec, shape):
+        if len(shape) != 2:
+            raise ValueError(f"needs (T, features) input, got {shape}")
+        return (shape[1],), {}
 
     def forward(self, x, train=False):
         if train:

@@ -1,6 +1,11 @@
 """Sequential network container plus declarative layer specs with build-time
 shape checking: a mismatched architecture fails when the model is built, never
-mid-training."""
+mid-training.
+
+Each layer kind is defined once, by its class in `nn.layers`: its spec
+check, shapes, initial draw and construction.  `KINDS` maps each kind name
+to that class, and is where this module looks a spec's kind up.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +17,9 @@ import numpy as np
 from .layers import Activation, Conv2D, Dense, Dropout, Flatten, LastStep, Layer, Lstm, Softmax
 from .tensor import Tensor
 
-LAYER_KINDS = ("conv2d", "dense", "lstm", "last_step", "dropout", "activation", "softmax",
-               "flatten")
+KINDS: dict[str, type[Layer]] = {
+    "conv2d": Conv2D, "dense": Dense, "lstm": Lstm, "last_step": LastStep,
+    "dropout": Dropout, "activation": Activation, "softmax": Softmax, "flatten": Flatten}
 
 
 @dataclass(frozen=True)
@@ -28,71 +34,31 @@ class LayerSpec:
     fn: str | None = None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "conv2d":
-            if not (self.filters and self.filters > 0):
-                raise ValueError("conv2d needs a positive filter count")
-            if self.kernel < 1:
-                raise ValueError("conv2d kernel must be positive")
-        elif self.kind in ("dense", "lstm"):
-            if not (self.units and self.units > 0):
-                raise ValueError(f"{self.kind} needs a positive unit count")
-        elif self.kind == "dropout":
-            if self.rate is None or not 0 <= self.rate < 1:
-                raise ValueError("dropout rate must lie in [0, 1)")
-        elif self.kind == "activation":
-            if self.fn not in ("relu", "sigmoid", "tanh"):
-                raise ValueError(f"activation fn must be relu|sigmoid|tanh, got {self.fn!r}")
+        KINDS[self.kind].check(self)
+
+
+def _walk(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[tuple]:
+    """Per layer: its kind's class, its per-example output shape and each
+    parameter's shape by name.  Raises ValueError, naming the layer and its
+    kind, at the first one whose input does not fit."""
+    walked = []
+    shape = tuple(input_shape)
+    for i, spec in enumerate(specs):
+        kind = KINDS[spec.kind]
+        try:
+            shape, params = kind.shapes(spec, shape)
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {spec.kind} {exc}") from None
+        walked.append((kind, shape, params))
+    return walked
 
 
 def infer_shapes(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Per-layer output shapes (excluding the batch axis); raises on any
     mismatch so errors surface at build time."""
-    shapes = []
-    shape = tuple(input_shape)
-    for i, spec in enumerate(specs):
-        if spec.kind == "conv2d":
-            if len(shape) != 3:
-                raise ValueError(f"layer {i}: conv2d needs (c, h, w) input, got {shape}")
-            c, h, w = shape
-            if h < spec.kernel or w < spec.kernel:
-                raise ValueError(f"layer {i}: kernel {spec.kernel} does not fit {h}x{w}")
-            shape = (spec.filters, h - spec.kernel + 1, w - spec.kernel + 1)
-        elif spec.kind == "dense":
-            if len(shape) != 1:
-                raise ValueError(f"layer {i}: dense needs a flat input, got {shape}")
-            shape = (spec.units,)
-        elif spec.kind in ("lstm", "last_step"):
-            if len(shape) != 2:
-                raise ValueError(f"layer {i}: {spec.kind} needs (T, features) input, got {shape}")
-            shape = (shape[0], spec.units) if spec.kind == "lstm" else (shape[1],)
-        elif spec.kind == "flatten":
-            shape = (int(np.prod(shape)),)
-        shapes.append(shape)
-    return shapes
-
-
-def _parameter_shapes(specs: list[LayerSpec],
-                      input_shape: tuple[int, ...]) -> list[dict[str, tuple[int, ...]]]:
-    """Per layer, the shape of each parameter by name, in the layer's order."""
-    in_shapes = [tuple(input_shape)] + infer_shapes(specs, input_shape)[:-1]
-    shapes = []
-    for spec, shape in zip(specs, in_shapes):
-        if spec.kind == "conv2d":
-            k = spec.kernel
-            shapes.append({"weights": (spec.filters, shape[0], k, k), "bias": (spec.filters,)})
-        elif spec.kind == "dense":
-            shapes.append({"weights": (spec.units, shape[0]), "bias": (spec.units,)})
-        elif spec.kind == "lstm":
-            gates = 4 * spec.units
-            shapes.append({"wx": (gates, shape[1]), "wh": (gates, spec.units), "bias": (gates,)})
-        else:
-            shapes.append({})
-    return shapes
-
-
-_PARAMETRIC = {"conv2d": Conv2D, "dense": Dense, "lstm": Lstm}
+    return [shape for _, shape, _ in _walk(specs, input_shape)]
 
 
 def initial_state(specs: list[LayerSpec], input_shape: tuple[int, ...],
@@ -101,9 +67,9 @@ def initial_state(specs: list[LayerSpec], input_shape: tuple[int, ...],
     `Network.parameters` names them and drawn from ``rng`` layer by layer,
     in that order.  The shape chain is checked before anything is drawn."""
     state = {}
-    for i, (spec, shapes) in enumerate(zip(specs, _parameter_shapes(specs, input_shape))):
+    for i, (kind, _, shapes) in enumerate(_walk(specs, input_shape)):
         if shapes:
-            drawn = _PARAMETRIC[spec.kind].initial(rng, **shapes)
+            drawn = kind.initial(rng, **shapes)
             state.update((f"layer{i:02d}.{name}", drawn[name]) for name in shapes)
     return state
 
@@ -133,36 +99,20 @@ class Network:
         ``state`` lacks a parameter, holds a key the network does not have,
         or holds an array of another shape.
         """
-        shapes = _parameter_shapes(specs, input_shape)  # fail fast on any mismatch
-        expected = {f"{prefix}layer{i:02d}.{name}" for i, layer in enumerate(shapes)
-                    for name in layer}
-        if set(state) != expected:
-            missing = sorted(expected - set(state))
-            extra = sorted(set(state) - expected)
+        walked = _walk(specs, input_shape)  # fail fast on any mismatch
+        expected = {f"{prefix}layer{i:02d}.{name}": shape
+                    for i, (_, _, shapes) in enumerate(walked) for name, shape in shapes.items()}
+        missing, extra = sorted(set(expected) - set(state)), sorted(set(state) - set(expected))
+        if missing or extra:
             raise ValueError(f"checkpoint mismatch: missing={missing} extra={extra}")
-        layers: list[Layer] = []
-        for i, spec in enumerate(specs):
-            params = {}
-            for name, shape in shapes[i].items():
-                key = f"{prefix}layer{i:02d}.{name}"
-                tensor = Tensor(state[key])
-                if tensor.shape != shape:
-                    raise ValueError(f"{key}: checkpoint shape {tensor.shape} "
-                                     f"!= model shape {shape}")
-                params[name] = tensor
-            if spec.kind in _PARAMETRIC:
-                layers.append(_PARAMETRIC[spec.kind](**params))
-            elif spec.kind == "last_step":
-                layers.append(LastStep())
-            elif spec.kind == "dropout":
-                layers.append(Dropout(spec.rate))
-            elif spec.kind == "activation":
-                layers.append(Activation(spec.fn))
-            elif spec.kind == "softmax":
-                layers.append(Softmax())
-            elif spec.kind == "flatten":
-                layers.append(Flatten())
-        return cls(layers)
+        tensors = {key: Tensor(state[key]) for key in expected}
+        for key, shape in expected.items():
+            if tensors[key].shape != shape:
+                raise ValueError(f"{key}: checkpoint shape {tensors[key].shape} "
+                                 f"!= model shape {shape}")
+        return cls([kind.build(spec, **{name: tensors[f"{prefix}layer{i:02d}.{name}"]
+                                        for name in shapes})
+                    for i, (spec, (kind, _, shapes)) in enumerate(zip(specs, walked))])
 
     def forward(self, x, train: bool = True, stop: int | None = None):
         """Run the layers up to and including layer ``stop`` (default: all).
@@ -190,11 +140,8 @@ class Network:
         return grad
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for i, layer in enumerate(self.layers):
-            for name, tensor in layer.parameters():
-                named.append((f"layer{i:02d}.{name}", tensor))
-        return named
+        return [(f"layer{i:02d}.{name}", tensor) for i, layer in enumerate(self.layers)
+                for name, tensor in layer.parameters()]
 
     def zero_grad(self) -> None:
         for _, t in self.parameters():
@@ -204,6 +151,3 @@ class Network:
         for layer in self.layers:
             if isinstance(layer, Dropout):
                 layer.rng = rng
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.parameters()}

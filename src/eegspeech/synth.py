@@ -36,8 +36,11 @@ def generate_synthetic_recordings(n_trials: int, n_channels: int, n_subjects: in
         raise ValueError("n_channels must be >= 2")
     if n_subjects < 1:
         raise ValueError("n_subjects must be >= 1")
-    if separability < 0:
-        raise ValueError("separability must be >= 0")
+    if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError("sample_rate_hz must be finite and > 0")
+    for name, value in (("separability", separability), ("noise_scale", noise_scale)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0")
     if n_times < 8:
         raise ValueError("n_times must be >= 8")
     positives = tuple(task_positives)

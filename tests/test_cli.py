@@ -90,6 +90,13 @@ def test_synth_rejects_one_channel(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "c"), "--n-channels", "1"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--sample-rate=0", "--sample-rate=-5", "--separability=nan",
+                                  "--noise=inf", "--noise=-1"])
+def test_synth_refuses_a_value_that_gives_unusable_trials(tmp_path, flag):
+    assert main(["synth", "--out", str(tmp_path / "c"), "--n-trials", "6", flag]) == 2
+    assert not (tmp_path / "c").exists()
+
+
 # ---------------------------------------------------------------------------
 # featurize
 # ---------------------------------------------------------------------------

@@ -88,6 +88,26 @@ def test_lstm_specs_without_last_step_fail_at_build(monkeypatch):
         networks.build_lstm_model(8)
 
 
+@pytest.mark.parametrize("kind,fields", [
+    ("pool", {}),
+    ("conv2d", {"filters": 0}),
+    ("conv2d", {"filters": None}),
+    ("conv2d", {"filters": 4, "kernel": 0}),
+    ("dense", {"units": 0}),
+    ("dense", {"units": None}),
+    ("lstm", {"units": 0}),
+    ("lstm", {"units": None}),
+    ("dropout", {"rate": None}),
+    ("dropout", {"rate": 1.0}),
+    ("dropout", {"rate": -0.1}),
+    ("activation", {"fn": None}),
+    ("activation", {"fn": "gelu"}),
+])
+def test_layer_spec_refuses_what_its_kind_cannot_build(kind, fields):
+    with pytest.raises(ValueError):
+        LayerSpec(kind, **fields)
+
+
 def test_cnn_rejects_too_small_input():
     # two valid 3x3 convolutions need at least a 5x5 matrix
     with pytest.raises(ValueError):
@@ -179,6 +199,10 @@ def test_from_state_names_the_tensor_that_does_not_fit(kind):
 # ---------------------------------------------------------------------------
 
 
+def _weights(net):
+    return {name: tensor.data for name, tensor in net.parameters()}
+
+
 def _train_accuracy(model, x, y) -> float:
     preds = np.argmax(model.predict_proba(x), axis=1)
     return float(np.mean(preds == y))
@@ -208,7 +232,7 @@ def test_zero_epochs_equals_fresh_build():
     x, y = separable_matrices(gen, 8, 6, 2.0)
     trained = networks.train_cnn(x, y, networks.NetworkHyper(epochs=0, batch_size=4), 42)
     fresh = networks.build_cnn_model(6, seed=42)
-    a, b = trained.net.state_dict(), fresh.net.state_dict()
+    a, b = _weights(trained.net), _weights(fresh.net)
     assert set(a) == set(b)
     for key in a:
         assert np.array_equal(a[key], b[key]), key
@@ -221,8 +245,8 @@ def test_training_is_deterministic():
     hyper = networks.NetworkHyper(epochs=2, batch_size=4)
     first = networks.train_cnn(x, y, hyper, 9)
     second = networks.train_cnn(x, y, hyper, 9)
-    for key, value in first.net.state_dict().items():
-        assert np.array_equal(value, second.net.state_dict()[key]), key
+    for key, value in _weights(first.net).items():
+        assert np.array_equal(value, _weights(second.net)[key]), key
     assert [(s.epoch, s.loss, s.accuracy) for s in first.trace] == \
            [(s.epoch, s.loss, s.accuracy) for s in second.trace]
 
@@ -237,8 +261,8 @@ def test_network_hyper_validation(field, value):
 def test_different_seeds_give_different_weights():
     a = networks.build_cnn_model(6, seed=1)
     b = networks.build_cnn_model(6, seed=2)
-    assert not np.array_equal(a.net.state_dict()["layer00.weights"],
-                              b.net.state_dict()["layer00.weights"])
+    assert not np.array_equal(_weights(a.net)["layer00.weights"],
+                              _weights(b.net)["layer00.weights"])
 
 
 def test_label_validation():
@@ -310,7 +334,7 @@ def test_written_gradients_and_in_place_adam_match_the_accumulating_loop(monkeyp
     monkeypatch.setattr(networks, "_fit", _accumulating_fit)
     reference = _train_all_three()
     for name, a, b in zip(("cnn", "lstm", "dae"), ours, reference):
-        sa, sb = a.net.state_dict(), b.net.state_dict()
+        sa, sb = _weights(a.net), _weights(b.net)
         assert set(sa) == set(sb)
         for key in sa:
             assert sa[key].tobytes() == sb[key].tobytes(), f"{name}.{key}"
@@ -521,8 +545,8 @@ def test_zero_epoch_dae_matches_fresh_build():
     feats = gen.normal(size=(6, 10))
     trained = networks.train_dae(feats, networks.NetworkHyper(epochs=0, batch_size=4), 21)
     fresh = networks.build_dae_model(10, seed=21)
-    for key, value in trained.net.state_dict().items():
-        assert np.array_equal(value, fresh.net.state_dict()[key]), key
+    for key, value in _weights(trained.net).items():
+        assert np.array_equal(value, _weights(fresh.net)[key]), key
 
 
 def test_dae_rejects_degenerate_inputs():

@@ -5,6 +5,7 @@ rename or a changed call shape under src/ fails here before it breaks the
 benchmark."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -83,3 +84,27 @@ def test_traced_adam_steps_count_every_parameter():
     assert len(steps) == 2 * 3  # two epochs of three batches
     n_params = sum(t.data.size for _, t in dae.net.parameters())
     assert all(counts == {"params": n_params} for counts in steps)
+
+
+@pytest.mark.parametrize("name", ["cnn", "lstm", "dae"])
+def test_tracer_sees_each_layers_kernels_in_a_training_step(name):
+    # The tracer rebinds the kernels in nn.ops; a layer that bound its op at
+    # import would run it unseen and zero the per-kernel metrics.
+    rng = np.random.default_rng(11)
+    hyper = networks.NetworkHyper(epochs=1, batch_size=4)  # one batch
+    tracer = tracing.Tracer()
+    try:
+        if name == "dae":
+            networks.train_dae(rng.normal(size=(4, 12)), hyper, 0)
+        else:
+            train = {"cnn": networks.train_cnn, "lstm": networks.train_lstm}[name]
+            train(rng.normal(size=(4, 6, 6)), [0, 1, 0, 1], hyper, 0)
+    finally:
+        tracer.close()
+    spans = Counter(span for _, _, span, *_ in tracer.spans)
+    specs = {"cnn": networks.CNN_SPECS, "lstm": networks.LSTM_SPECS,
+             "dae": networks.dae_specs(12)}[name]
+    for kind in ("conv2d", "dense", "lstm"):
+        layers = sum(spec.kind == kind for spec in specs)
+        assert spans[f"nn.ops.{kind}_forward"] == layers, kind
+        assert spans[f"nn.ops.{kind}_backward"] == layers, kind
