@@ -9,13 +9,16 @@ steps over every CNN parameter (the first step on fresh moments apart from
 the warm steps), then boosted trees: three trees fitted with
 the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
 predicting those rows.  Last, a fresh child process runs one CNN train step
-(forward, backward, Adam) and reports its own peak resident set size, the
-arrays the trained layers still hold and the gradients its parameters
-still hold, both of which should be none.  Then another fresh child loads
-an untrained bundle (the three networks at ``--size``, no trees) saved by
-``pipeline.save_bundle``, and reports ``pipeline.load_bundle``'s first and
-warm times and its peak resident set size.  Each time
-is the median of ``--repeats`` runs, and the runs are kept beside it.
+(forward, backward, Adam) and reports its wall time, user and kernel time,
+minor page faults, peak resident set size, the arrays the trained layers
+still hold and the gradients its parameters still hold, both of which
+should be none; it runs twice, once pinned to one CPU (so ``parallel.split``
+runs everything inline) and once on every CPU the script may use.  Then
+another fresh child loads an untrained bundle (the three networks at
+``--size``, no trees) saved by ``pipeline.save_bundle``, and reports
+``pipeline.load_bundle``'s first and warm times and its peak resident set
+size.  Each time is the median of ``--repeats`` runs, and the runs are kept
+beside it.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_layers.py --out BENCH_layers.json
 
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 import eegspeech
-from eegspeech import gbt, networks, pipeline
+from eegspeech import gbt, networks, parallel, pipeline
 from eegspeech.nn import Adam, infer_shapes
 from eegspeech.nn import ops
 
@@ -48,22 +51,29 @@ with open("/proc/self/status") as f:
     peak_mb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
 """
 
-#: One CNN train step in a fresh interpreter; prints its wall time, its peak
-#: RSS (``_PEAK_MB``), the MB of arrays the trained model's layers still hold
-#: (caches a backward should have released) and the MB of gradients its
-#: parameters still hold (gradients Adam should have released).
+#: One CNN train step in a fresh interpreter, on one CPU when its fourth
+#: argument is "one" (set before the package reads its worker count); prints
+#: the step's wall time, user and kernel time and minor page faults, the
+#: worker count, its peak RSS (``_PEAK_MB``), the MB of arrays the trained
+#: model's layers still hold (caches a backward should have released) and the
+#: MB of gradients its parameters still hold (gradients Adam should have
+#: released).
 _CNN_STEP = """
-import json, sys, time
+import json, os, resource, sys, time
+if sys.argv[4] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from eegspeech import networks
+from eegspeech import networks, parallel
 size, batch = int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(0)
 x = rng.normal(size=(batch, size, size))
 y = np.arange(batch) % 2
+before = resource.getrusage(resource.RUSAGE_SELF)
 start = time.perf_counter()
 model = networks.train_cnn(x, y, networks.NetworkHyper(epochs=1, batch_size=batch), seed=0)
 s = time.perf_counter() - start
+after = resource.getrusage(resource.RUSAGE_SELF)
 
 def held(value):
     if isinstance(value, np.ndarray):
@@ -74,6 +84,10 @@ def held(value):
 
 """ + _PEAK_MB + """
 print(json.dumps({"s": s,
+                  "utime_s": after.ru_utime - before.ru_utime,
+                  "stime_s": after.ru_stime - before.ru_stime,
+                  "minflt": after.ru_minflt - before.ru_minflt,
+                  "workers": parallel.WORKERS,
                   "peak_rss_mb": peak_mb,
                   "held_mb": sum(held(vars(layer)) for layer in model.net.layers) / 2**20,
                   "grad_mb": sum(held(t.grad) for _, t in model.net.parameters()) / 2**20}))
@@ -189,9 +203,12 @@ def bench_trees(repeats: int, n_trees: int = 3) -> dict:
 
 def bench_cnn_step(size: int, batch: int) -> dict:
     package_root = str(Path(eegspeech.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _CNN_STEP, package_root, str(size), str(batch)],
-                          capture_output=True, text=True, check=True)
-    return {"batch": batch, **json.loads(done.stdout.strip().splitlines()[-1])}
+    result = {"batch": batch}
+    for key, cpus in (("one_cpu", "one"), ("all_cpus", "all")):
+        done = subprocess.run([sys.executable, "-c", _CNN_STEP, package_root, str(size),
+                               str(batch), cpus], capture_output=True, text=True, check=True)
+        result[key] = json.loads(done.stdout.strip().splitlines()[-1])
+    return result
 
 
 def bench_bundle_load(size: int, repeats: int) -> dict:
@@ -231,6 +248,7 @@ def main() -> int:
         "batch": args.batch,
         "repeats": args.repeats,
         "env": {"numpy": np.__version__, "cpus": len(os.sched_getaffinity(0)),
+                "workers": parallel.WORKERS,
                 **{k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "layers": bench_layers(args.size, args.batch, args.repeats),
         "adam_step": bench_adam(args.size, args.repeats),
@@ -243,6 +261,8 @@ def main() -> int:
                          for name, e in result["layers"].items()},
                       "tree": [round(result["trees"]["fit_s_per_tree"], 4),
                                round(result["trees"]["predict_s_per_tree"], 4)],
+                      "cnn_train_step": [round(result["cnn_train_step"][k]["s"], 4)
+                                         for k in ("one_cpu", "all_cpus")],
                       "bundle_load": [round(result["bundle_load"]["first_s"], 4),
                                       round(result["bundle_load"]["warm_s"], 4)]}))
     return 0

@@ -34,7 +34,8 @@ DAE_LATENT = 32
 #: Rows per eval-mode forward pass: the reference batch size.  One pass over
 #: a reference-scale corpus (about 1875 trials of 62x62 input) would hold
 #: about 10 GB of conv activations at once.  A 64-row chunk also holds the
-#: 32->64 conv layer's transient im2col block: 64*288*58*58*8 B, about 496 MB.
+#: 32->64 conv layer's transient im2col block, 64*288*58*58*8 B or about
+#: 496 MB: one block per call, which the split's workers fill and share.
 EVAL_CHUNK = 64
 
 CNN_SPECS = [

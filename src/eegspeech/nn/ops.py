@@ -6,11 +6,18 @@ return gradients with respect to inputs and parameters given the upstream
 gradient, and are verified against central finite differences in the test
 suite.  Convolution runs on BLAS through im2col, which unfolds the input
 windows into a column block, and col2im, which folds its gradient back.
+The conv ops split the batch by sample across ``parallel.split``'s workers:
+each fills its samples' slice of one column block the op allocates (496 MB
+for the 32->64 layer at batch 64), and the weight and bias gradients are
+summed over the whole batch afterwards, in sample order, so no output bit
+depends on the worker count.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .. import parallel
 
 # --- elementwise activations -------------------------------------------------
 
@@ -94,11 +101,24 @@ def dense_backward(x, weights, grad):
 # per sample.  col2im adds the block's gradient back onto the input, one
 # strided add per kernel tap.
 
-def _im2col(x, kh, kw):
-    # (b, c, h, w) -> (b, c*kh*kw, h'*w'), rows in the order of a flattened kernel
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    b, c, h_out, w_out = win.shape[:4]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h_out * w_out)
+#: Forward multiply-adds a slice of a conv's batch needs before it runs on a
+#: thread of its own.  Waking a pool thread and passing the interpreter lock
+#: between the two cost about 0.25 ms per call on a 2-vCPU VM, more than a
+#: whole 1->32 conv at 6x6 over 16 samples; 4 M multiply-adds take about as
+#: long at one core's DGEMM rate.
+SPLIT_MACS = 4_000_000
+
+
+def _grain(weights, h_out, w_out):
+    # the fewest samples whose forward GEMMs hold SPLIT_MACS multiply-adds
+    return -(-SPLIT_MACS // (weights.size * h_out * w_out))
+
+
+def _windows(x, kh, kw):
+    # (b, c, h, w) -> (b, c, kh, kw, h', w'): a view, in the row order of a
+    # flattened kernel
+    return np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3)) \
+        .transpose(0, 1, 4, 5, 2, 3)
 
 
 def conv2d_forward(x, weights, bias):
@@ -117,10 +137,20 @@ def conv2d_forward(x, weights, bias):
         raise ValueError(f"kernel {kh}x{kw} does not fit input {x.shape[2]}x{x.shape[3]}")
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
-    out = weights.reshape(c_out, -1) @ _im2col(x, kh, kw)
-    out = out.reshape(len(x), c_out, x.shape[2] - kh + 1, x.shape[3] - kw + 1)
-    out += bias[:, None, None]
-    return out
+    win = _windows(x, kh, kw)
+    b, h_out, w_out = len(x), win.shape[4], win.shape[5]
+    dtype = np.result_type(x, weights)
+    cols = np.empty(win.shape, dtype)
+    out = np.empty((b, c_out, h_out * w_out), dtype)
+    w_mat = weights.reshape(c_out, -1)
+
+    def part(lo, hi):
+        np.copyto(cols[lo:hi], win[lo:hi])
+        np.matmul(w_mat, cols[lo:hi].reshape(hi - lo, -1, h_out * w_out), out=out[lo:hi])
+        out[lo:hi] += bias[:, None]
+
+    parallel.split(b, part, _grain(weights, h_out, w_out))
+    return out.reshape(b, c_out, h_out, w_out)
 
 
 def conv2d_backward(x, weights, grad):
@@ -128,13 +158,26 @@ def conv2d_backward(x, weights, grad):
     c_out, c_in, kh, kw = weights.shape
     b, _, h_out, w_out = grad.shape
     g = grad.reshape(b, c_out, h_out * w_out)
-    db = grad.sum(axis=(0, 2, 3))
-    dw = (g @ _im2col(x, kh, kw).transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
-    dcols = (weights.reshape(c_out, -1).T @ g).reshape(b, c_in, kh, kw, h_out, w_out)
+    win = _windows(x, kh, kw)
+    dtype = np.result_type(x, weights, grad)
+    # the per-sample input windows, then the same block as their gradient
+    cols = np.empty(win.shape, dtype)
+    prod = np.empty((b, c_out, c_in * kh * kw), dtype)
     dx = np.zeros(x.shape)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i:i + h_out, j:j + w_out] += dcols[:, :, i, j]
+    w_mat = weights.reshape(c_out, -1)
+
+    def part(lo, hi):
+        np.copyto(cols[lo:hi], win[lo:hi])
+        block = cols[lo:hi].reshape(hi - lo, -1, h_out * w_out)
+        np.matmul(g[lo:hi], block.transpose(0, 2, 1), out=prod[lo:hi])
+        np.matmul(w_mat.T, g[lo:hi], out=block)
+        for i in range(kh):
+            for j in range(kw):
+                dx[lo:hi, :, i:i + h_out, j:j + w_out] += cols[lo:hi, :, i, j]
+
+    parallel.split(b, part, _grain(weights, h_out, w_out))
+    dw = prod.sum(axis=0).reshape(weights.shape)
+    db = grad.sum(axis=(0, 2, 3))
     return dx, dw, db
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 
+from .. import parallel
 from .tensor import Tensor
 
 BETA1 = 0.9
@@ -9,6 +10,11 @@ EPSILON = 1e-8
 #: data and the two work buffers) fit in a 2 MB L2 cache, so each block's 14
 #: operations stream their operands from memory about once.
 BLOCK = 32768
+#: Blocks per worker a parameter needs before its step is split.  Each of a
+#: block's 14 operations passes the interpreter lock between the threads; on
+#: a 2-vCPU VM a split step was slower below about 1 M elements per worker
+#: and faster above it.
+SPLIT_BLOCKS = 32
 
 
 class Adam:
@@ -19,7 +25,8 @@ class Adam:
     the parameter list order, so runs are reproducible.  The update runs in
     place, ``BLOCK`` elements at a time, through two work buffers of at most
     ``BLOCK`` elements shared by all parameters, so a step allocates no
-    parameter-sized temporary.
+    parameter-sized temporary.  The update is elementwise, so a large
+    parameter splits across ``parallel.split``'s workers without moving a bit.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]], learning_rate: float = 0.001):
@@ -50,31 +57,49 @@ class Adam:
         if missing is not None:
             raise ValueError(f"{missing} has no gradient; run a backward pass before each step")
         self.step_count += 1
-        b1, b2 = BETA1, BETA2
-        bias1 = 1.0 - b1 ** self.step_count
-        bias2 = 1.0 - b2 ** self.step_count
+        bias1 = 1.0 - BETA1 ** self.step_count
+        bias2 = 1.0 - BETA2 ** self.step_count
         for name, tensor in self.params:
-            grad = tensor.grad.reshape(-1)
-            m_flat, v_flat = self._m[name].reshape(-1), self._v[name].reshape(-1)
             # Tensor makes ``data`` C-contiguous and nothing rebinds it, so
             # this reshape is a view and the update lands in the weights.
-            data = tensor.data.reshape(-1)
-            for lo in range(0, data.size, BLOCK):
-                hi = min(lo + BLOCK, data.size)
-                g, m, v, p = grad[lo:hi], m_flat[lo:hi], v_flat[lo:hi], data[lo:hi]
-                s, t = self._work[0][:hi - lo], self._work[1][:hi - lo]
-                v *= b2
-                np.multiply(1.0 - b2, g, out=s)
-                s *= g
-                v += s
-                m *= b1
-                np.multiply(g, 1.0 - b1, out=t)
-                m += t
-                np.divide(m, bias1, out=s)
-                s *= self.learning_rate
-                np.divide(v, bias2, out=t)
-                np.sqrt(t, out=t)
-                t += EPSILON
-                s /= t
-                p -= s
+            arrays = (tensor.grad.reshape(-1), self._m[name].reshape(-1),
+                      self._v[name].reshape(-1), tensor.data.reshape(-1))
+            size = tensor.data.size
+            # a large parameter splits into one contiguous range per worker,
+            # and worker i steps its range through slice i of each work buffer
+            parts = max(1, min(parallel.WORKERS, size // (SPLIT_BLOCKS * BLOCK)))
+            width = len(self._work[0]) // parts
+
+            def run(first, last):
+                for i in range(first, last):
+                    lo, hi = size * i // parts, size * (i + 1) // parts
+                    self._update(*(a[lo:hi] for a in arrays),
+                                 *(w[i * width:(i + 1) * width] for w in self._work),
+                                 bias1, bias2)
+
+            parallel.split(parts, run)
             tensor.grad = None
+
+    def _update(self, grad, m_all, v_all, data, s_all, t_all, bias1, bias2) -> None:
+        """Step one range of a parameter in blocks as wide as the work slices
+        ``s_all`` and ``t_all``."""
+        b1, b2 = BETA1, BETA2
+        width = len(s_all)
+        for lo in range(0, data.size, width):
+            hi = min(lo + width, data.size)
+            g, m, v, p = grad[lo:hi], m_all[lo:hi], v_all[lo:hi], data[lo:hi]
+            s, t = s_all[:hi - lo], t_all[:hi - lo]
+            v *= b2
+            np.multiply(1.0 - b2, g, out=s)
+            s *= g
+            v += s
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=t)
+            m += t
+            np.divide(m, bias1, out=s)
+            s *= self.learning_rate
+            np.divide(v, bias2, out=t)
+            np.sqrt(t, out=t)
+            t += EPSILON
+            s /= t
+            p -= s

@@ -21,13 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import covariance, gbt, metrics, networks
+from . import covariance, gbt, metrics, networks, parallel
 from . import rng as rng_mod
 from .config import RunConfig
 from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn import load_tensors, save_tensors
 from .nn.checkpoint import write_csv_atomic, write_json_atomic
-from .recording import PROMPTS, Recording, bandpass_filter, subtract_channel_means
+from .recording import (PROMPTS, Recording, bandpass_filter, bandpass_sos,
+                        subtract_channel_means)
 
 HOLDOUT = "random_holdout"
 LOSO = "leave_one_subject_out"
@@ -136,15 +137,23 @@ def preprocess(rec: Recording, cfg: RunConfig) -> Recording:
 
 def ccv_features(recordings, cfg: RunConfig) -> list[covariance.CovMatrix]:
     """Preprocess every trial and compute its CCV matrix: the one feature
-    pass a verb makes over a container.  A band edge at or above a trial's
-    Nyquist rate is a ConfigError."""
-    covs = []
+    pass a verb makes over a container, split by trial across
+    ``parallel.split``'s workers.  A band edge at or above a trial's Nyquist
+    rate is a ConfigError."""
+    recordings = list(recordings)
     for rec in recordings:
         try:
-            cfg.preprocessing.validate_for(rec.sample_rate_hz)
+            # checks the band and designs its filter before any worker needs it
+            bandpass_sos(cfg.preprocessing, rec.sample_rate_hz)
         except ValueError as exc:
             raise ConfigError(f"config key preprocessing/high_hz: {exc}") from exc
-        covs.append(covariance.ccv_matrix(preprocess(rec, cfg)))
+    covs = [None] * len(recordings)
+
+    def part(lo, hi):
+        for i in range(lo, hi):
+            covs[i] = covariance.ccv_matrix(preprocess(recordings[i], cfg))
+
+    parallel.split(len(recordings), part)
     return covs
 
 

@@ -9,6 +9,7 @@ in here are either pre-cleaned or synthetic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,20 @@ def subtract_channel_means(rec: Recording) -> Recording:
     return dataclasses.replace(rec, samples=centered)
 
 
+@functools.lru_cache(maxsize=16)
+def bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
+    """The filter's second-order sections, designed once per spec and rate
+    and shared read-only.  A band edge at or above Nyquist is a ValueError."""
+    spec.validate_for(sample_rate_hz)
+    if spec.low_hz > 0:
+        sos = butter(spec.order, [spec.low_hz, spec.high_hz], btype="band",
+                     fs=sample_rate_hz, output="sos")
+    else:
+        sos = butter(spec.order, spec.high_hz, btype="low", fs=sample_rate_hz, output="sos")
+    sos.setflags(write=False)
+    return sos
+
+
 def bandpass_filter(rec: Recording, spec: BandpassSpec) -> Recording:
     """Zero-phase Butterworth bandpass along the time axis.
 
@@ -111,18 +126,7 @@ def bandpass_filter(rec: Recording, spec: BandpassSpec) -> Recording:
     sections), so the passband gain is the squared magnitude response and
     phase is exactly zero.
     """
-    spec.validate_for(rec.sample_rate_hz)
-    if spec.low_hz > 0:
-        sos = butter(
-            spec.order,
-            [spec.low_hz, spec.high_hz],
-            btype="band",
-            fs=rec.sample_rate_hz,
-            output="sos",
-        )
-    else:
-        sos = butter(
-            spec.order, spec.high_hz, btype="low", fs=rec.sample_rate_hz, output="sos"
-        )
+    # a copy: scipy's filter loop needs a writable buffer
+    sos = bandpass_sos(spec, rec.sample_rate_hz).copy()
     filtered = sosfiltfilt(sos, rec.samples, axis=1)
     return dataclasses.replace(rec, samples=np.ascontiguousarray(filtered))

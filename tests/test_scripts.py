@@ -5,6 +5,7 @@ train, evaluate and plot through the public CLI), and the per-layer benchmark
 reference shape and its bundle load at that small size."""
 
 import json
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -55,10 +56,23 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     assert trees["nodes"] >= 3 * 3  # every tree splits at least once
     assert trees["fit_s_per_tree"] > 0 and trees["predict_s_per_tree"] > 0
     assert len(trees["fit_runs"]) == len(trees["predict_runs"]) == 1
-    assert result["cnn_train_step"]["batch"] == 4
-    assert result["cnn_train_step"]["peak_rss_mb"] > 0
-    assert result["cnn_train_step"]["held_mb"] == 0
-    assert result["cnn_train_step"]["grad_mb"] == 0
+    assert result["env"]["workers"] == len(os.sched_getaffinity(0))
+    step = result["cnn_train_step"]
+    assert set(step) == {"batch", "one_cpu", "all_cpus"}
+    assert step["batch"] == 4
+    assert step["one_cpu"]["workers"] == 1
+    assert step["all_cpus"]["workers"] == result["env"]["workers"]
+    for run in (step["one_cpu"], step["all_cpus"]):
+        assert set(run) == {"s", "utime_s", "stime_s", "minflt", "workers", "peak_rss_mb",
+                            "held_mb", "grad_mb"}
+        # the kernel splits CPU time between user and system by tick, so
+        # either part of a short step can read 0, but not their sum
+        assert run["s"] > 0 and run["utime_s"] >= 0 and run["stime_s"] >= 0
+        assert run["utime_s"] + run["stime_s"] > 0
+        assert run["minflt"] >= 0
+        assert run["peak_rss_mb"] > 0
+        assert run["held_mb"] == 0
+        assert run["grad_mb"] == 0
     load = result["bundle_load"]
     assert set(load) == {"params", "archive_mb", "first_s", "warm_s", "warm_runs",
                          "peak_rss_mb"}
