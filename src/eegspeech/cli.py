@@ -5,7 +5,8 @@ standard error, results to files only.  Exit codes: 0 success, 2 bad
 configuration or arguments, 3 bad data, 4 training failure.  The seed
 resolves flag > environment (EEGSPEECH_SEED) > config file.  Each verb that
 reads a container preprocesses every trial and computes its covariance
-matrix once, whatever the number of tasks.
+matrix once, whatever the number of tasks, reading each trial's samples
+from disk as it goes and dropping them once its matrix is computed.
 """
 
 from __future__ import annotations
@@ -82,11 +83,29 @@ def _output_dir(path) -> Path:
     return path
 
 
-def _load_recordings(path: str):
+class _StoredRecordings:
+    """A container's trials as a sequence of Recordings, each read from the
+    data file when it is indexed and held by nobody afterwards."""
+
+    def __init__(self, cont: container_mod.TrialContainer):
+        self.cont = cont
+
+    def __len__(self) -> int:
+        return len(self.cont.trials)
+
+    def __getitem__(self, i: int):
+        # looked up at call time, so a wrapper set on the module sees every read
+        return container_mod.load_recording(self.cont, self.cont.trials[i])
+
+
+def _featurize(path: str, cfg: RunConfig):
+    """The container at ``path``, its trial ids and each trial's CCV matrix.
+    The band is checked against the container's sampling rate before any
+    trial is read, so a bad band exits 2 even when a trial is bad too."""
     cont = container_mod.read_container(path)
-    recordings = [container_mod.load_recording(cont, r) for r in cont.trials]
-    ids = [r.trial_id for r in cont.trials]
-    return cont, recordings, ids
+    pipeline.check_band(cfg, cont.sample_rate_hz)
+    covs = pipeline.ccv_features(_StoredRecordings(cont), cfg)
+    return cont, [r.trial_id for r in cont.trials], covs
 
 
 def cmd_synth(args) -> int:
@@ -112,8 +131,7 @@ def cmd_synth(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = _resolve_config(args)
-    cont, recordings, ids = _load_recordings(args.container)
-    covs = pipeline.ccv_features(recordings, cfg)
+    cont, ids, covs = _featurize(args.container, cfg)
     out = _output_dir(cfg.output_dir)
     # one archive keyed by trial id, so no file name comes from a trial id
     save_tensors(out / "features.tensors", dict(zip(ids, (cov.values for cov in covs))))
@@ -137,18 +155,19 @@ def _score_tasks(args, cfg: RunConfig, score_task,
     """The per-task loop of train, crossval and evaluate: read and featurize
     the container, create the output directory (with config.resolved.json
     when ``record_config``), write each task's report.json and predictions.csv
-    from ``score_task(task, recordings, ids, covs, task_dir)``, then
-    summary.csv.  What ``score_task`` builds is released when it returns."""
-    _, recordings, ids = _load_recordings(args.container)
-    covs = pipeline.ccv_features(recordings, cfg)
+    from ``score_task(task, trials, ids, covs, task_dir)``, where ``trials``
+    are the container's TrialRecords, then summary.csv.  What ``score_task``
+    builds is released when it returns."""
+    cont, ids, covs = _featurize(args.container, cfg)
+    trials = cont.trials
     out = _output_dir(cfg.output_dir)
     if record_config:
         write_json_atomic(out / "config.resolved.json", cfg.canonical_dict())
     reports = []
     for task_id in cfg.tasks:
-        _progress(f"{args.verb}: task {task_id} on {len(recordings)} trials")
+        _progress(f"{args.verb}: task {task_id} on {len(trials)} trials")
         task_dir = out / task_id
-        report = score_task(pipeline.task_from_config(cfg, task_id), recordings, ids, covs,
+        report = score_task(pipeline.task_from_config(cfg, task_id), trials, ids, covs,
                             task_dir)
         _output_dir(task_dir)
         pipeline.write_report_json(report, task_dir / "report.json")
@@ -171,9 +190,8 @@ def _run_protocol(args, mode: str) -> int:
     cfg = dataclasses.replace(cfg, split_mode=mode)
     plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
 
-    def train_task(task, recordings, ids, covs, task_dir):
-        bundles, report = pipeline.run_task(recordings, task, plan, cfg,
-                                            trial_ids=ids, covs=covs)
+    def train_task(task, trials, ids, covs, task_dir):
+        bundles, report = pipeline.run_task(trials, task, plan, cfg, trial_ids=ids, covs=covs)
         traces = _output_dir(task_dir / "traces")
         for fold_name, bundle in sorted(bundles.items()):
             pipeline.save_bundle(bundle, _output_dir(task_dir / "bundles" / fold_name))
@@ -208,7 +226,7 @@ def cmd_evaluate(args) -> int:
     if not models.is_dir():
         raise DataError(f"no model directory at {models}")
 
-    def evaluate_task(task, recordings, ids, covs, task_dir):
+    def evaluate_task(task, trials, ids, covs, task_dir):
         bundles_dir = models / task.task_id / "bundles"
         folds = sorted(p for p in bundles_dir.iterdir() if p.is_dir()) \
             if bundles_dir.is_dir() else []
@@ -222,7 +240,7 @@ def cmd_evaluate(args) -> int:
                             f"{' and '.join(modes)} splits")
         plan = pipeline.SplitPlan(mode=modes[0], seed=cfg.seed)
         _progress(f"evaluate: task {task.task_id} with {len(bundles)} fold bundle(s)")
-        return pipeline.evaluate_bundles(recordings, task, plan,
+        return pipeline.evaluate_bundles(trials, task, plan,
                                          dataclasses.replace(cfg, split_mode=modes[0]),
                                          bundles, trial_ids=ids, covs=covs)
 

@@ -63,7 +63,7 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
     channel_names = tuple(str(c) for c in channel_names)
     n_channels = len(channel_names)
     records = []
-    chunks = []
+    arrays = []
     offset = 0
     seen = set()
     for trial_id, subject_id, prompt, samples in trials:
@@ -71,15 +71,15 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
         if trial_id in seen:
             raise DataError(f"duplicate trial id {trial_id!r}")
         seen.add(trial_id)
-        arr = np.ascontiguousarray(np.asarray(samples, dtype=np.float32))
+        # float32 samples are written from the caller's array, without a copy
+        arr = np.ascontiguousarray(samples, dtype="<f4")
         if arr.ndim != 2 or arr.shape[0] != n_channels:
             raise DataError(
                 f"trial {trial_id!r}: expected {n_channels} channels, got shape {arr.shape}")
-        raw = arr.astype("<f4").tobytes()
         records.append(TrialRecord(trial_id=trial_id, subject_id=str(subject_id),
-                                   prompt=str(prompt), offset=offset, length=len(raw)))
-        chunks.append(raw)
-        offset += len(raw)
+                                   prompt=str(prompt), offset=offset, length=arr.nbytes))
+        arrays.append(arr)
+        offset += arr.nbytes
     if not records:
         raise DataError("container must hold at least one trial")
     manifest = {
@@ -93,7 +93,7 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
             for r in records
         ],
     }
-    write_bytes_atomic(root / DATA_NAME, b"".join(chunks))
+    write_bytes_atomic(root / DATA_NAME, *(arr.data for arr in arrays))
     write_json_atomic(root / MANIFEST_NAME, manifest)
     return TrialContainer(name=str(name), sample_rate_hz=float(sample_rate_hz),
                           channel_names=channel_names, trials=tuple(records), root=root)

@@ -18,6 +18,8 @@ from .recording import Recording
 
 # Tolerance for the symmetry check on freshly built matrices.
 _SYMMETRY_RTOL = 1e-9
+#: Rows per tile of ``ccv_matrix``'s upper triangle.
+_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,18 @@ def ccv_matrix(rec: Recording, lag: int = 0) -> CovMatrix:
     x = rec.samples
     centered = x - x.mean(axis=1, keepdims=True)
     # einsum keeps each entry's reduction order fixed, so permuting channels
-    # or scaling one channel by a power of two reproduces entries bitwise.
-    return CovMatrix(np.einsum("it,jt->ij", centered, centered) / x.shape[1])
+    # or scaling one channel by a power of two reproduces entries bitwise,
+    # and entry (j, i) has the bits of entry (i, j).  So each pair is summed
+    # once, over tiles of rows of the upper triangle, and mirrored.
+    k = x.shape[0]
+    out = np.empty((k, k))
+    for lo in range(0, k, _TILE):
+        hi = min(lo + _TILE, k)
+        tile = np.einsum("it,jt->ij", centered[lo:hi], centered[lo:])
+        out[lo:hi, lo:] = tile
+        out[hi:, lo:hi] = tile[:, hi - lo:].T
+    out /= x.shape[1]
+    return CovMatrix(out)
 
 
 def rejection_scores(cov: CovMatrix) -> np.ndarray:

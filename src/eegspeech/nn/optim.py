@@ -51,7 +51,8 @@ class Adam:
         operations on the same operands as the textbook
         ``m += (1 - b1) * g``, ``v += (1 - b2) * g * g`` and
         ``data -= lr * m_hat / (sqrt(v_hat) + eps)``, so the weights match
-        that form bit for bit.
+        that form bit for bit; at the first step, where both moments are +0,
+        ``b * m + x`` is computed as the bit-equal ``x + 0.0``.
         """
         missing = next((name for name, t in self.params if t.grad is None), None)
         if missing is not None:
@@ -59,6 +60,7 @@ class Adam:
         self.step_count += 1
         bias1 = 1.0 - BETA1 ** self.step_count
         bias2 = 1.0 - BETA2 ** self.step_count
+        fresh = self.step_count == 1
         for name, tensor in self.params:
             # Tensor makes ``data`` C-contiguous and nothing rebinds it, so
             # this reshape is a view and the update lands in the weights.
@@ -75,27 +77,35 @@ class Adam:
                     lo, hi = size * i // parts, size * (i + 1) // parts
                     self._update(*(a[lo:hi] for a in arrays),
                                  *(w[i * width:(i + 1) * width] for w in self._work),
-                                 bias1, bias2)
+                                 bias1, bias2, fresh)
 
             parallel.split(parts, run)
             tensor.grad = None
 
-    def _update(self, grad, m_all, v_all, data, s_all, t_all, bias1, bias2) -> None:
+    def _update(self, grad, m_all, v_all, data, s_all, t_all, bias1, bias2,
+                fresh: bool) -> None:
         """Step one range of a parameter in blocks as wide as the work slices
-        ``s_all`` and ``t_all``."""
+        ``s_all`` and ``t_all``; ``fresh`` marks the first step."""
         b1, b2 = BETA1, BETA2
         width = len(s_all)
         for lo in range(0, data.size, width):
             hi = min(lo + width, data.size)
             g, m, v, p = grad[lo:hi], m_all[lo:hi], v_all[lo:hi], data[lo:hi]
             s, t = s_all[:hi - lo], t_all[:hi - lo]
-            v *= b2
             np.multiply(1.0 - b2, g, out=s)
             s *= g
-            v += s
-            m *= b1
             np.multiply(g, 1.0 - b1, out=t)
-            m += t
+            if fresh:
+                # both moments are +0 before the first step, and +0 * b + x
+                # has the bits of x + 0.0 (a -0 turns +0 in both), so the
+                # moments are written without first reading their zero pages
+                np.add(s, 0.0, out=v)
+                np.add(t, 0.0, out=m)
+            else:
+                v *= b2
+                v += s
+                m *= b1
+                m += t
             np.divide(m, bias1, out=s)
             s *= self.learning_rate
             np.divide(v, bias2, out=t)

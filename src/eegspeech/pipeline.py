@@ -1,14 +1,15 @@
 """Per-task orchestration of the three-level hierarchy.
 
 Every trial is preprocessed and turned into a channel cross-covariance
-matrix once per container (`ccv_features`).  Then, for each fold of the
-chosen protocol: fit channel rejection on the training fold, build
-standardized network inputs, train the CNN and LSTM branches, fuse their
-penultimate features, train the autoencoder, encode, and fit the boosted-tree
-classifier.  Held-out trials are then scored by `evaluate_bundles`, the one
-path that scores a fold, whether its bundle was just trained or loaded from
-disk.  A leakage audit object checks that no fitting step ever sees a
-held-out trial index.
+matrix once per container (`ccv_features`), which drops its samples then;
+from there on a trial is its matrix, subject and prompt.  Then, for each
+fold of the chosen protocol: fit channel rejection on the training fold,
+build standardized network inputs, train the CNN and LSTM branches, fuse
+their penultimate features, train the autoencoder, encode, and fit the
+boosted-tree classifier.  Held-out trials are then scored by
+`evaluate_bundles`, the one path that scores a fold, whether its bundle was
+just trained or loaded from disk.  A leakage audit object checks that no
+fitting step ever sees a held-out trial index.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ HOLDOUT = "random_holdout"
 LOSO = "leave_one_subject_out"
 
 BUNDLE_ARCHIVE = "model.tensors"
+
+#: Samples (channels x times) a trial needs before the feature pass splits
+#: trials across workers.  A smaller trial's preprocessing is mostly
+#: interpreter work, for which two threads only contend: on a 2-vCPU VM one
+#: thread was faster on trials of 32 x 256 samples, and two on 62 x 1000.
+SPLIT_SAMPLES = 32768
 
 
 @dataclass(frozen=True)
@@ -81,14 +88,14 @@ class Fold:
     test: tuple[int, ...]
 
 
-def make_splits(recordings, plan: SplitPlan) -> list[Fold]:
-    """Index folds over the recording list.
+def make_splits(trials, plan: SplitPlan) -> list[Fold]:
+    """Index folds over the trial list, whose items carry ``subject_id``.
 
     Holdout: one fold; dev and test each get floor(n/10) shuffled trials and
     the remainder trains.  Leave-one-subject-out: one fold per subject, the
     subject's trials test, a shuffled 10% of the rest serve as dev.
     """
-    n = len(recordings)
+    n = len(trials)
     if plan.mode == HOLDOUT:
         if n < 10:
             raise DataError(f"holdout split needs at least 10 trials, got {n}")
@@ -98,14 +105,14 @@ def make_splits(recordings, plan: SplitPlan) -> list[Fold]:
         dev = tuple(sorted(int(i) for i in order[n_part : 2 * n_part]))
         train = tuple(sorted(int(i) for i in order[2 * n_part :]))
         return [Fold(name="holdout", train=train, dev=dev, test=test)]
-    subjects = sorted({rec.subject_id for rec in recordings})
+    subjects = sorted({trial.subject_id for trial in trials})
     if len(subjects) < 2:
         raise DataError(
             f"leave-one-subject-out needs at least 2 subjects, got {len(subjects)}")
     folds = []
     for subject in subjects:
-        test = [i for i, rec in enumerate(recordings) if rec.subject_id == subject]
-        rest = [i for i, rec in enumerate(recordings) if rec.subject_id != subject]
+        test = [i for i, trial in enumerate(trials) if trial.subject_id == subject]
+        rest = [i for i, trial in enumerate(trials) if trial.subject_id != subject]
         n_dev = len(rest) // 10
         order = rng_mod.stream(plan.seed, "split", "loso", subject).permutation(len(rest))
         dev = tuple(sorted(rest[int(j)] for j in order[:n_dev]))
@@ -131,29 +138,56 @@ class LeakageAudit:
         self.log.append((stage, len(indices)))
 
 
+def check_band(cfg: RunConfig, sample_rate_hz: float) -> None:
+    """Design the preprocessing filter for ``sample_rate_hz``; a band edge at
+    or above its Nyquist rate is a ConfigError."""
+    try:
+        bandpass_sos(cfg.preprocessing, sample_rate_hz)
+    except ValueError as exc:
+        raise ConfigError(f"config key preprocessing/high_hz: {exc}") from exc
+
+
 def preprocess(rec: Recording, cfg: RunConfig) -> Recording:
-    return subtract_channel_means(bandpass_filter(rec, cfg.preprocessing))
+    """Bandpass ``rec`` and remove its channel means; a band edge at or above
+    its Nyquist rate is a ConfigError."""
+    check_band(cfg, rec.sample_rate_hz)
+    filtered = bandpass_filter(rec, cfg.preprocessing)
+    # when the caller passed the only reference, the raw samples are freed
+    # here, before the mean removal allocates: a worker's heap then reuses
+    # their pages instead of faulting in fresh ones
+    del rec
+    return subtract_channel_means(filtered)
 
 
 def ccv_features(recordings, cfg: RunConfig) -> list[covariance.CovMatrix]:
     """Preprocess every trial and compute its CCV matrix: the one feature
     pass a verb makes over a container, split by trial across
-    ``parallel.split``'s workers.  A band edge at or above a trial's Nyquist
-    rate is a ConfigError."""
-    recordings = list(recordings)
-    for rec in recordings:
-        try:
-            # checks the band and designs its filter before any worker needs it
-            bandpass_sos(cfg.preprocessing, rec.sample_rate_hz)
-        except ValueError as exc:
-            raise ConfigError(f"config key preprocessing/high_hz: {exc}") from exc
-    covs = [None] * len(recordings)
+    ``parallel.split``'s workers.
+
+    ``recordings`` is a sequence of Recordings.  Each item is fetched once,
+    by the worker that reduces it, and dropped by the time its matrix is
+    computed, so a lazy sequence that reads its item *i* from disk keeps one
+    raw trial per worker in memory.  The first trial is processed alone: it designs the
+    filter before any worker needs it, and the rest are split only when it
+    holds at least ``SPLIT_SAMPLES`` samples.  Trials are processed in order
+    within each slice, so the error of the earliest failing trial is raised;
+    a band edge at or above a trial's Nyquist rate is a ConfigError.
+    """
+    n = len(recordings)
+    covs = [None] * n
+    if not n:
+        return covs
+    first = recordings[0]
+    # a grain of n keeps every trial on this thread
+    grain = 1 if first.samples.size >= SPLIT_SAMPLES else n
+    covs[0] = covariance.ccv_matrix(preprocess(first, cfg))
+    del first
 
     def part(lo, hi):
-        for i in range(lo, hi):
+        for i in range(lo + 1, hi + 1):
             covs[i] = covariance.ccv_matrix(preprocess(recordings[i], cfg))
 
-    parallel.split(len(recordings), part)
+    parallel.split(n - 1, part, grain)
     return covs
 
 
@@ -351,7 +385,7 @@ def _bundle_proba(bundle: ModelBundle, covs, indices) -> np.ndarray:
     return bundle.predict_proba(inputs)
 
 
-def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, recordings,
+def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, trials,
                trial_ids) -> tuple[FoldReport, list[TrialPrediction]]:
     """Score a fold's test trials through its bundle: its FoldReport and predictions."""
     probs = _bundle_proba(bundle, covs, fold.test)
@@ -365,8 +399,8 @@ def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, recordings,
                         kappa_degenerate=kappa.degenerate,
                         dev_accuracy=bundle.dev_accuracy, confusion=confusion)
     predictions = [
-        TrialPrediction(index=i, trial_id=trial_ids[i], subject_id=recordings[i].subject_id,
-                        prompt=recordings[i].prompt, fold=fold.name,
+        TrialPrediction(index=i, trial_id=trial_ids[i], subject_id=trials[i].subject_id,
+                        prompt=trials[i].prompt, fold=fold.name,
                         truth=int(truth[j]), prediction=int(pred[j]),
                         probability=float(probs[j]))
         for j, i in enumerate(fold.test)
@@ -419,39 +453,41 @@ def _train_fold(covs, labels, task: Task, fold: Fold, cfg: RunConfig, mode: str,
     return bundle
 
 
-def _prepare(recordings, task: Task, cfg: RunConfig, covs):
-    """Recordings as a list, CCV matrices (computed when not given) and task labels."""
-    recordings = list(recordings)
+def _prepare(trials, task: Task, cfg: RunConfig, covs):
+    """Trials as a list, CCV matrices (computed when not given) and task labels."""
+    trials = list(trials)
     if covs is None:
-        covs = ccv_features(recordings, cfg)
-    labels = np.array([derive_label(rec.prompt, task) for rec in recordings],
-                      dtype=np.int64)
-    return recordings, covs, labels
+        covs = ccv_features(trials, cfg)
+    labels = np.array([derive_label(trial.prompt, task) for trial in trials], dtype=np.int64)
+    return trials, covs, labels
 
 
-def run_task(recordings, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids,
+def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids,
              covs=None):
     """Train every fold of one task, then score them all with `evaluate_bundles`.
 
-    ``covs`` are the trials' CCV matrices from `ccv_features`, computed here
-    when not given.  Returns (bundles by fold name, EvalReport).  Folds whose
+    ``trials`` carry each trial's ``subject_id`` and ``prompt``: the
+    container's TrialRecords, or Recordings.  ``covs`` are the trials' CCV
+    matrices from `ccv_features`, computed here from the trials, which must
+    then be Recordings, when not given.  Returns (bundles by fold name, EvalReport).  Folds whose
     training labels lack two examples of each class get no bundle;
     `evaluate_bundles` flags them as skipped, and raises TrainingError when
     every fold is.
     """
-    recordings, covs, labels = _prepare(recordings, task, cfg, covs)
+    trials, covs, labels = _prepare(trials, task, cfg, covs)
     fingerprint = cfg.fingerprint()
     bundles = {fold.name: _train_fold(covs, labels, task, fold, cfg, plan.mode, fingerprint,
                                       trial_ids)
-               for fold in make_splits(recordings, plan) if not _skip_reason(fold, labels)}
-    return bundles, evaluate_bundles(recordings, task, plan, cfg, bundles, trial_ids, covs)
+               for fold in make_splits(trials, plan) if not _skip_reason(fold, labels)}
+    return bundles, evaluate_bundles(trials, task, plan, cfg, bundles, trial_ids, covs)
 
 
-def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
+def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
                      bundles: dict, trial_ids, covs=None) -> EvalReport:
     """Score held-out trials with trained fold bundles and pool the folds.
 
-    The split is recomputed from the plan seed.  DataError is raised for a
+    ``trials`` and ``covs`` are as for `run_task`.  The split is recomputed
+    from the plan seed.  DataError is raised for a
     bundle trained for another task or fold, for one whose stored test trials
     differ from its recomputed fold's (another seed or container), so no
     bundle ever scores a trial it was trained on, and for one that keeps
@@ -460,9 +496,9 @@ def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
     skipped, the former with `run_task`'s reason; if every fold is skipped
     the task cannot be scored and a TrainingError is raised.
     """
-    recordings, covs, labels = _prepare(recordings, task, cfg, covs)
+    trials, covs, labels = _prepare(trials, task, cfg, covs)
     folds, predictions = [], []
-    for fold in make_splits(recordings, plan):
+    for fold in make_splits(trials, plan):
         bundle = bundles.get(fold.name)
         reason = _skip_reason(fold, labels) or ("no bundle for fold" if bundle is None else "")
         if reason:
@@ -483,8 +519,7 @@ def evaluate_bundles(recordings, task: Task, plan: SplitPlan, cfg: RunConfig,
         if bundle.config_fingerprint != cfg.fingerprint():
             raise ConfigError(f"task {task.task_id!r} fold {fold.name!r}: the bundle was "
                               f"trained under another config fingerprint")
-        report, fold_predictions = score_fold(bundle, fold, covs, labels, recordings,
-                                              trial_ids)
+        report, fold_predictions = score_fold(bundle, fold, covs, labels, trials, trial_ids)
         folds.append(report)
         predictions.extend(fold_predictions)
     scored = [f for f in folds if not f.skipped]

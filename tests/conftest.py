@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from eegspeech import parallel
 from eegspeech.recording import Recording
 
 
@@ -14,6 +17,19 @@ def random_recording(rng: np.random.Generator, n_channels=None, n_times=None,
     return Recording(subject_id=subject, prompt=prompt, samples=samples,
                      sample_rate_hz=sample_rate_hz,
                      channel_names=tuple(f"ch{c:02d}" for c in range(n_channels)))
+
+
+@contextmanager
+def workers(n):
+    """Run the block at ``n`` workers, on a pool of its own."""
+    saved = parallel.WORKERS, parallel._pool
+    parallel.WORKERS, parallel._pool = n, None
+    try:
+        yield
+    finally:
+        if parallel._pool is not None:
+            parallel._pool.shutdown(wait=False, cancel_futures=True)
+        parallel.WORKERS, parallel._pool = saved
 
 
 def separable_matrices(rng: np.random.Generator, n: int, size: int, offset: float):

@@ -1,6 +1,7 @@
 """On-disk trial container: round trips, idempotence, corruption reporting."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,34 @@ def test_round_trip_is_bitwise(tmp_path):
         assert record.prompt == prompt
         got = container.load_samples(loaded, record)
         assert np.array_equal(got, samples.astype(np.float64))
+
+
+def test_data_file_holds_each_trial_as_little_endian_float32(tmp_path):
+    rng = np.random.default_rng(2)
+    trials = [("a", "s0", "/m/", rng.normal(size=(3, 5))),                      # float64
+              ("b", "s0", "/m/", rng.normal(size=(3, 4)).astype(np.float32)),
+              ("c", "s1", "/uw/", np.asfortranarray(rng.normal(size=(3, 6)))),  # strided
+              ("d", "s1", "/uw/", [[1, 2], [3, 4], [5, 6]])]                    # a list
+    written = container.write_container(tmp_path, "mixed", 128.0, ["x", "y", "z"], trials)
+    want = b"".join(np.asarray(s, dtype=np.float32).astype("<f4").tobytes()
+                    for *_, s in trials)
+    assert (tmp_path / "data.bin").read_bytes() == want
+    assert [r.length for r in written.trials] == [60, 48, 72, 24]
+
+
+def test_float32_trials_are_written_without_a_copy(tmp_path):
+    rng = np.random.default_rng(3)
+    trials = [(f"t{i}", "s0", "/m/", rng.normal(size=(62, 2000)).astype(np.float32))
+              for i in range(20)]
+    tracemalloc.start()
+    try:
+        container.write_container(tmp_path, "big", 1000.0, [f"c{c}" for c in range(62)],
+                                  trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the samples are 9.9 MB; a copy of any trial would be 0.5 MB
+    assert peak < 400_000
 
 
 def test_rewrite_is_byte_identical(tmp_path):

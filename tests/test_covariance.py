@@ -51,6 +51,16 @@ class TestCcvMatrix:
         cov = ccv_matrix(random_recording(rng))
         assert np.array_equal(cov.values, cov.values.T)
 
+    @pytest.mark.parametrize("shape", [(62, 5000), (62, 1000), (62, 256), (32, 256),
+                                       (17, 300), (8, 256), (3, 50)])
+    def test_tiled_pairs_match_the_full_einsum_bitwise(self, shape):
+        # channels at scales far apart, so a changed summation order would show
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        rec = make(rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=(shape[0], 1)))
+        centered = rec.samples - rec.samples.mean(axis=1, keepdims=True)
+        want = np.einsum("it,jt->ij", centered, centered) / shape[1]
+        assert ccv_matrix(rec).values.tobytes() == want.tobytes()
+
     def test_matches_double_loop_oracle(self, rng):
         rec = random_recording(rng, n_channels=4, n_times=30)
         got = ccv_matrix(rec, lag=0).values

@@ -45,9 +45,12 @@ BLOCK_SHAPES = [(1,), (BLOCK - 1, 1), (8, BLOCK // 8), (BLOCK + 1,), (1, 2 * BLO
 
 
 def _gradient(rng, shape):
-    """Gradients from 1e-9 to 1e6 in magnitude, both signs, with exact zeros."""
+    """Gradients from 1e-9 to 1e6 in magnitude, both signs, with exact zeros
+    of both signs (a -0 gradient gives a -0 first-moment increment)."""
     g = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-9, 6, size=shape)
-    g[rng.random(shape) < 0.2] = 0.0
+    zeros = rng.random(shape)
+    g[zeros < 0.2] = 0.0
+    g[zeros < 0.1] = -0.0
     return g
 
 

@@ -13,7 +13,6 @@ import signal
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,20 +24,7 @@ from eegspeech.config import RunConfig
 from eegspeech.nn import Adam, Tensor, ops, optim
 from eegspeech.nn.optim import BLOCK
 
-from conftest import random_recording
-
-
-@contextmanager
-def workers(n):
-    """Run the block at ``n`` workers, on a pool of its own."""
-    saved = parallel.WORKERS, parallel._pool
-    parallel.WORKERS, parallel._pool = n, None
-    try:
-        yield
-    finally:
-        if parallel._pool is not None:
-            parallel._pool.shutdown(wait=False, cancel_futures=True)
-        parallel.WORKERS, parallel._pool = saved
+from conftest import random_recording, workers
 
 
 # --- the helper --------------------------------------------------------------
@@ -235,7 +221,8 @@ def _recordings(n=9):
             for _ in range(n)]
 
 
-def test_ccv_features_match_one_worker():
+def test_ccv_features_match_one_worker(monkeypatch):
+    monkeypatch.setattr(pipeline, "SPLIT_SAMPLES", 1)  # split these small trials too
     recs, cfg = _recordings(), RunConfig(seed=0, tasks=("uw",))
     with workers(1):
         want = [c.values.tobytes() for c in pipeline.ccv_features(recs, cfg)]
@@ -245,6 +232,7 @@ def test_ccv_features_match_one_worker():
 
 
 def test_a_feature_pass_designs_its_filter_once(monkeypatch):
+    monkeypatch.setattr(pipeline, "SPLIT_SAMPLES", 1)
     recs, cfg = _recordings(), RunConfig(seed=0, tasks=("uw",))
     want = []
     for rec in recs:
@@ -277,9 +265,10 @@ def _tree(root: Path) -> dict:
 
 
 def test_train_writes_the_same_bytes_at_one_and_two_workers(tmp_path, monkeypatch):
-    # every conv batch and the two parameters of 2 blocks or more split too
+    # every conv batch, the two parameters of 2 blocks or more and the trials split too
     monkeypatch.setattr(ops, "SPLIT_MACS", 1)
     monkeypatch.setattr(optim, "SPLIT_BLOCKS", 1)
+    monkeypatch.setattr(pipeline, "SPLIT_SAMPLES", 1)
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--n-trials", "40", "--n-channels", "6",
                  "--n-subjects", "2", "--seed", "5"]) == 0
