@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Wall time, user and kernel time, minor page faults and peak memory of
+each CLI verb of one benchmark workload.
+
+Each run is a fresh child process that calls ``eegspeech.cli.main``
+in-process as a benchmark repetition does: synth, then the workload's
+train or crossval, then evaluate on the saved bundles.  The figures of a
+verb are ``getrusage(RUSAGE_SELF)`` differences around its call, so they
+cover every thread of the process, and its peak is the child's VmHWM
+(Linux) when the verb has returned.  The workloads are the benchmark's own
+(``perfbench/workloads.py``).  The script prints each run and the medians
+as JSON; with ``--merge`` it adds them to a JSON file, such as a
+``perfbench/run.py`` record, under ``"rusage"``, beside its ``"wall_s"``.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/verb_rusage.py \\
+        --workload loso5_long --seed 1 --runs 3 --merge BENCH_x.json
+"""
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+FIELDS = ("wall_s", "utime_s", "stime_s", "minflt", "peak_rss_mb")
+
+
+def _peak_mb() -> float:
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+
+
+def run_verbs(workload, seed: int, work: Path) -> dict:
+    """Each verb's figures, run in this process on a corpus under ``work``."""
+    from eegspeech.cli import main as cli
+
+    data, out, replay = work / "data", work / "out", work / "replay"
+    cfg = work / "config.json"
+    cfg.write_text(json.dumps(workload.run_config(seed, str(out))))
+    verbs = {"synth": workload.synth_argv(str(data), seed),
+             workload.verb: [workload.verb, "--config", str(cfg), "--container", str(data)],
+             "evaluate": ["evaluate", "--config", str(cfg), "--container", str(data),
+                          "--models", str(out), "--out", str(replay)]}
+    result = {}
+    for verb, argv in verbs.items():
+        before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+        code = cli(argv)
+        wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+        if code != 0:
+            raise SystemExit(f"{verb} exited with {code}")
+        result[verb] = {"wall_s": wall, "utime_s": after.ru_utime - before.ru_utime,
+                        "stime_s": after.ru_stime - before.ru_stime,
+                        "minflt": after.ru_minflt - before.ru_minflt,
+                        "peak_rss_mb": _peak_mb()}
+    return result
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--runs", type=int, default=3, help="fresh child processes")
+    parser.add_argument("--merge", help="JSON file to add the figures to, under 'rusage'")
+    parser.add_argument("--child", help=argparse.SUPPRESS)  # work directory of one run
+    args = parser.parse_args()
+    if args.child:
+        print(json.dumps(run_verbs(WORKLOADS[args.workload], args.seed, Path(args.child))))
+        return 0
+
+    runs = []
+    for _ in range(args.runs):
+        with tempfile.TemporaryDirectory() as work:
+            child = subprocess.run([sys.executable, __file__, "--workload", args.workload,
+                                    "--seed", str(args.seed), "--child", work],
+                                   capture_output=True, text=True)
+        if child.returncode != 0:
+            print(child.stderr, file=sys.stderr)
+            return 1
+        runs.append(json.loads(child.stdout.splitlines()[-1]))
+    medians = {verb: {key: statistics.median(run[verb][key] for run in runs)
+                      for key in FIELDS} for verb in runs[0]}
+    record = {"workload": args.workload, "seed": args.seed,
+              "cpus_allowed": len(os.sched_getaffinity(0)), "medians": medians, "runs": runs}
+    print(json.dumps(record, indent=2))
+    if args.merge:
+        path = Path(args.merge)
+        merged = json.loads(path.read_text())
+        merged["rusage"] = record
+        path.write_text(json.dumps(merged, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

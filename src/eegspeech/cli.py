@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .config import DEFAULT_TASK_TABLE, TASK_IDS, RunConfig, load_config
 from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn import save_tensors
 from .nn.checkpoint import write_json_atomic
+from .recording import filter_padding
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,6 +33,9 @@ EXIT_DATA = 3
 EXIT_TRAINING = 4
 
 SEED_ENV = "EEGSPEECH_SEED"
+
+#: Where train and crossval write a task's folds until the task has ended.
+STAGING = ".partial"
 
 
 def _progress(message: str) -> None:
@@ -100,10 +105,17 @@ class _StoredRecordings:
 
 def _featurize(path: str, cfg: RunConfig):
     """The container at ``path``, its trial ids and each trial's CCV matrix.
-    The band is checked against the container's sampling rate before any
-    trial is read, so a bad band exits 2 even when a trial is bad too."""
+    The band is checked against the container's sampling rate, and each
+    trial's length against the filter's padding, before any trial is read,
+    so a bad band exits 2 even when a trial is bad too."""
     cont = container_mod.read_container(path)
     pipeline.check_band(cfg, cont.sample_rate_hz)
+    padding = filter_padding(cfg.preprocessing, cont.sample_rate_hz)
+    for record in cont.trials:
+        if cont.n_times(record) <= padding:
+            raise DataError(f"trial {record.trial_id!r}: {cont.n_times(record)} time points "
+                            f"are too few for the bandpass filter, which pads each end "
+                            f"with {padding}")
     covs = pipeline.ccv_features(_StoredRecordings(cont), cfg)
     return cont, [r.trial_id for r in cont.trials], covs
 
@@ -156,8 +168,7 @@ def _score_tasks(args, cfg: RunConfig, score_task,
     the container, create the output directory (with config.resolved.json
     when ``record_config``), write each task's report.json and predictions.csv
     from ``score_task(task, trials, ids, covs, task_dir)``, where ``trials``
-    are the container's TrialRecords, then summary.csv.  What ``score_task``
-    builds is released when it returns."""
+    are the container's TrialRecords, then summary.csv."""
     cont, ids, covs = _featurize(args.container, cfg)
     trials = cont.trials
     out = _output_dir(cfg.output_dir)
@@ -180,6 +191,22 @@ def _score_tasks(args, cfg: RunConfig, score_task,
     return reports
 
 
+def _save_fold(bundle: pipeline.ModelBundle, task_dir: Path) -> None:
+    """Write one fold's bundle, and its networks' training traces, under ``task_dir``."""
+    fold = bundle.fold_name
+    pipeline.save_bundle(bundle, _output_dir(task_dir / "bundles" / fold))
+    traces = _output_dir(task_dir / "traces")
+    for model_name, model in (("cnn", bundle.cnn), ("lstm", bundle.lstm), ("dae", bundle.dae)):
+        networks.write_trace_csv(traces / f"{fold}.{model_name}.csv", model.trace)
+
+
+def _publish(staging: Path, task_dir: Path) -> None:
+    """Move every file under ``staging`` to the same place under ``task_dir``."""
+    for path in sorted(p for p in staging.rglob("*") if p.is_file()):
+        target = _output_dir(task_dir / path.parent.relative_to(staging)) / path.name
+        os.replace(path, target)
+
+
 def _run_protocol(args, mode: str) -> int:
     # the verb picks the split and split.mode may only agree with it, so one
     # split has one route; the resolved config and fingerprint record it
@@ -191,14 +218,17 @@ def _run_protocol(args, mode: str) -> int:
     plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
 
     def train_task(task, trials, ids, covs, task_dir):
-        bundles, report = pipeline.run_task(trials, task, plan, cfg, trial_ids=ids, covs=covs)
-        traces = _output_dir(task_dir / "traces")
-        for fold_name, bundle in sorted(bundles.items()):
-            pipeline.save_bundle(bundle, _output_dir(task_dir / "bundles" / fold_name))
-            for model_name, model in (("cnn", bundle.cnn), ("lstm", bundle.lstm),
-                                      ("dae", bundle.dae)):
-                networks.write_trace_csv(traces / f"{fold_name}.{model_name}.csv",
-                                         model.trace)
+        # each fold is written as it ends, under a staging directory whose
+        # files move into the task's directory once every fold is scored, so
+        # a task that fails leaves no bundle behind
+        staging = task_dir / STAGING
+        shutil.rmtree(staging, ignore_errors=True)
+        try:
+            _, report = pipeline.run_task(trials, task, plan, cfg, trial_ids=ids, covs=covs,
+                                          save=lambda bundle: _save_fold(bundle, staging))
+            _publish(staging, task_dir)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
         return report
 
     reports = _score_tasks(args, cfg, train_task, record_config=True)
@@ -232,14 +262,17 @@ def cmd_evaluate(args) -> int:
             if bundles_dir.is_dir() else []
         if not folds:
             raise DataError(f"no trained bundles for task {task.task_id!r} under {models}")
-        bundles = {p.name: pipeline.load_bundle(p) for p in folds}
-        # the bundles' split is the one their run's config recorded
-        modes = sorted({bundle.mode for bundle in bundles.values()})
+        # the bundles' split is the one their run's config recorded; only
+        # their metas are read here, and each archive when its fold is scored
+        modes = sorted({pipeline.read_meta(p)["mode"] for p in folds})
         if len(modes) > 1:
             raise DataError(f"bundles of task {task.task_id!r} under {models} mix the "
                             f"{' and '.join(modes)} splits")
         plan = pipeline.SplitPlan(mode=modes[0], seed=cfg.seed)
-        _progress(f"evaluate: task {task.task_id} with {len(bundles)} fold bundle(s)")
+        _progress(f"evaluate: task {task.task_id} with {len(folds)} fold bundle(s)")
+        stored = {p.name: p for p in folds}
+        bundles = pipeline.LazyBundles(
+            lambda name: pipeline.load_bundle(stored[name]) if name in stored else None)
         return pipeline.evaluate_bundles(trials, task, plan,
                                          dataclasses.replace(cfg, split_mode=modes[0]),
                                          bundles, trial_ids=ids, covs=covs)

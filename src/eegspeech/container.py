@@ -50,6 +50,10 @@ class TrialContainer:
     def data_path(self) -> Path:
         return self.root / DATA_NAME
 
+    def n_times(self, record: TrialRecord) -> int:
+        """Time points of one trial's stored samples."""
+        return record.length // (4 * self.n_channels)
+
 
 def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
                     channel_names, trials) -> TrialContainer:

@@ -45,14 +45,21 @@ def _exactly(f, n: int) -> bytes:
 
 def _read_tensors(f, total: int) -> dict[str, np.ndarray]:
     """Parse the archive of ``total`` bytes that the binary file ``f`` holds,
-    reading each tensor's data straight into its own array.  A size is
-    checked against ``total`` before its array is allocated."""
+    reading each tensor's data straight into its own slice of one block.  A
+    size is checked against ``total`` before its slice is taken.
+
+    One block per archive is one allocation, freed at once when the last of
+    its tensors is: a bundle loaded for each fold of a task maps one large
+    block instead of dozens of arrays, and numpy asks for huge pages for a
+    block of 4 MB or more, so a load faults in a few pages, not thousands.
+    """
     if f.read(4) != MAGIC:
         raise ValueError("not a named-tensor archive")
     version, count = struct.unpack("<II", _exactly(f, 8))
     if version != VERSION:
         raise ValueError(f"unsupported archive version {version}")
     out: dict[str, np.ndarray] = {}
+    block, used = np.empty(total // 8, dtype="<f8"), 0
     for _ in range(count):
         (name_len,) = struct.unpack("<H", _exactly(f, 2))
         name = _exactly(f, name_len).decode("utf-8")
@@ -61,7 +68,8 @@ def _read_tensors(f, total: int) -> dict[str, np.ndarray]:
         nbytes = 8 * math.prod(dims)
         if nbytes > total - f.tell():
             raise ValueError(f"tensor {name!r} runs past the end of the archive")
-        arr = np.empty(dims, dtype="<f8")
+        arr = block[used:used + nbytes // 8].reshape(dims)
+        used += nbytes // 8
         if f.readinto(arr) != nbytes:
             raise ValueError(f"tensor {name!r} is truncated")
         out[name] = arr

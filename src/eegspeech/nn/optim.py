@@ -6,15 +6,17 @@ from .tensor import Tensor
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
-#: Elements per block of the step: six 256 KB slices (gradient, both moments,
-#: data and the two work buffers) fit in a 2 MB L2 cache, so each block's 14
-#: operations stream their operands from memory about once.
-BLOCK = 32768
-#: Blocks per worker a parameter needs before its step is split.  Each of a
-#: block's 14 operations passes the interpreter lock between the threads; on
-#: a 2-vCPU VM a split step was slower below about 1 M elements per worker
-#: and faster above it.
-SPLIT_BLOCKS = 32
+#: Elements per block of the step, shared by the workers of a split step.
+#: On a 2-vCPU VM a serial step took the same time at blocks of 32 K, 48 K
+#: and 64 K elements, while a split step was faster the wider each worker's
+#: share (each operation passes the interpreter lock between the threads):
+#: 1 M elements took 8.3 ms at 32 K, 6.9 ms at 48 K and 6.3 ms at 64 K.
+#: 48 K keeps the two work buffers under 1 MB.
+BLOCK = 49152
+#: Blocks per worker a step needs before it is split.  On a 2-vCPU VM a
+#: split step broke even with a serial one at 100-130 K elements and was
+#: faster from about 200 K up (262 K: 2.0-2.7 ms serial, 1.6-2.2 ms split).
+SPLIT_BLOCKS = 2
 
 
 class Adam:
@@ -25,8 +27,8 @@ class Adam:
     the parameter list order, so runs are reproducible.  The update runs in
     place, ``BLOCK`` elements at a time, through two work buffers of at most
     ``BLOCK`` elements shared by all parameters, so a step allocates no
-    parameter-sized temporary.  The update is elementwise, so a large
-    parameter splits across ``parallel.split``'s workers without moving a bit.
+    parameter-sized temporary.  The update is elementwise, so a step's
+    elements split across ``parallel.split``'s workers without moving a bit.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]], learning_rate: float = 0.001):
@@ -61,25 +63,38 @@ class Adam:
         bias1 = 1.0 - BETA1 ** self.step_count
         bias2 = 1.0 - BETA2 ** self.step_count
         fresh = self.step_count == 1
-        for name, tensor in self.params:
-            # Tensor makes ``data`` C-contiguous and nothing rebinds it, so
-            # this reshape is a view and the update lands in the weights.
-            arrays = (tensor.grad.reshape(-1), self._m[name].reshape(-1),
-                      self._v[name].reshape(-1), tensor.data.reshape(-1))
-            size = tensor.data.size
-            # a large parameter splits into one contiguous range per worker,
-            # and worker i steps its range through slice i of each work buffer
-            parts = max(1, min(parallel.WORKERS, size // (SPLIT_BLOCKS * BLOCK)))
-            width = len(self._work[0]) // parts
+        # the parameters in list order make one range of elements, cut into
+        # one contiguous part per worker; worker i steps the pieces of every
+        # parameter in its part through slice i of each work buffer
+        sizes = [t.size for _, t in self.params]
+        total = sum(sizes)
+        parts = max(1, min(parallel.WORKERS, total // (SPLIT_BLOCKS * BLOCK)))
+        width = len(self._work[0]) // parts
 
-            def run(first, last):
-                for i in range(first, last):
-                    lo, hi = size * i // parts, size * (i + 1) // parts
-                    self._update(*(a[lo:hi] for a in arrays),
-                                 *(w[i * width:(i + 1) * width] for w in self._work),
-                                 bias1, bias2, fresh)
+        def run(first, last):
+            for i in range(first, last):
+                lo, hi = total * i // parts, total * (i + 1) // parts
+                work = [w[i * width:(i + 1) * width] for w in self._work]
+                start = 0
+                for (name, tensor), size in zip(self.params, sizes):
+                    end = start + size
+                    if lo < end and start < hi:
+                        a, b = max(lo, start) - start, min(hi, end) - start
+                        # Tensor makes ``data`` C-contiguous and nothing
+                        # rebinds it, so these reshapes are views and the
+                        # update lands in the weights.
+                        arrays = (tensor.grad.reshape(-1), self._m[name].reshape(-1),
+                                  self._v[name].reshape(-1), tensor.data.reshape(-1))
+                        self._update(*(x[a:b] for x in arrays), *work, bias1, bias2, fresh)
+                        if b - a == size:
+                            # no other part reads this gradient, and freeing it
+                            # now lets the heap shrink before later moments
+                            # are first touched
+                            tensor.grad = None
+                    start = end
 
-            parallel.split(parts, run)
+        parallel.split(parts, run)
+        for _, tensor in self.params:
             tensor.grad = None
 
     def _update(self, grad, m_all, v_all, data, s_all, t_all, bias1, bias2,

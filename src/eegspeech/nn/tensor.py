@@ -8,16 +8,27 @@ class Tensor:
     core; activations flow through as plain ndarrays.  The owning layer's
     ``backward`` replaces ``grad`` with the array its op returned, and
     ``Adam.step`` then reads it, without writing to it, and sets it to
-    ``None``.  For a large parameter the initial ``np.zeros`` maps its pages
-    lazily, so a gradient that is replaced before it is read costs no memory
-    traffic.
+    ``None``.  Until ``grad`` is first set, its first read allocates a
+    writable zero array, so a tensor whose gradient is only ever replaced,
+    and a loaded model's, which is never read, hold no gradient memory.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "_grad")
 
     def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.grad = np.zeros(self.data.shape)
+
+    @property
+    def grad(self):
+        try:
+            return self._grad
+        except AttributeError:  # never set: zeros, made now
+            self._grad = np.zeros(self.data.shape)
+            return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -6,10 +6,11 @@ from there on a trial is its matrix, subject and prompt.  Then, for each
 fold of the chosen protocol: fit channel rejection on the training fold,
 build standardized network inputs, train the CNN and LSTM branches, fuse
 their penultimate features, train the autoencoder, encode, and fit the
-boosted-tree classifier.  Held-out trials are then scored by
-`evaluate_bundles`, the one path that scores a fold, whether its bundle was
-just trained or loaded from disk.  A leakage audit object checks that no
-fitting step ever sees a held-out trial index.
+boosted-tree classifier.  Held-out trials are scored by `evaluate_bundles`,
+the one path that scores a fold, whether its bundle was just trained or
+loaded from disk; its fold loop asks for one fold's bundle at a time and
+drops it before the next, so a task never holds more than one.  A leakage
+audit object checks that no fitting step ever sees a held-out trial index.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -271,35 +273,54 @@ def save_bundle(bundle: ModelBundle, root: str | os.PathLike) -> None:
     save_tensors(root / BUNDLE_ARCHIVE, tensors)
 
 
-def load_bundle(root: str | os.PathLike) -> ModelBundle:
-    """Read `save_bundle` output; any unreadable or ill-fitting file is a DataError."""
-    root = Path(root)
+@contextmanager
+def _reading(root):
+    """Turn any unreadable or ill-fitting bundle file under ``root`` into a DataError."""
     try:
-        meta = json.loads((root / "meta.json").read_text())
-        return _bundle_from(meta, load_tensors(root / BUNDLE_ARCHIVE))
+        yield
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read the bundle under {root}: {exc}") from exc
 
 
+def read_meta(root: str | os.PathLike) -> dict:
+    """The ``meta.json`` of `save_bundle` output, checked and read without
+    its archive, with ``gbt`` as a GbtConfig and its ``base_score`` moved to
+    the top level: the one parser of a bundle's meta, which `load_bundle`
+    uses.  An unreadable or ill-formed meta is a DataError."""
+    with _reading(root):
+        meta = json.loads((Path(root) / "meta.json").read_text())
+        if meta["mode"] not in (HOLDOUT, LOSO):
+            raise ValueError(f"unknown split mode {meta['mode']!r}")
+        kept = meta["kept_channels"]
+        if not (all(type(c) is int and c >= 0 for c in kept) and kept == sorted(set(kept))):
+            raise ValueError(f"kept_channels {kept!r} are not ascending channel indices")
+        dev_accuracy = meta.get("dev_accuracy")  # absent from bundles of older releases
+        if not (type(dev_accuracy) is float and 0.0 <= dev_accuracy <= 1.0):
+            raise ValueError(f"dev_accuracy {dev_accuracy!r} is not a float in [0, 1]")
+        if type(meta["input_size"]) is not int:
+            raise ValueError(f"input_size {meta['input_size']!r} is not an integer")
+        gbt_meta = dict(meta["gbt"])
+        meta["base_score"] = float(gbt_meta.pop("base_score"))
+        if set(gbt_meta) != {f.name for f in dataclasses.fields(gbt.GbtConfig)}:
+            raise ValueError(f"gbt settings {sorted(gbt_meta)} are not the GbtConfig fields")
+        meta["gbt"] = gbt.GbtConfig(**gbt_meta)
+        return meta
+
+
+def load_bundle(root: str | os.PathLike) -> ModelBundle:
+    """Read `save_bundle` output; any unreadable or ill-fitting file is a DataError."""
+    meta = read_meta(root)
+    with _reading(root):
+        return _bundle_from(meta, load_tensors(Path(root) / BUNDLE_ARCHIVE))
+
+
 def _bundle_from(meta: dict, tensors: dict) -> ModelBundle:
-    if meta["mode"] not in (HOLDOUT, LOSO):
-        raise ValueError(f"unknown split mode {meta['mode']!r}")
-    kept = meta["kept_channels"]
-    if not (all(type(c) is int and c >= 0 for c in kept) and kept == sorted(set(kept))):
-        raise ValueError(f"kept_channels {kept!r} are not ascending channel indices")
-    dev_accuracy = meta.get("dev_accuracy")  # absent from bundles of older releases
-    if not (type(dev_accuracy) is float and 0.0 <= dev_accuracy <= 1.0):
-        raise ValueError(f"dev_accuracy {dev_accuracy!r} is not a float in [0, 1]")
     # The LSTM's first input weight is (4 * units, input_size); checking it
     # first means no network is ever built at a size the archive does not hold.
     size = meta["input_size"]
-    if type(size) is not int or tensors.get("lstm.layer00.wx", np.empty(0)).shape[1:] != (size,):
+    if tensors.get("lstm.layer00.wx", np.empty(0)).shape[1:] != (size,):
         raise ValueError(f"input_size {size!r} does not match the archive")
-    gbt_meta = dict(meta["gbt"])
-    base_score = float(gbt_meta.pop("base_score"))
-    if set(gbt_meta) != {f.name for f in dataclasses.fields(gbt.GbtConfig)}:
-        raise ValueError(f"gbt settings {sorted(gbt_meta)} are not the GbtConfig fields")
-    config = gbt.GbtConfig(**gbt_meta)
+    config = meta["gbt"]
 
     def section(prefix: str) -> dict:
         return {k: v for k, v in tensors.items() if k.startswith(prefix)}
@@ -320,13 +341,13 @@ def _bundle_from(meta: dict, tensors: dict) -> ModelBundle:
              for i in range(config.n_estimators)]
     if rows:
         raise ValueError("the archive holds more trees than gbt.n_estimators")
-    ensemble = gbt.Ensemble(config=config, base_score=base_score, trees=trees)
+    ensemble = gbt.Ensemble(config=config, base_score=meta["base_score"], trees=trees)
     return ModelBundle(task_id=meta["task"], fold_name=meta["fold"], mode=meta["mode"],
                        config_fingerprint=meta["config_fingerprint"],
-                       kept_channels=tuple(kept), input_size=size, cnn=cnn, lstm=lstm,
-                       dae=dae, ensemble=ensemble,
+                       kept_channels=tuple(meta["kept_channels"]), input_size=size,
+                       cnn=cnn, lstm=lstm, dae=dae, ensemble=ensemble,
                        test_trial_ids=tuple(meta["test_trials"]),
-                       dev_accuracy=dev_accuracy)
+                       dev_accuracy=meta["dev_accuracy"])
 
 
 @dataclass
@@ -462,32 +483,62 @@ def _prepare(trials, task: Task, cfg: RunConfig, covs):
     return trials, covs, labels
 
 
+class LazyBundles:
+    """Fold bundles made one at a time, for `evaluate_bundles`' fold loop:
+    ``get(name)`` returns ``make(name)``, the fold's bundle or None, and
+    keeps no reference to it, so the loop holds one bundle at a time."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def get(self, name: str):
+        return self._make(name)
+
+
 def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids,
-             covs=None):
-    """Train every fold of one task, then score them all with `evaluate_bundles`.
+             covs=None, save=None):
+    """Train and score every fold of one task, one fold at a time.
 
     ``trials`` carry each trial's ``subject_id`` and ``prompt``: the
     container's TrialRecords, or Recordings.  ``covs`` are the trials' CCV
     matrices from `ccv_features`, computed here from the trials, which must
-    then be Recordings, when not given.  Returns (bundles by fold name, EvalReport).  Folds whose
-    training labels lack two examples of each class get no bundle;
+    then be Recordings, when not given.  `evaluate_bundles`' fold loop asks
+    for each fold's bundle in turn: the fold is trained then, its bundle is
+    handed to ``save`` when one is given, and it is scored and dropped
+    before the next fold trains.  Returns (bundles by fold name, EvalReport);
+    the dict holds every bundle, or none when ``save`` took them.  Folds
+    whose training labels lack two examples of each class are not trained;
     `evaluate_bundles` flags them as skipped, and raises TrainingError when
     every fold is.
     """
     trials, covs, labels = _prepare(trials, task, cfg, covs)
     fingerprint = cfg.fingerprint()
-    bundles = {fold.name: _train_fold(covs, labels, task, fold, cfg, plan.mode, fingerprint,
-                                      trial_ids)
-               for fold in make_splits(trials, plan) if not _skip_reason(fold, labels)}
-    return bundles, evaluate_bundles(trials, task, plan, cfg, bundles, trial_ids, covs)
+    folds = {fold.name: fold for fold in make_splits(trials, plan)}
+    kept = {}
+
+    def train(name):
+        bundle = _train_fold(covs, labels, task, folds[name], cfg, plan.mode, fingerprint,
+                             trial_ids)
+        if save is None:
+            kept[name] = bundle
+        else:
+            save(bundle)
+        return bundle
+
+    return kept, evaluate_bundles(trials, task, plan, cfg, LazyBundles(train), trial_ids,
+                                  covs)
 
 
 def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
-                     bundles: dict, trial_ids, covs=None) -> EvalReport:
+                     bundles, trial_ids, covs=None) -> EvalReport:
     """Score held-out trials with trained fold bundles and pool the folds.
 
-    ``trials`` and ``covs`` are as for `run_task`.  The split is recomputed
-    from the plan seed.  DataError is raised for a
+    ``bundles`` maps fold names to bundles through ``get``: a dict, or a
+    `LazyBundles` that trains or loads each bundle when its fold is reached.
+    A fold's bundle is only asked for when the fold can be scored, and is
+    dropped before the next one is asked for.  ``trials`` and ``covs`` are
+    as for `run_task`.  The split is recomputed from the plan seed.
+    DataError is raised for a
     bundle trained for another task or fold, for one whose stored test trials
     differ from its recomputed fold's (another seed or container), so no
     bundle ever scores a trial it was trained on, and for one that keeps
@@ -499,10 +550,11 @@ def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
     trials, covs, labels = _prepare(trials, task, cfg, covs)
     folds, predictions = [], []
     for fold in make_splits(trials, plan):
-        bundle = bundles.get(fold.name)
-        reason = _skip_reason(fold, labels) or ("no bundle for fold" if bundle is None else "")
-        if reason:
-            folds.append(FoldReport(name=fold.name, skipped=True, reason=reason,
+        reason = _skip_reason(fold, labels)
+        bundle = None if reason else bundles.get(fold.name)
+        if bundle is None:
+            folds.append(FoldReport(name=fold.name, skipped=True,
+                                    reason=reason or "no bundle for fold",
                                     n_train=len(fold.train), n_dev=len(fold.dev),
                                     n_test=len(fold.test)))
             continue
@@ -520,6 +572,7 @@ def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
             raise ConfigError(f"task {task.task_id!r} fold {fold.name!r}: the bundle was "
                               f"trained under another config fingerprint")
         report, fold_predictions = score_fold(bundle, fold, covs, labels, trials, trial_ids)
+        del bundle  # before the next fold's bundle is trained or loaded
         folds.append(report)
         predictions.extend(fold_predictions)
     scored = [f for f in folds if not f.skipped]

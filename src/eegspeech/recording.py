@@ -119,6 +119,15 @@ def bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
     return sos
 
 
+def filter_padding(spec: BandpassSpec, sample_rate_hz: float) -> int:
+    """Samples `bandpass_filter` pads each end of a trial with, SciPy's
+    ``sosfiltfilt`` default for the filter's sections: a trial needs more
+    time points than this."""
+    sos = bandpass_sos(spec, sample_rate_hz)
+    zero_edges = min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
+    return 3 * (2 * len(sos) + 1 - zero_edges)
+
+
 def bandpass_filter(rec: Recording, spec: BandpassSpec) -> Recording:
     """Zero-phase Butterworth bandpass along the time axis.
 

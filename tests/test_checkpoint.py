@@ -60,14 +60,20 @@ def test_malformed_files_raise_value_error(tmp_path):
             load_tensors(tmp_path / "bad.tensors")
 
 
-def test_file_reader_gives_each_tensor_its_own_array(tmp_path):
+def test_file_reader_gives_each_tensor_its_own_slice_of_one_block(tmp_path):
     named = {**NAMED, "empty": np.zeros((0, 3)),
              "big": np.random.default_rng(0).normal(size=(70, 90))}
     save_tensors(tmp_path / "a.tensors", named)
     loaded = load_tensors(tmp_path / "a.tensors")
     assert list(loaded) == list(named)
+    block = loaded["big"].base
+    assert all(arr.base is block for arr in loaded.values()) and block.base is None
+    assert block.nbytes <= (tmp_path / "a.tensors").stat().st_size
+    arrays = list(loaded.values())
+    for i, arr in enumerate(arrays):  # no two tensors share an element
+        assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
     for name, arr in loaded.items():
-        assert arr.dtype == np.float64 and arr.base is None, name
+        assert arr.dtype == np.float64, name
         assert arr.flags.aligned and arr.flags.writeable and arr.flags.c_contiguous, name
         assert arr.shape == named[name].shape, name
         assert arr.tobytes() == named[name].tobytes(), name

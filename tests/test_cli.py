@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 import xml.etree.ElementTree as ET
@@ -13,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegspeech import config, container, covariance, pipeline
+from eegspeech import config, container, covariance, networks, pipeline
 from eegspeech.cli import main
+from eegspeech.errors import TrainingError
 from eegspeech.nn import load_tensors
 
 FAST_SECTIONS = {
@@ -325,18 +327,70 @@ def test_crossval_releases_a_tasks_bundles_before_the_next_task(tmp_path, monkey
     cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
     cfg = _write_config(tmp_path / "run.json", tmp_path / "out", tasks=["uw", "iy"],
                         sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
-    refs, alive_at_start = [], []
-    original = pipeline.run_task
+    refs, alive_at_save = [], []
+    original = pipeline.save_bundle
 
-    def tracking(*args, **kwargs):
-        alive_at_start.append(_alive(refs))
-        bundles, report = original(*args, **kwargs)
-        refs.extend(ref for bundle in bundles.values() for ref in _model_refs(bundle))
-        return bundles, report
+    def tracking(bundle, root):
+        # each fold is saved as soon as it is trained, so every earlier fold's
+        # bundle, of this task or another, must be gone by now
+        alive_at_save.append(_alive(refs))
+        refs.extend(_model_refs(bundle))
+        original(bundle, root)
 
-    monkeypatch.setattr(pipeline, "run_task", tracking)
+    monkeypatch.setattr(pipeline, "save_bundle", tracking)
     assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
-    assert refs and alive_at_start == [0, 0]
+    assert alive_at_save == [0] * 6
+    assert _alive(refs) == 0
+
+
+def test_crossval_live_data_stays_level_across_folds_and_tasks(tmp_path, monkeypatch):
+    # a bundle of the 6x6 networks holds about 20 MB of weights, so a fold that
+    # outlived its save would lift every later fold's level by that much
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", tasks=["uw", "iy"],
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    levels = []  # live bytes after each fold's save, and when the next fold starts
+    original_save, original_train = pipeline.save_bundle, networks.train_cnn
+
+    def saving(bundle, root):
+        original_save(bundle, root)
+        levels.append(("saved", tracemalloc.get_traced_memory()[0]))
+
+    def training(*args, **kwargs):
+        levels.append(("started", tracemalloc.get_traced_memory()[0]))
+        return original_train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "save_bundle", saving)
+    monkeypatch.setattr(networks, "train_cnn", training)
+    tracemalloc.start()
+    try:
+        assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    finally:
+        tracemalloc.stop()
+    assert [kind for kind, _ in levels] == ["started", "saved"] * 6
+    for kind in ("started", "saved"):
+        live = [level for k, level in levels if k == kind]
+        assert max(abs(level - live[0]) for level in live) < 5_000_000, (kind, live)
+
+
+def test_a_task_whose_later_fold_fails_leaves_no_bundle(tmp_path, monkeypatch):
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out,
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    calls = []
+    original = networks.train_lstm
+
+    def failing_second_fold(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise TrainingError("the second fold's LSTM failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(networks, "train_lstm", failing_second_fold)
+    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 4
+    # the first fold was written when it ended; the failure took it back
+    assert [p for p in (out / "uw").rglob("*")] == []
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +417,69 @@ def test_evaluate_releases_a_tasks_bundles_before_the_next_load(tmp_path, monkey
     cfg = _write_config(tmp_path / "run.json", models, tasks=["uw", "iy"],
                         sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
     assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
-    refs = {}  # task -> weak references to its loaded bundles and models
-    earlier_alive = []
+    refs, loaded, earlier_alive = [], [], []
     original = pipeline.load_bundle
 
     def tracking(root):
-        task = Path(root).parent.parent.name
-        earlier_alive.append(_alive([r for t, rs in refs.items() if t != task for r in rs]))
+        # each fold's bundle is loaded when its fold is scored, so every
+        # earlier bundle, of this task or another, must be gone by now
+        earlier_alive.append(_alive(refs))
         bundle = original(root)
-        refs.setdefault(task, []).extend(_model_refs(bundle))
+        loaded.append((Path(root).parent.parent.name, Path(root).name))
+        refs.extend(_model_refs(bundle))
         return bundle
 
     monkeypatch.setattr(pipeline, "load_bundle", tracking)
     assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
                  "--models", str(models), "--out", str(tmp_path / "eval")]) == 0
-    assert sorted(refs) == ["iy", "uw"] and len(earlier_alive) == 6
+    assert loaded == [(task, f"subject-s0{i}") for task in ("uw", "iy") for i in range(3)]
     assert earlier_alive == [0] * 6
+    assert _alive(refs) == 0
+
+
+def test_evaluate_reads_no_archive_before_its_fold(tmp_path, monkeypatch):
+    # the split check reads every fold's meta.json; each archive is read when
+    # the fold loop reaches its fold, after the folds before it are scored
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    models = tmp_path / "models"
+    cfg = _write_config(tmp_path / "run.json", models,
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    events = []
+    original_read, original_score = pipeline.load_tensors, pipeline.score_fold
+
+    def reading(path):
+        events.append(("read", Path(path).parent.name))
+        return original_read(path)
+
+    def scoring(bundle, fold, *args):
+        events.append(("scored", fold.name))
+        return original_score(bundle, fold, *args)
+
+    monkeypatch.setattr(pipeline, "load_tensors", reading)
+    monkeypatch.setattr(pipeline, "score_fold", scoring)
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(tmp_path / "eval")]) == 0
+    assert events == [(kind, f"subject-s0{i}") for i in range(3) for kind in ("read", "scored")]
+
+
+def test_evaluate_checks_every_meta_before_it_reads_an_archive(tmp_path, monkeypatch, capsys):
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    models = tmp_path / "models"
+    cfg = _write_config(tmp_path / "run.json", models,
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    (models / "uw" / "bundles" / "subject-s01" / "meta.json").write_text("{garbled")
+
+    def no_read(path):
+        raise AssertionError(f"read {path} before every meta was checked")
+
+    monkeypatch.setattr(pipeline, "load_tensors", no_read)
+    eval_out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(eval_out)]) == 3
+    assert "subject-s01" in capsys.readouterr().err
+    assert not (eval_out / "uw" / "predictions.csv").exists()
 
 
 def test_evaluate_missing_models_exits_3(tmp_path, trained_run):

@@ -11,8 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eegspeech.nn import Adam, Tensor
+from eegspeech.nn import Adam, Tensor, optim
 from eegspeech.nn.optim import BETA1, BETA2, BLOCK, EPSILON
+
+from conftest import workers
 
 
 class _ReferenceAdam(Adam):
@@ -84,6 +86,34 @@ def test_in_place_step_matches_the_reference_bit_for_bit():
 
 def test_blocked_step_matches_the_reference_at_block_edges():
     _assert_steps_match_the_reference(BLOCK_SHAPES)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shapes", [BLOCK_SHAPES, [(BLOCK,)] * 6],
+                         ids=["cuts-inside-parameters", "cuts-on-parameter-edges"])
+def test_split_step_matches_the_reference_at_every_worker_count(monkeypatch, n, shapes):
+    # one block per worker is enough to split, so these steps cut their
+    # elements into n parts: inside parameters, or on their edges
+    monkeypatch.setattr(optim, "SPLIT_BLOCKS", 1)
+    with workers(n):
+        _assert_steps_match_the_reference(shapes)
+
+
+def test_a_fresh_gradient_is_zeros_made_on_first_read():
+    t = Tensor(np.ones((3, 4)))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        grad = t.grad
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before >= grad.nbytes
+    assert t.grad is grad and grad.shape == (3, 4) and not grad.any()
+    grad[...] = 1.0  # writable, and kept
+    assert t.grad.sum() == 12.0
+    t.grad = None
+    assert t.grad is None
 
 
 def test_work_buffers_hold_at_most_block_elements():

@@ -205,12 +205,12 @@ def _adam_run(shapes, n_workers, steps=3):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_adam_matches_one_worker_around_the_split_sizes(n, monkeypatch):
-    monkeypatch.setattr(optim, "SPLIT_BLOCKS", 2)
-    shapes = [(7,)]
-    for k in range(2, n + 1):  # the smallest parameter split k ways
+    monkeypatch.setattr(optim, "SPLIT_BLOCKS", 1)
+    for k in range(2, n + 1):  # steps of one element short of a k-way split, and over it
         edge = optim.SPLIT_BLOCKS * BLOCK * k
-        shapes += [(edge - 1,), (2, edge // 2), (edge + 5 * n + 1, 1)]
-    assert _adam_run(shapes, n) == _adam_run(shapes, 1)
+        for total in (edge - 1, edge, edge + 5 * n + 1):
+            shapes = [(7,), (2, total // 4), (total - 7 - 2 * (total // 4), 1)]
+            assert _adam_run(shapes, n) == _adam_run(shapes, 1), (k, total)
 
 
 # --- the feature pass --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,29 @@ def test_loading_a_bundle_draws_nothing_and_copies_nothing(tmp_path, small_run, 
         for name, tensor in getattr(loaded, prefix).net.parameters():
             assert tensor.data is read[f"{prefix}.{name}"], (prefix, name)
     assert loaded.dae.mean is read["dae.standardize.mean"]
+
+
+def test_loading_a_bundle_allocates_no_gradient(tmp_path, small_run):
+    *_, bundles, _ = small_run
+    pipeline.save_bundle(bundles["holdout"], tmp_path / "b")
+    weights = (tmp_path / "b" / pipeline.BUNDLE_ARCHIVE).stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = pipeline.load_bundle(tmp_path / "b")
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a zero gradient per parameter would double the archive's weights
+    assert live < 1.1 * weights
+    assert loaded.predict_proba(np.zeros((2, 6, 6))).shape == (2,)
+
+
+def test_run_task_hands_each_bundle_to_save_and_keeps_none(small_run):
+    recs, ids, cfg, task, plan, _, report = small_run
+    saved = []
+    kept, again = pipeline.run_task(recs, task, plan, cfg, trial_ids=ids, save=saved.append)
+    assert kept == {} and [b.fold_name for b in saved] == ["holdout"]
+    assert pipeline.report_to_dict(again) == pipeline.report_to_dict(report)
 
 
 def test_bundle_preserves_unsigned_fold_seed(tmp_path, small_run):

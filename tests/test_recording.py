@@ -8,6 +8,7 @@ from eegspeech.recording import (
     BandpassSpec,
     Recording,
     bandpass_filter,
+    filter_padding,
     subtract_channel_means,
 )
 
@@ -185,6 +186,16 @@ class TestBandpassFilter:
         out = bandpass_filter(rec, BandpassSpec())
         assert out.samples.shape == rec.samples.shape
         assert out.channel_names == rec.channel_names
+
+    @pytest.mark.parametrize("spec, rate", [(BandpassSpec(), 128.0),
+                                            (BandpassSpec(low_hz=0.0), 128.0),
+                                            (BandpassSpec(order=3), 1000.0),
+                                            (BandpassSpec(low_hz=0.0, order=5), 256.0)])
+    def test_a_trial_needs_more_time_points_than_the_padding(self, spec, rate):
+        padding = filter_padding(spec, rate)
+        bandpass_filter(make(np.ones((2, padding + 1)), rate=rate), spec)
+        with pytest.raises(ValueError, match=f"padlen, which is {padding}"):
+            bandpass_filter(make(np.ones((2, padding)), rate=rate), spec)
 
     def test_commutes_with_channel_permutation(self, rng):
         rec = random_recording(rng, n_channels=4, n_times=128)

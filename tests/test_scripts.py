@@ -2,8 +2,10 @@
 command sequence as `synthetic_end_to_end.py` runs it (synth, featurize,
 train, evaluate and plot through the public CLI), and the per-layer benchmark
 `bench_layers.py` at a small input size, with its boosted trees at their
-reference shape and its bundle load at that small size."""
+reference shape and its bundle load at that small size, and the per-verb
+figures of `verb_rusage.py` on a small copy of a benchmark workload."""
 
+import dataclasses
 import json
 import os
 import runpy
@@ -83,3 +85,25 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     assert load["archive_mb"] > 8 * load["params"] / 2**20
     assert load["first_s"] > 0 and load["warm_s"] > 0 and load["peak_rss_mb"] > 0
     assert len(load["warm_runs"]) == 1
+
+
+VERB_RUSAGE = Path(__file__).resolve().parents[1] / "scripts" / "verb_rusage.py"
+
+
+def test_verb_rusage_reports_each_verb(tmp_path):
+    script = runpy.run_path(str(VERB_RUSAGE))
+    small = dataclasses.replace(
+        script["WORKLOADS"]["noise_trees"],
+        synth={"n_trials": 24, "n_channels": 6, "n_subjects": 2, "n_times": 64},
+        config={"tasks": ["uw"], "covariance": {"input_size": 6},
+                **{net: {"epochs": 0} for net in ("cnn", "lstm", "dae")},
+                "gbt": {"n_estimators": 2}})
+    result = script["run_verbs"](small, 3, tmp_path)
+    assert list(result) == ["synth", "crossval", "evaluate"]
+    for figures in result.values():
+        assert set(figures) == set(script["FIELDS"])
+        assert figures["wall_s"] > 0 and figures["minflt"] >= 0
+        assert figures["utime_s"] >= 0 and figures["stime_s"] >= 0
+        assert figures["peak_rss_mb"] > 0
+    assert (tmp_path / "replay" / "uw" / "predictions.csv").read_bytes() == \
+           (tmp_path / "out" / "uw" / "predictions.csv").read_bytes()

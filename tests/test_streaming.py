@@ -152,6 +152,28 @@ def test_a_nan_trial_exits_3_before_any_output(nan_corpus, tmp_path, capsys, ver
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def short_corpus(tmp_path_factory):
+    """Twelve trials at 128 Hz; the sixth has 10 time points, fewer than the
+    default band's filter pads each end with (27)."""
+    rng = np.random.default_rng(9)
+    trials = [(f"t{i:02d}", f"s{i % 3}", ("/uw/", "/iy/")[i % 2],
+               rng.normal(size=(4, 10 if i == 5 else 64))) for i in range(12)]
+    root = tmp_path_factory.mktemp("short") / "data"
+    container.write_container(root, "short", 128.0, [f"ch{c}" for c in range(4)], trials)
+    return root
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_a_trial_shorter_than_the_filter_padding_exits_3_before_any_output(
+        short_corpus, tmp_path, capsys, verb):
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out")
+    assert main(_argv(verb, cfg, short_corpus, tmp_path / "out", tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "trial 't05': 10 time points" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("verb", VERBS)
 def test_a_bad_band_exits_2_even_beside_a_bad_trial(nan_corpus, tmp_path, capsys, verb):
     # the band is checked against the container's rate before any trial is read
