@@ -271,11 +271,13 @@ def cmd_evaluate(args) -> int:
         plan = pipeline.SplitPlan(mode=modes[0], seed=cfg.seed)
         _progress(f"evaluate: task {task.task_id} with {len(folds)} fold bundle(s)")
         stored = {p.name: p for p in folds}
-        bundles = pipeline.LazyBundles(
-            lambda name: pipeline.load_bundle(stored[name]) if name in stored else None)
+
+        def bundle_for(fold):
+            return pipeline.load_bundle(stored[fold.name]) if fold.name in stored else None
+
         return pipeline.evaluate_bundles(trials, task, plan,
                                          dataclasses.replace(cfg, split_mode=modes[0]),
-                                         bundles, trial_ids=ids, covs=covs)
+                                         bundle_for, trial_ids=ids, covs=covs)
 
     _score_tasks(args, cfg, evaluate_task, record_config=False)
     return EXIT_OK

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import jsonschema
@@ -184,20 +184,14 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(
                 f"config key task_table/{task}: positive set must be a strict subset of prompts")
     try:
-        return RunConfig(
-            seed=raw["seed"],
-            tasks=tuple(raw["tasks"]),
-            output_dir=raw.get("output_dir", "out"),
-            split_mode=raw.get("split", {}).get("mode"),
-            # each section's keys are the fields of its settings type
-            preprocessing=BandpassSpec(**raw.get("preprocessing", {})),
-            covariance=CovarianceSettings(**raw.get("covariance", {})),
-            cnn=NetworkHyper(**{"epochs": 50, **raw.get("cnn", {})}),
-            lstm=NetworkHyper(**{"epochs": 50, **raw.get("lstm", {})}),
-            dae=NetworkHyper(**{"epochs": 200, **raw.get("dae", {})}),
-            gbt=GbtConfig(**raw.get("gbt", {})),
-            task_table=table,
-        )
+        base = RunConfig(seed=raw["seed"], tasks=tuple(raw["tasks"]))
+        # each section's keys are the fields of its settings type, and
+        # replace checks the merged section as its constructor would
+        sections = {name: replace(getattr(base, name), **raw.get(name, {}))
+                    for name in ("preprocessing", "covariance", "cnn", "lstm", "dae", "gbt")}
+        return replace(base, output_dir=raw.get("output_dir", base.output_dir),
+                       split_mode=raw.get("split", {}).get("mode"), task_table=table,
+                       **sections)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -10,6 +10,7 @@ DataError naming the offending trial.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,6 +127,9 @@ def read_container(root: str | os.PathLike) -> TrialContainer:
         raw_trials = list(manifest["trials"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"manifest field error: {exc}") from exc
+    if not 0.0 < rate < math.inf:
+        raise DataError(f"manifest {manifest_path}: sample_rate_hz {rate!r} is not a "
+                        f"finite positive rate")
     if not channel_names:
         raise DataError("manifest lists no channels")
     data_path = root / DATA_NAME

@@ -227,9 +227,6 @@ class Ensemble:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(x))
 
-    def predict_class(self, x: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(x) >= 0.5).astype(np.int64)
-
 
 def fit(x, y, config: GbtConfig) -> Ensemble:
     """Boost `config.n_estimators` trees on binary labels."""

@@ -8,9 +8,10 @@ build standardized network inputs, train the CNN and LSTM branches, fuse
 their penultimate features, train the autoencoder, encode, and fit the
 boosted-tree classifier.  Held-out trials are scored by `evaluate_bundles`,
 the one path that scores a fold, whether its bundle was just trained or
-loaded from disk; its fold loop asks for one fold's bundle at a time and
-drops it before the next, so a task never holds more than one.  A leakage
-audit object checks that no fitting step ever sees a held-out trial index.
+loaded from disk: its fold loop calls a function of the fold for that
+fold's bundle, one fold at a time, and drops the bundle before the next
+call, so a task never holds more than one.  A leakage audit object checks
+that no fitting step ever sees a held-out trial index.
 """
 
 from __future__ import annotations
@@ -483,18 +484,6 @@ def _prepare(trials, task: Task, cfg: RunConfig, covs):
     return trials, covs, labels
 
 
-class LazyBundles:
-    """Fold bundles made one at a time, for `evaluate_bundles`' fold loop:
-    ``get(name)`` returns ``make(name)``, the fold's bundle or None, and
-    keeps no reference to it, so the loop holds one bundle at a time."""
-
-    def __init__(self, make):
-        self._make = make
-
-    def get(self, name: str):
-        return self._make(name)
-
-
 def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids,
              covs=None, save=None):
     """Train and score every fold of one task, one fold at a time.
@@ -502,56 +491,53 @@ def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids,
     ``trials`` carry each trial's ``subject_id`` and ``prompt``: the
     container's TrialRecords, or Recordings.  ``covs`` are the trials' CCV
     matrices from `ccv_features`, computed here from the trials, which must
-    then be Recordings, when not given.  `evaluate_bundles`' fold loop asks
-    for each fold's bundle in turn: the fold is trained then, its bundle is
-    handed to ``save`` when one is given, and it is scored and dropped
-    before the next fold trains.  Returns (bundles by fold name, EvalReport);
-    the dict holds every bundle, or none when ``save`` took them.  Folds
-    whose training labels lack two examples of each class are not trained;
-    `evaluate_bundles` flags them as skipped, and raises TrainingError when
-    every fold is.
+    then be Recordings, when not given.  `evaluate_bundles`' fold loop calls
+    the training function with each fold in turn: the fold is trained then,
+    its bundle is handed to ``save`` when one is given, and it is scored and
+    dropped before the next fold trains.  Returns (bundles by fold name,
+    EvalReport); the dict holds every bundle, or none when ``save`` took
+    them.  Folds whose training labels lack two examples of each class are
+    not trained; `evaluate_bundles` flags them as skipped, and raises
+    TrainingError when every fold is.
     """
     trials, covs, labels = _prepare(trials, task, cfg, covs)
     fingerprint = cfg.fingerprint()
-    folds = {fold.name: fold for fold in make_splits(trials, plan)}
     kept = {}
 
-    def train(name):
-        bundle = _train_fold(covs, labels, task, folds[name], cfg, plan.mode, fingerprint,
-                             trial_ids)
+    def train(fold: Fold) -> ModelBundle:
+        bundle = _train_fold(covs, labels, task, fold, cfg, plan.mode, fingerprint, trial_ids)
         if save is None:
-            kept[name] = bundle
+            kept[fold.name] = bundle
         else:
             save(bundle)
         return bundle
 
-    return kept, evaluate_bundles(trials, task, plan, cfg, LazyBundles(train), trial_ids,
-                                  covs)
+    return kept, evaluate_bundles(trials, task, plan, cfg, train, trial_ids, covs)
 
 
 def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
-                     bundles, trial_ids, covs=None) -> EvalReport:
+                     bundle_for, trial_ids, covs=None) -> EvalReport:
     """Score held-out trials with trained fold bundles and pool the folds.
 
-    ``bundles`` maps fold names to bundles through ``get``: a dict, or a
-    `LazyBundles` that trains or loads each bundle when its fold is reached.
-    A fold's bundle is only asked for when the fold can be scored, and is
-    dropped before the next one is asked for.  ``trials`` and ``covs`` are
-    as for `run_task`.  The split is recomputed from the plan seed.
-    DataError is raised for a
-    bundle trained for another task or fold, for one whose stored test trials
-    differ from its recomputed fold's (another seed or container), so no
-    bundle ever scores a trial it was trained on, and for one that keeps
-    channels the container lacks; another config's bundle raises ConfigError.
-    Folds that `run_task` skips, and folds without a bundle, are flagged as
-    skipped, the former with `run_task`'s reason; if every fold is skipped
-    the task cannot be scored and a TrainingError is raised.
+    The split is recomputed from the plan seed.  ``bundle_for(fold)`` is
+    called with each `Fold` that can be scored, once and in fold order, and
+    returns its bundle, trained or loaded then, or None when there is none;
+    the bundle is dropped before the next call.  ``trials`` and ``covs`` are
+    as for `run_task`.  DataError is raised for a bundle trained for another
+    task or fold, for one whose stored test trials differ from its
+    recomputed fold's (another seed or container), so no bundle ever scores
+    a trial it was trained on, and for one that keeps channels the container
+    lacks; another config's bundle raises ConfigError.  Folds that
+    `run_task` skips, and folds without a bundle, are flagged as skipped,
+    the former with `run_task`'s reason; if every fold is skipped the task
+    cannot be scored and a TrainingError is raised.
     """
     trials, covs, labels = _prepare(trials, task, cfg, covs)
+    fingerprint = cfg.fingerprint()
     folds, predictions = [], []
     for fold in make_splits(trials, plan):
         reason = _skip_reason(fold, labels)
-        bundle = None if reason else bundles.get(fold.name)
+        bundle = None if reason else bundle_for(fold)
         if bundle is None:
             folds.append(FoldReport(name=fold.name, skipped=True,
                                     reason=reason or "no bundle for fold",
@@ -568,7 +554,7 @@ def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
         if any(c >= covs[0].k for c in bundle.kept_channels):
             raise DataError(f"task {task.task_id!r} fold {fold.name!r}: the bundle keeps "
                             f"channels the container's {covs[0].k} do not include")
-        if bundle.config_fingerprint != cfg.fingerprint():
+        if bundle.config_fingerprint != fingerprint:
             raise ConfigError(f"task {task.task_id!r} fold {fold.name!r}: the bundle was "
                               f"trained under another config fingerprint")
         report, fold_predictions = score_fold(bundle, fold, covs, labels, trials, trial_ids)
@@ -584,7 +570,7 @@ def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
         pooled += f.confusion
     kappa = metrics.cohen_kappa(pooled)
     return EvalReport(task_id=task.task_id, mode=plan.mode, seed=cfg.seed,
-                      config_fingerprint=cfg.fingerprint(), folds=folds, confusion=pooled,
+                      config_fingerprint=fingerprint, folds=folds, confusion=pooled,
                       accuracy=metrics.accuracy(pooled), kappa=kappa.value,
                       kappa_degenerate=kappa.degenerate, predictions=predictions)
 

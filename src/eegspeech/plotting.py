@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from html import escape  # xml.sax.saxutils would import ssl and http.client
 
 from .nn.checkpoint import write_bytes_atomic, write_csv_atomic
 
@@ -79,7 +80,7 @@ def render_task_bars(entries: list[TaskMetrics]) -> str:
                 f'class="value-{label}">{_fmt(value)}</text>')
         parts.append(
             f'<text x="{x0}" y="{base_y + 18}" fill="#222222" class="task">'
-            f'{entry.task}</text>')
+            f'{escape(entry.task, quote=False)}</text>')
     parts.append(
         f'<text x="{_MARGIN_L}" y="{base_y + 36}" fill="#666666">'
         f'accuracy ({_ACC_FILL}) / kappa ({_KAPPA_FILL})</text>')

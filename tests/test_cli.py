@@ -170,6 +170,26 @@ def test_featurize_corrupt_container_exits_3(tmp_path):
     assert main(["featurize", "--config", str(cfg), "--container", str(cont)]) == 3
 
 
+@pytest.mark.parametrize("rate", [0.0, -128.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("verb", ["featurize", "train", "crossval", "evaluate"])
+def test_a_sample_rate_that_is_not_finite_and_positive_exits_3(tmp_path, capsys, verb, rate):
+    cont = _make_container(tmp_path / "data", n_trials=12)
+    manifest = json.loads((cont / "manifest.json").read_text())
+    manifest["sample_rate_hz"] = rate  # json writes NaN and Infinity, and reads them back
+    (cont / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out, sections=ZERO_SECTIONS)
+    models = tmp_path / "models"
+    models.mkdir()
+    argv = [verb, "--config", str(cfg), "--container", str(cont)]
+    if verb == "evaluate":
+        argv += ["--models", str(models)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert f"manifest {cont / 'manifest.json'}: sample_rate_hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_featurize_non_finite_samples_exit_3(tmp_path):
     samples = np.ones((4, 64), dtype=np.float32)
     samples[2, 10] = np.nan

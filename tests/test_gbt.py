@@ -172,7 +172,7 @@ def test_fit_separates_one_dimensional_classes():
     x = np.concatenate([rng.uniform(0, 1, 20), rng.uniform(2, 3, 20)])[:, None]
     y = np.array([0] * 20 + [1] * 20)
     model = gbt.fit(x, y, _cfg(n_estimators=50, learning_rate=0.3))
-    assert np.array_equal(model.predict_class(x), y)
+    assert np.array_equal(model.predict_proba(x) >= 0.5, y)
 
 
 def test_fit_nonlinear_xor():
@@ -180,7 +180,7 @@ def test_fit_nonlinear_xor():
     x = rng.uniform(-1, 1, size=(80, 2))
     y = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(int)
     model = gbt.fit(x, y, _cfg(n_estimators=40, max_depth=3, learning_rate=0.4))
-    assert (model.predict_class(x) == y).mean() >= 0.95
+    assert ((model.predict_proba(x) >= 0.5) == y).mean() >= 0.95
 
 
 def test_zero_estimators_predicts_prior():
@@ -277,7 +277,8 @@ def test_hand_traced_two_tree_ensemble():
 
 def test_predict_class_threshold():
     model = gbt.Ensemble(config=_cfg(), base_score=0.0, trees=[])
-    assert model.predict_class(np.zeros((1, 1)))[0] == 1  # sigmoid(0) = 0.5 rounds up
+    # sigmoid(0) is exactly 0.5, which the pipeline's p >= 0.5 takes to class 1
+    assert model.predict_proba(np.zeros((1, 1)))[0] == 0.5
 
 
 # ---------------------------------------------------------------------------

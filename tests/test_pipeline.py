@@ -273,7 +273,8 @@ def test_bundle_round_trip_reproduces_predictions(tmp_path, small_run):
     assert loaded.kept_channels == bundle.kept_channels
     assert loaded.config_fingerprint == bundle.config_fingerprint
     replayed = pipeline.evaluate_bundles(recs, task, plan, cfg,
-                                         {"holdout": loaded}, trial_ids=ids)
+                                         lambda fold: {"holdout": loaded}.get(fold.name),
+                                         trial_ids=ids)
     assert replayed.accuracy == report.accuracy
     assert [p.probability for p in replayed.predictions] == \
            [p.probability for p in report.predictions]
@@ -319,6 +320,20 @@ def test_loading_a_bundle_allocates_no_gradient(tmp_path, small_run):
     assert loaded.predict_proba(np.zeros((2, 6, 6))).shape == (2,)
 
 
+def test_run_task_splits_the_trials_once(small_run, monkeypatch):
+    recs, ids, cfg, task, plan, _, report = small_run
+    calls, split = [], pipeline.make_splits
+
+    def counted(trials, plan):
+        calls.append(plan)
+        return split(trials, plan)
+
+    monkeypatch.setattr(pipeline, "make_splits", counted)
+    _, again = pipeline.run_task(recs, task, plan, cfg, trial_ids=ids)
+    assert calls == [plan]
+    assert pipeline.report_to_dict(again) == pipeline.report_to_dict(report)
+
+
 def test_run_task_hands_each_bundle_to_save_and_keeps_none(small_run):
     recs, ids, cfg, task, plan, _, report = small_run
     saved = []
@@ -341,7 +356,8 @@ def test_evaluate_bundles_refuses_channels_the_container_lacks(tmp_path, small_r
     recs, ids, cfg, task, plan, bundles, _ = small_run
     wide = dataclasses.replace(bundles["holdout"], kept_channels=(0, 6))
     with pytest.raises(DataError, match="keeps channels"):
-        pipeline.evaluate_bundles(recs, task, plan, cfg, {"holdout": wide}, trial_ids=ids)
+        pipeline.evaluate_bundles(recs, task, plan, cfg,
+                                  lambda fold: {"holdout": wide}.get(fold.name), trial_ids=ids)
 
 
 @pytest.mark.parametrize("key, value", [("task_id", "nasal"), ("fold_name", "subject-s01")])
@@ -350,20 +366,22 @@ def test_evaluate_bundles_refuses_another_tasks_or_folds_bundle(small_run, key, 
     recs, ids, cfg, task, plan, bundles, _ = small_run
     other = dataclasses.replace(bundles["holdout"], **{key: value})
     with pytest.raises(DataError, match=value):
-        pipeline.evaluate_bundles(recs, task, plan, cfg, {"holdout": other}, trial_ids=ids)
+        pipeline.evaluate_bundles(recs, task, plan, cfg,
+                                  lambda fold: {"holdout": other}.get(fold.name), trial_ids=ids)
 
 
 def test_evaluate_bundles_refuses_another_config(small_run):
     recs, ids, cfg, task, plan, bundles, _ = small_run
     other = dataclasses.replace(cfg, gbt=dataclasses.replace(cfg.gbt, n_estimators=31))
     with pytest.raises(ConfigError, match="another config"):
-        pipeline.evaluate_bundles(recs, task, plan, other, bundles, trial_ids=ids)
+        pipeline.evaluate_bundles(recs, task, plan, other,
+                                  lambda fold: bundles.get(fold.name), trial_ids=ids)
 
 
 def test_evaluate_bundles_without_bundles_cannot_score(small_run):
     recs, ids, cfg, task, plan, *_ = small_run
     with pytest.raises(TrainingError, match="no bundle"):
-        pipeline.evaluate_bundles(recs, task, plan, cfg, {}, trial_ids=ids)
+        pipeline.evaluate_bundles(recs, task, plan, cfg, lambda fold: None, trial_ids=ids)
 
 
 def test_evaluate_replays_a_skipped_fold_with_its_reason():
@@ -380,8 +398,17 @@ def test_evaluate_replays_a_skipped_fold_with_its_reason():
     bundles, report = pipeline.run_task(recs, task, plan, cfg, trial_ids=ids)
     assert report.skipped_folds == ["subject-s00"]
     assert report.folds[0].reason == "single-class training labels"
-    replayed = pipeline.evaluate_bundles(recs, task, plan, cfg, bundles, trial_ids=ids)
+    asked = []
+
+    def bundle_for(fold):
+        asked.append(fold.name)
+        return bundles.get(fold.name)
+
+    replayed = pipeline.evaluate_bundles(recs, task, plan, cfg, bundle_for, trial_ids=ids)
     assert pipeline.report_to_dict(replayed) == pipeline.report_to_dict(report)
+    # each scorable fold is asked for once, in fold order, by training and replay alike
+    scorable = [f.name for f in report.folds if not f.skipped]
+    assert len(scorable) == 2 and asked == list(bundles) == scorable
 
 
 def test_single_class_task_raises_training_error():

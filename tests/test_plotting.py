@@ -34,6 +34,13 @@ def test_render_parses_and_prints_two_decimals():
     assert [t.text for t in texts if t.get("class") == "task"] == ["uw", "iy"]
 
 
+def test_render_escapes_markup_in_task_names():
+    entries = [plotting.TaskMetrics(task="a<b&c>d", accuracy=0.5, kappa=0.0)]
+    root = ET.fromstring(plotting.render_task_bars(entries))
+    assert [t.text for t in root.findall(".//{*}text") if t.get("class") == "task"] == \
+        ["a<b&c>d"]
+
+
 def test_negative_kappa_bar_is_clipped_to_zero():
     entries = [plotting.TaskMetrics(task="uw", accuracy=0.5, kappa=-0.4)]
     root = ET.fromstring(plotting.render_task_bars(entries))
