@@ -8,8 +8,9 @@ column sample 0.4).  The verb picks the split (`train` the shuffled holdout,
 `crossval` leave-one-subject-out); `split.mode` has no default and, when set,
 must name the verb's split.  What cannot change a result is not a key: the
 covariance is always taken at lag 0, the LSTM reads matrix rows (the
-matrices are symmetric), and each fold seeds its trees from the run seed.  Unknown keys are rejected so typos fail loudly,
-and every validation error names the offending key path.
+matrices are symmetric), and each fold seeds its trees from the run seed.
+Unknown keys are rejected so typos fail loudly, and every validation error
+names the offending key path.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import jsonschema
 from .errors import ConfigError
 from .gbt import GbtConfig
 from .networks import NetworkHyper
-from .recording import PROMPTS, BandpassSpec
+from .recording import PROMPTS, BandpassSpec, check_positives
 
 TASK_IDS = ("bilabial", "nasal", "cv", "uw", "iy")
 SPLIT_MODES = ("random_holdout", "leave_one_subject_out")
@@ -106,12 +107,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                task: {
-                    "type": "array",
-                    "items": {"enum": list(PROMPTS)},
-                    "minItems": 1,
-                    "uniqueItems": True,
-                }
+                # `check_positives` owns which prompts a task may list
+                task: {"type": "array", "items": {"type": "string"}, "uniqueItems": True}
                 for task in TASK_IDS
             },
         },
@@ -180,9 +177,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     table_raw = raw.get("task_table", {})
     table = {task: tuple(table_raw.get(task, DEFAULT_TASK_TABLE[task])) for task in TASK_IDS}
     for task, positives in table.items():
-        if set(positives) == set(PROMPTS):
-            raise ConfigError(
-                f"config key task_table/{task}: positive set must be a strict subset of prompts")
+        try:
+            check_positives(positives)
+        except ValueError as exc:
+            raise ConfigError(f"config key task_table/{task}: {exc}") from exc
     try:
         base = RunConfig(seed=raw["seed"], tasks=tuple(raw["tasks"]))
         # each section's keys are the fields of its settings type, and

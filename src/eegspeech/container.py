@@ -10,7 +10,6 @@ DataError naming the offending trial.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .nn.checkpoint import write_bytes_atomic, write_json_atomic
-from .recording import PROMPTS, Recording
+from .recording import Recording, check_prompt, check_sample_rate
 
 MANIFEST_NAME = "manifest.json"
 DATA_NAME = "data.bin"
@@ -61,10 +60,16 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
     """Write a container directory.
 
     `trials` is an iterable of (trial_id, subject_id, prompt, samples) where
-    samples is a channels x times float array; storage is float32.
+    samples is a channels x times float array; storage is float32.  A rate
+    or a prompt that the readers refuse is a DataError, and no file is written.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    try:
+        rate = float(sample_rate_hz)
+        check_sample_rate(rate)
+    except ValueError as exc:
+        raise DataError(f"container {root}: {exc}") from exc
     channel_names = tuple(str(c) for c in channel_names)
     n_channels = len(channel_names)
     records = []
@@ -76,11 +81,14 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
         if trial_id in seen:
             raise DataError(f"duplicate trial id {trial_id!r}")
         seen.add(trial_id)
-        # float32 samples are written from the caller's array, without a copy
-        arr = np.ascontiguousarray(samples, dtype="<f4")
-        if arr.ndim != 2 or arr.shape[0] != n_channels:
-            raise DataError(
-                f"trial {trial_id!r}: expected {n_channels} channels, got shape {arr.shape}")
+        try:
+            check_prompt(prompt)
+            # float32 samples are written from the caller's array, without a copy
+            arr = np.ascontiguousarray(samples, dtype="<f4")
+            if arr.ndim != 2 or arr.shape[0] != n_channels:
+                raise ValueError(f"expected {n_channels} channels, got shape {arr.shape}")
+        except ValueError as exc:
+            raise DataError(f"trial {trial_id!r}: {exc}") from exc
         records.append(TrialRecord(trial_id=trial_id, subject_id=str(subject_id),
                                    prompt=str(prompt), offset=offset, length=arr.nbytes))
         arrays.append(arr)
@@ -90,7 +98,7 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
     manifest = {
         "format": _FORMAT,
         "name": str(name),
-        "sample_rate_hz": float(sample_rate_hz),
+        "sample_rate_hz": rate,
         "channel_names": list(channel_names),
         "trials": [
             {"trial_id": r.trial_id, "subject_id": r.subject_id, "prompt": r.prompt,
@@ -100,7 +108,7 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
     }
     write_bytes_atomic(root / DATA_NAME, *(arr.data for arr in arrays))
     write_json_atomic(root / MANIFEST_NAME, manifest)
-    return TrialContainer(name=str(name), sample_rate_hz=float(sample_rate_hz),
+    return TrialContainer(name=str(name), sample_rate_hz=rate,
                           channel_names=channel_names, trials=tuple(records), root=root)
 
 
@@ -127,9 +135,10 @@ def read_container(root: str | os.PathLike) -> TrialContainer:
         raw_trials = list(manifest["trials"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"manifest field error: {exc}") from exc
-    if not 0.0 < rate < math.inf:
-        raise DataError(f"manifest {manifest_path}: sample_rate_hz {rate!r} is not a "
-                        f"finite positive rate")
+    try:
+        check_sample_rate(rate)
+    except ValueError as exc:
+        raise DataError(f"manifest {manifest_path}: {exc}") from exc
     if not channel_names:
         raise DataError("manifest lists no channels")
     data_path = root / DATA_NAME
@@ -181,9 +190,8 @@ def load_samples(container: TrialContainer, record: TrialRecord) -> np.ndarray:
 
 def load_recording(container: TrialContainer, record: TrialRecord) -> Recording:
     """One trial as a Recording; samples the Recording rejects (NaN or Inf
-    amplitudes, too few channels or time points) raise DataError."""
-    if record.prompt not in PROMPTS:
-        raise DataError(f"trial {record.trial_id!r}: unknown prompt {record.prompt!r}")
+    amplitudes, too few channels or time points, an unknown prompt) raise
+    DataError."""
     samples = load_samples(container, record)
     try:
         return Recording(subject_id=record.subject_id, prompt=record.prompt,

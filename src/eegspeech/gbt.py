@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from . import rng as rng_mod
 from .nn.ops import sigmoid
 
@@ -236,13 +237,9 @@ def fit(x, y, config: GbtConfig) -> Ensemble:
         raise ValueError("x must be 2-D (rows x features)")
     if y.shape != (len(x),):
         raise ValueError("y must be a flat vector matching x rows")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be binary (0/1)")
-    counts = np.bincount(y.astype(np.int64), minlength=2)
-    if counts.min() == 0:
-        raise ValueError("single-class labels: both classes must be present")
-    if counts.min() < 2:
-        raise ValueError("need at least 2 examples per class")
+    problem = metrics.label_problem(y)
+    if problem:
+        raise ValueError(problem)
     n, n_features = x.shape
     prior = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     base_score = float(np.log(prior / (1.0 - prior)))

@@ -7,6 +7,23 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def label_problem(labels) -> str:
+    """Why ``labels`` cannot train a binary classifier, or "" when they are a
+    flat 0/1 vector with at least 2 examples of each class.  The two
+    class-count problems are the skip reasons a report gives for a fold."""
+    y = np.asarray(labels)
+    if y.ndim != 1:
+        return "labels must be a flat vector"
+    if not np.isin(y, (0, 1)).all():
+        return "labels must be binary (0/1)"
+    counts = np.bincount(y.astype(np.int64), minlength=2)
+    if counts.min() == 0:
+        return "single-class training labels"
+    if counts.min() < 2:
+        return "fewer than 2 training examples per class"
+    return ""
+
+
 def confusion_matrix(truth, predicted) -> np.ndarray:
     """2x2 counts indexed [truth][predicted]."""
     y = np.asarray(truth, dtype=np.int64)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from . import rng as rng_mod
 from .nn import Adam, LayerSpec, Network, infer_shapes, initial_state
 from .nn import ops
@@ -153,20 +154,6 @@ def _eval_rows(model: Model, rows, stop: int | None = None) -> np.ndarray:
                            for i in range(0, len(x), EVAL_CHUNK)])
 
 
-def _check_labels(labels) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.int64)
-    if y.ndim != 1:
-        raise ValueError("labels must be a flat vector")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be binary (0/1)")
-    counts = np.bincount(y, minlength=2)
-    if counts.min() == 0:
-        raise ValueError("single-class input: both classes must be present")
-    if counts.min() < 2:
-        raise ValueError("need at least 2 examples per class")
-    return y
-
-
 def _fit(model: Model, x: np.ndarray, targets: np.ndarray, hyper: NetworkHyper,
          seed: int, name: str) -> None:
     """Minibatch Adam on standardised rows, appending one EpochStats per epoch.
@@ -253,7 +240,10 @@ def _train_branch(build, name: str, inputs, labels, hyper: NetworkHyper, seed: i
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise ValueError(f"inputs must be square matrices, got shape {x.shape[1:]}")
-    y = _check_labels(labels)
+    problem = metrics.label_problem(labels)
+    if problem:
+        raise ValueError(problem)
+    y = np.asarray(labels, dtype=np.int64)
     if len(x) != len(y):
         raise ValueError("inputs and labels disagree in length")
     model = build(x.shape[1], seed=seed)

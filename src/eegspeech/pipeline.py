@@ -27,15 +27,14 @@ import numpy as np
 
 from . import covariance, gbt, metrics, networks, parallel
 from . import rng as rng_mod
-from .config import RunConfig
+from .config import SPLIT_MODES, RunConfig
 from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn import load_tensors, save_tensors
 from .nn.checkpoint import write_csv_atomic, write_json_atomic
-from .recording import (PROMPTS, Recording, bandpass_filter, bandpass_sos,
-                        subtract_channel_means)
+from .recording import (Recording, bandpass_filter, bandpass_sos, check_positives,
+                        check_prompt, subtract_channel_means)
 
-HOLDOUT = "random_holdout"
-LOSO = "leave_one_subject_out"
+HOLDOUT, LOSO = SPLIT_MODES
 
 BUNDLE_ARCHIVE = "model.tensors"
 
@@ -52,15 +51,7 @@ class Task:
     positives: tuple[str, ...]
 
     def __post_init__(self):
-        positives = tuple(self.positives)
-        if not positives:
-            raise ValueError("task needs a non-empty positive prompt set")
-        unknown = set(positives) - set(PROMPTS)
-        if unknown:
-            raise ValueError(f"unknown prompts in task table: {sorted(unknown)}")
-        if set(positives) == set(PROMPTS):
-            raise ValueError("positive set must be a strict subset of the prompts")
-        object.__setattr__(self, "positives", positives)
+        object.__setattr__(self, "positives", check_positives(self.positives))
 
 
 def task_from_config(cfg: RunConfig, task_id: str) -> Task:
@@ -68,8 +59,7 @@ def task_from_config(cfg: RunConfig, task_id: str) -> Task:
 
 
 def derive_label(prompt: str, task: Task) -> int:
-    if prompt not in PROMPTS:
-        raise ValueError(f"unknown prompt {prompt!r}")
+    check_prompt(prompt)
     return 1 if prompt in task.positives else 0
 
 
@@ -79,7 +69,7 @@ class SplitPlan:
     seed: int
 
     def __post_init__(self):
-        if self.mode not in (HOLDOUT, LOSO):
+        if self.mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.mode!r}")
 
 
@@ -290,7 +280,7 @@ def read_meta(root: str | os.PathLike) -> dict:
     uses.  An unreadable or ill-formed meta is a DataError."""
     with _reading(root):
         meta = json.loads((Path(root) / "meta.json").read_text())
-        if meta["mode"] not in (HOLDOUT, LOSO):
+        if meta["mode"] not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {meta['mode']!r}")
         kept = meta["kept_channels"]
         if not (all(type(c) is int and c >= 0 for c in kept) and kept == sorted(set(kept))):
@@ -430,16 +420,6 @@ def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, trials,
     return report, predictions
 
 
-def _skip_reason(fold: Fold, labels) -> str:
-    """Why a fold cannot be trained, or "" when it can."""
-    class_counts = np.bincount(labels[list(fold.train)], minlength=2)
-    if class_counts.min() == 0:
-        return "single-class training labels"
-    if class_counts.min() < 2:
-        return "fewer than 2 training examples per class"
-    return ""
-
-
 def _train_fold(covs, labels, task: Task, fold: Fold, cfg: RunConfig, mode: str,
                 fingerprint: str, trial_ids) -> ModelBundle:
     train_labels = labels[list(fold.train)]
@@ -527,16 +507,16 @@ def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
     task or fold, for one whose stored test trials differ from its
     recomputed fold's (another seed or container), so no bundle ever scores
     a trial it was trained on, and for one that keeps channels the container
-    lacks; another config's bundle raises ConfigError.  Folds that
-    `run_task` skips, and folds without a bundle, are flagged as skipped,
-    the former with `run_task`'s reason; if every fold is skipped the task
-    cannot be scored and a TrainingError is raised.
+    lacks; another config's bundle raises ConfigError.  Folds whose
+    training labels `metrics.label_problem` refuses, and folds without a
+    bundle, are flagged as skipped, the former with that problem; if every
+    fold is skipped the task cannot be scored and a TrainingError is raised.
     """
     trials, covs, labels = _prepare(trials, task, cfg, covs)
     fingerprint = cfg.fingerprint()
     folds, predictions = [], []
     for fold in make_splits(trials, plan):
-        reason = _skip_reason(fold, labels)
+        reason = metrics.label_problem(labels[list(fold.train)])
         bundle = None if reason else bundle_for(fold)
         if bundle is None:
             folds.append(FoldReport(name=fold.name, skipped=True,

@@ -22,6 +22,28 @@ PROMPTS = (
 )
 
 
+def check_prompt(prompt: str) -> None:
+    """A ValueError unless ``prompt`` is one of `PROMPTS`."""
+    if prompt not in PROMPTS:
+        raise ValueError(f"unknown prompt {prompt!r}")
+
+
+def check_positives(positives) -> tuple[str, ...]:
+    """A task's positive prompts as a tuple; a ValueError unless they are a
+    non-empty strict subset of `PROMPTS`, so both classes can occur."""
+    positives = tuple(positives)
+    if not positives or not set(positives) < set(PROMPTS):
+        raise ValueError(f"positive prompts {list(positives)} must be a non-empty strict "
+                         f"subset of the prompts")
+    return positives
+
+
+def check_sample_rate(sample_rate_hz: float) -> None:
+    """A ValueError unless ``sample_rate_hz`` is finite and > 0."""
+    if not 0.0 < sample_rate_hz < np.inf:
+        raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz!r}")
+
+
 @dataclass(frozen=True)
 class Recording:
     """One trial: a channels x time amplitude matrix plus metadata.
@@ -47,10 +69,8 @@ class Recording:
             raise ValueError(f"need at least 2 time points, got {n_times}")
         if not np.isfinite(samples).all():
             raise ValueError("samples contain NaN or Inf amplitudes")
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if self.prompt not in PROMPTS:
-            raise ValueError(f"unknown prompt {self.prompt!r}")
+        check_sample_rate(self.sample_rate_hz)
+        check_prompt(self.prompt)
         names = tuple(self.channel_names)
         if len(names) != n_channels:
             raise ValueError(
@@ -121,8 +141,8 @@ def bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
 
 def filter_padding(spec: BandpassSpec, sample_rate_hz: float) -> int:
     """Samples `bandpass_filter` pads each end of a trial with, SciPy's
-    ``sosfiltfilt`` default for the filter's sections: a trial needs more
-    time points than this."""
+    ``sosfiltfilt`` default for the filter's sections, which the filter
+    passes explicitly: a trial needs more time points than this."""
     sos = bandpass_sos(spec, sample_rate_hz)
     zero_edges = min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
     return 3 * (2 * len(sos) + 1 - zero_edges)
@@ -137,5 +157,6 @@ def bandpass_filter(rec: Recording, spec: BandpassSpec) -> Recording:
     """
     # a copy: scipy's filter loop needs a writable buffer
     sos = bandpass_sos(spec, rec.sample_rate_hz).copy()
-    filtered = sosfiltfilt(sos, rec.samples, axis=1)
+    filtered = sosfiltfilt(sos, rec.samples, axis=1,
+                           padlen=filter_padding(spec, rec.sample_rate_hz))
     return dataclasses.replace(rec, samples=np.ascontiguousarray(filtered))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng as rng_mod
-from .recording import PROMPTS
+from .recording import PROMPTS, check_positives, check_sample_rate
 
 SOURCE_FREQS_HZ = (8.0, 13.0, 21.0)
 
@@ -36,17 +36,14 @@ def generate_synthetic_recordings(n_trials: int, n_channels: int, n_subjects: in
         raise ValueError("n_channels must be >= 2")
     if n_subjects < 1:
         raise ValueError("n_subjects must be >= 1")
-    if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
-        raise ValueError("sample_rate_hz must be finite and > 0")
+    check_sample_rate(sample_rate_hz)
     for name, value in (("separability", separability), ("noise_scale", noise_scale)):
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and >= 0")
     if n_times < 8:
         raise ValueError("n_times must be >= 8")
-    positives = tuple(task_positives)
+    positives = check_positives(task_positives)
     negatives = tuple(p for p in PROMPTS if p not in positives)
-    if not positives or not negatives:
-        raise ValueError("task positives must be a non-empty strict subset of the prompts")
 
     mix_rng = rng_mod.stream(seed, "synth", "mixing")
     n_sources = len(SOURCE_FREQS_HZ)

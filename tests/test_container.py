@@ -83,10 +83,13 @@ def test_load_recording_carries_metadata(tmp_path):
 
 
 def test_unknown_prompt_names_trial(tmp_path):
-    trials = [("bad-one", "s00", "/zz/", np.zeros((2, 4), dtype=np.float32)),
+    trials = [("bad-one", "s00", "/uw/", np.zeros((2, 4), dtype=np.float32)),
               ("ok", "s00", "/uw/", np.zeros((2, 4), dtype=np.float32))]
-    written = container.write_container(tmp_path, "demo", 128.0, ["a", "b"], trials)
-    with pytest.raises(DataError, match="bad-one"):
+    container.write_container(tmp_path, "demo", 128.0, ["a", "b"], trials)
+    # write_container refuses the prompt, so only a hand-edited manifest holds it
+    _corrupt_manifest(tmp_path, lambda m: m["trials"][0].update(prompt="/zz/"))
+    written = container.read_container(tmp_path)
+    with pytest.raises(DataError, match="trial 'bad-one': unknown prompt '/zz/'"):
         container.load_recording(written, written.trials[0])
 
 

@@ -201,7 +201,7 @@ def test_fit_input_validation():
     x = np.arange(8.0)[:, None]
     with pytest.raises(ValueError, match="single-class"):
         gbt.fit(x, np.zeros(8), _cfg())
-    with pytest.raises(ValueError, match="2 examples"):
+    with pytest.raises(ValueError, match="fewer than 2 training examples per class"):
         gbt.fit(x, np.array([1, 0, 0, 0, 0, 0, 0, 0]), _cfg())
     with pytest.raises(ValueError, match="binary"):
         gbt.fit(x, np.array([0, 1, 2, 0, 1, 0, 1, 2]), _cfg())

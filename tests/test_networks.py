@@ -271,7 +271,7 @@ def test_label_validation():
     hyper = networks.NetworkHyper(epochs=0, batch_size=4)
     with pytest.raises(ValueError, match="single-class"):
         networks.train_cnn(x, np.zeros(8, dtype=int), hyper, 0)
-    with pytest.raises(ValueError, match="2 examples"):
+    with pytest.raises(ValueError, match="fewer than 2 training examples per class"):
         networks.train_cnn(x, np.array([1, 0, 0, 0, 0, 0, 0, 0]), hyper, 0)
     with pytest.raises(ValueError, match="binary"):
         networks.train_cnn(x, np.array([0, 1, 2, 0, 1, 0, 1, 0]), hyper, 0)

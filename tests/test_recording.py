@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import sosfiltfilt
 
+from eegspeech import recording
 from eegspeech.recording import (
     PROMPTS,
     BandpassSpec,
     Recording,
     bandpass_filter,
+    bandpass_sos,
     filter_padding,
     subtract_channel_means,
 )
@@ -196,6 +199,24 @@ class TestBandpassFilter:
         bandpass_filter(make(np.ones((2, padding + 1)), rate=rate), spec)
         with pytest.raises(ValueError, match=f"padlen, which is {padding}"):
             bandpass_filter(make(np.ones((2, padding)), rate=rate), spec)
+
+    @pytest.mark.parametrize("spec, rate", [(BandpassSpec(), 128.0),
+                                            (BandpassSpec(), 1000.0),
+                                            (BandpassSpec(low_hz=0.0), 128.0)])
+    def test_pads_by_filter_padding_with_scipys_default_bits(self, spec, rate, rng,
+                                                             monkeypatch):
+        rec = random_recording(rng, n_times=256, sample_rate_hz=rate)
+        expected = sosfiltfilt(bandpass_sos(spec, rate).copy(), rec.samples, axis=1)
+        padlens = []
+
+        def recording_sosfiltfilt(sos, x, **kw):
+            padlens.append(kw.get("padlen"))
+            return sosfiltfilt(sos, x, **kw)
+
+        monkeypatch.setattr(recording, "sosfiltfilt", recording_sosfiltfilt)
+        out = bandpass_filter(rec, spec).samples
+        assert padlens == [filter_padding(spec, rate)]
+        assert out.tobytes() == expected.tobytes()
 
     def test_commutes_with_channel_permutation(self, rng):
         rec = random_recording(rng, n_channels=4, n_times=128)
