@@ -8,7 +8,7 @@ kernels on random inputs with the built network's own weights, then Adam
 steps over every CNN parameter (the first step on fresh moments apart from
 the warm steps), then boosted trees: three trees fitted with
 the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
-predicting those rows.  Last, a fresh child process runs one CNN train step
+predicting those rows.  Then a fresh child process runs one CNN train step
 (forward, backward, Adam) and reports its wall time, user and kernel time,
 minor page faults, peak resident set size, the arrays the trained layers
 still hold and the gradients its parameters still hold, both of which
@@ -17,8 +17,15 @@ runs everything inline) and once on every CPU the script may use.  Then
 another fresh child loads an untrained bundle (the three networks at
 ``--size``, no trees) saved by ``pipeline.save_bundle``, and reports
 ``pipeline.load_bundle``'s first and warm times and its peak resident set
-size.  Each time is the median of ``--repeats`` runs, and the runs are kept
-beside it.
+size.  Last, the feature pass: a fresh child preprocesses random trials
+(``pipeline.preprocess``, the bandpass and the mean removal) and computes
+each one's covariance matrix (``covariance.ccv_matrix``), and reports the
+wall time and minor page faults of its first trial, which designs the
+filter, and of ``FEATURE_TRIALS`` x ``--repeats`` warm trials, at the
+reference trial (``--size`` channels x 5000 samples at 1 kHz) and at a short
+one (8 x 256 samples at 128 Hz).  Each time is the median of ``--repeats``
+runs (a warm feature-pass figure is the median over its warm trials), and
+the runs are kept beside it.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_layers.py --out BENCH_layers.json
 
@@ -108,6 +115,38 @@ for _ in range(int(sys.argv[3]) + 1):
 """ + _PEAK_MB + """
 print(json.dumps({"first_s": runs[0], "warm_runs": runs[1:], "peak_rss_mb": peak_mb}))
 """
+
+
+#: Preprocesses and reduces ``1 + trials`` random trials of the given shape
+#: and rate in a fresh interpreter, one at a time as the feature pass does;
+#: prints each trial's wall time and minor page faults.
+_FEATURE_PASS = """
+import json, resource, sys, time
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from eegspeech import covariance, pipeline
+from eegspeech.config import RunConfig
+from eegspeech.recording import Recording
+channels, times, trials = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[5])
+rate = float(sys.argv[4])
+cfg = RunConfig(seed=0, tasks=("uw",))
+rng = np.random.default_rng(4)
+names = tuple(f"c{c}" for c in range(channels))
+runs, minflt = [], []
+for _ in range(1 + trials):
+    rec = Recording("s00", "/uw/", rng.normal(size=(channels, times)), rate, names)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    covariance.ccv_matrix(pipeline.preprocess(rec, cfg))
+    runs.append(time.perf_counter() - start)
+    minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    del rec
+print(json.dumps({"runs": runs, "minflt": minflt}))
+"""
+
+#: Warm trials per ``--repeats`` in the feature pass: a short trial takes
+#: under a millisecond, so one trial per repeat would time mostly noise.
+FEATURE_TRIALS = 20
 
 
 def _timed(fn, repeats: int):
@@ -233,6 +272,25 @@ def bench_bundle_load(size: int, repeats: int) -> dict:
             "peak_rss_mb": timed["peak_rss_mb"]}
 
 
+def bench_feature_pass(size: int, repeats: int) -> dict:
+    package_root = str(Path(eegspeech.__file__).resolve().parents[1])
+    result = {}
+    for key, channels, times, rate in (("reference", size, 5000, 1000.0),
+                                       ("short", 8, 256, 128.0)):
+        done = subprocess.run([sys.executable, "-c", _FEATURE_PASS, package_root,
+                               str(channels), str(times), str(rate),
+                               str(FEATURE_TRIALS * repeats)],
+                              capture_output=True, text=True, check=True)
+        timed = json.loads(done.stdout.strip().splitlines()[-1])
+        runs, minflt = timed["runs"], timed["minflt"]
+        result[key] = {"channels": channels, "times": times, "rate_hz": rate,
+                       "first_s": runs[0], "first_minflt": minflt[0],
+                       "warm_s": statistics.median(runs[1:]),
+                       "warm_minflt": statistics.median(minflt[1:]),
+                       "warm_runs": runs[1:], "warm_minflt_runs": minflt[1:]}
+    return result
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -255,6 +313,7 @@ def main() -> int:
         "trees": bench_trees(args.repeats),
         "cnn_train_step": bench_cnn_step(args.size, args.batch),
         "bundle_load": bench_bundle_load(args.size, args.repeats),
+        "feature_pass": bench_feature_pass(args.size, args.repeats),
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps({**{name: [round(e["forward_s"], 4), round(e["backward_s"], 4)]
@@ -264,7 +323,9 @@ def main() -> int:
                       "cnn_train_step": [round(result["cnn_train_step"][k]["s"], 4)
                                          for k in ("one_cpu", "all_cpus")],
                       "bundle_load": [round(result["bundle_load"]["first_s"], 4),
-                                      round(result["bundle_load"]["warm_s"], 4)]}))
+                                      round(result["bundle_load"]["warm_s"], 4)],
+                      "feature_pass": {k: [round(e["first_s"], 5), round(e["warm_s"], 5)]
+                                       for k, e in result["feature_pass"].items()}}))
     return 0
 
 

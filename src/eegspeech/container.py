@@ -61,10 +61,10 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
 
     `trials` is an iterable of (trial_id, subject_id, prompt, samples) where
     samples is a channels x times float array; storage is float32.  A rate
-    or a prompt that the readers refuse is a DataError, and no file is written.
+    or a prompt that the readers refuse is a DataError, and then no file or
+    directory is written.
     """
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
     try:
         rate = float(sample_rate_hz)
         check_sample_rate(rate)
@@ -106,6 +106,7 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
             for r in records
         ],
     }
+    root.mkdir(parents=True, exist_ok=True)
     write_bytes_atomic(root / DATA_NAME, *(arr.data for arr in arrays))
     write_json_atomic(root / MANIFEST_NAME, manifest)
     return TrialContainer(name=str(name), sample_rate_hz=rate,

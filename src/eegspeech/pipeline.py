@@ -160,11 +160,12 @@ def ccv_features(recordings, cfg: RunConfig) -> list[covariance.CovMatrix]:
     ``recordings`` is a sequence of Recordings.  Each item is fetched once,
     by the worker that reduces it, and dropped by the time its matrix is
     computed, so a lazy sequence that reads its item *i* from disk keeps one
-    raw trial per worker in memory.  The first trial is processed alone: it designs the
-    filter before any worker needs it, and the rest are split only when it
-    holds at least ``SPLIT_SAMPLES`` samples.  Trials are processed in order
-    within each slice, so the error of the earliest failing trial is raised;
-    a band edge at or above a trial's Nyquist rate is a ConfigError.
+    raw trial per worker in memory.  The first trial is processed alone: it
+    designs the filter's sections and steady state before any worker needs
+    them, and the rest are split only when it holds at least
+    ``SPLIT_SAMPLES`` samples.  Trials are processed in order within each
+    slice, so the error of the earliest failing trial is raised; a band edge
+    at or above a trial's Nyquist rate is a ConfigError.
     """
     n = len(recordings)
     covs = [None] * n

@@ -111,6 +111,23 @@ def test_write_rejects_empty_container(tmp_path):
         container.write_container(tmp_path, "demo", 128.0, ["a", "b"], [])
 
 
+_TRIAL = np.zeros((2, 4), dtype=np.float32)
+
+
+@pytest.mark.parametrize("rate, trials", [
+    (float("nan"), [("t0", "s00", "/uw/", _TRIAL)]),
+    (128.0, [("t0", "s00", "/zz/", _TRIAL)]),
+    (128.0, [("t0", "s00", "/uw/", _TRIAL), ("t0", "s00", "/m/", _TRIAL)]),
+    (128.0, [("t0", "s00", "/uw/", np.zeros((3, 4), dtype=np.float32))]),
+    (128.0, []),
+], ids=["rate", "prompt", "duplicate", "channels", "empty"])
+def test_a_refused_write_creates_no_directory(tmp_path, rate, trials):
+    root = tmp_path / "new" / "container"
+    with pytest.raises(DataError):
+        container.write_container(root, "demo", rate, ["a", "b"], trials)
+    assert not (tmp_path / "new").exists()
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         container.read_container(tmp_path)

@@ -231,29 +231,37 @@ def test_ccv_features_match_one_worker(monkeypatch):
             assert [c.values.tobytes() for c in pipeline.ccv_features(recs, cfg)] == want
 
 
+def _clear_filter_design():
+    recording.bandpass_sos.cache_clear()
+    recording.bandpass_zi.cache_clear()
+
+
 def test_a_feature_pass_designs_its_filter_once(monkeypatch):
     monkeypatch.setattr(pipeline, "SPLIT_SAMPLES", 1)
     recs, cfg = _recordings(), RunConfig(seed=0, tasks=("uw",))
     want = []
     for rec in recs:
         # each trial with a filter designed for it alone, as before the cache
-        recording.bandpass_sos.cache_clear()
+        _clear_filter_design()
         want.append(covariance.ccv_matrix(pipeline.preprocess(rec, cfg)).values.tobytes())
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(original):
+        def call(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return call
 
-    original = recording.butter
-    monkeypatch.setattr(recording, "butter", counting)
-    recording.bandpass_sos.cache_clear()
+    for name in ("butter", "sosfilt_zi"):
+        monkeypatch.setattr(recording, name, counting(getattr(recording, name)))
+    _clear_filter_design()
     try:
         with workers(3):
             got = [c.values.tobytes() for c in pipeline.ccv_features(recs, cfg)]
     finally:
-        recording.bandpass_sos.cache_clear()
-    assert len(calls) == 1
+        _clear_filter_design()
+    # one design of the sections and one of their steady state for all the trials
+    assert sorted(calls) == ["butter", "sosfilt_zi"]
     assert got == want
 
 

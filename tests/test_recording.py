@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import sosfiltfilt
 
-from eegspeech import recording
 from eegspeech.recording import (
     PROMPTS,
     BandpassSpec,
@@ -200,23 +199,25 @@ class TestBandpassFilter:
         with pytest.raises(ValueError, match=f"padlen, which is {padding}"):
             bandpass_filter(make(np.ones((2, padding)), rate=rate), spec)
 
-    @pytest.mark.parametrize("spec, rate", [(BandpassSpec(), 128.0),
-                                            (BandpassSpec(), 1000.0),
-                                            (BandpassSpec(low_hz=0.0), 128.0)])
-    def test_pads_by_filter_padding_with_scipys_default_bits(self, spec, rate, rng,
-                                                             monkeypatch):
-        rec = random_recording(rng, n_times=256, sample_rate_hz=rate)
-        expected = sosfiltfilt(bandpass_sos(spec, rate).copy(), rec.samples, axis=1)
-        padlens = []
+    # band-pass and low-pass, orders 1 to 8, at each rate: lengths from one
+    # past the padding to 1000 samples, 2, 8 and 62 channels
+    ORACLE_SPECS = (BandpassSpec(), BandpassSpec(low_hz=0.0, order=1), BandpassSpec(order=8),
+                    BandpassSpec(low_hz=0.0, high_hz=30.0, order=5),
+                    BandpassSpec(low_hz=4.0, high_hz=40.0, order=2))
 
-        def recording_sosfiltfilt(sos, x, **kw):
-            padlens.append(kw.get("padlen"))
-            return sosfiltfilt(sos, x, **kw)
-
-        monkeypatch.setattr(recording, "sosfiltfilt", recording_sosfiltfilt)
-        out = bandpass_filter(rec, spec).samples
-        assert padlens == [filter_padding(spec, rate)]
-        assert out.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("rate", [128.0, 256.0, 1000.0])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_pads_by_filter_padding_with_scipys_default_bits(self, spec, rate):
+        rng = np.random.default_rng(7)
+        padding = filter_padding(spec, rate)
+        for n_times in (padding + 1, padding + 2, 2 * padding + 1, 256, 1000):
+            for n_channels in (2, 8, 62):
+                rec = random_recording(rng, n_channels=n_channels, n_times=n_times,
+                                       sample_rate_hz=rate)
+                out = bandpass_filter(rec, spec).samples
+                expected = sosfiltfilt(bandpass_sos(spec, rate).copy(), rec.samples, axis=1)
+                assert out.flags.c_contiguous
+                assert out.tobytes() == expected.tobytes(), (n_times, n_channels)
 
     def test_commutes_with_channel_permutation(self, rng):
         rec = random_recording(rng, n_channels=4, n_times=128)

@@ -2,7 +2,8 @@
 command sequence as `synthetic_end_to_end.py` runs it (synth, featurize,
 train, evaluate and plot through the public CLI), and the per-layer benchmark
 `bench_layers.py` at a small input size, with its boosted trees at their
-reference shape and its bundle load at that small size, and the per-verb
+reference shape and its bundle load and feature pass at that small size (the
+feature pass's short trial is always 8 x 256 samples), and the per-verb
 figures of `verb_rusage.py` on a small copy of a benchmark workload."""
 
 import dataclasses
@@ -40,7 +41,7 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     assert script["main"]() == 0
     result = json.loads(out.read_text())
     assert set(result) == {"input_size", "batch", "repeats", "env", "layers", "adam_step",
-                           "trees", "cnn_train_step", "bundle_load"}
+                           "trees", "cnn_train_step", "bundle_load", "feature_pass"}
     assert set(result["layers"]) == {"cnn.layer0.conv2d", "cnn.layer2.conv2d",
                                      "cnn.layer6.dense", "lstm.layer0.lstm",
                                      "lstm.layer1.lstm"}
@@ -85,6 +86,17 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     assert load["archive_mb"] > 8 * load["params"] / 2**20
     assert load["first_s"] > 0 and load["warm_s"] > 0 and load["peak_rss_mb"] > 0
     assert len(load["warm_runs"]) == 1
+    passes = result["feature_pass"]
+    assert set(passes) == {"reference", "short"}
+    assert [(e["channels"], e["times"], e["rate_hz"]) for e in passes.values()] == \
+           [(8, 5000, 1000.0), (8, 256, 128.0)]
+    for entry in passes.values():
+        assert set(entry) == {"channels", "times", "rate_hz", "first_s", "first_minflt",
+                              "warm_s", "warm_minflt", "warm_runs", "warm_minflt_runs"}
+        assert entry["first_s"] > 0 and entry["warm_s"] > 0
+        assert entry["first_minflt"] >= 0 and entry["warm_minflt"] >= 0
+        assert len(entry["warm_runs"]) == len(entry["warm_minflt_runs"]) == \
+               script["FEATURE_TRIALS"]
 
 
 VERB_RUSAGE = Path(__file__).resolve().parents[1] / "scripts" / "verb_rusage.py"
