@@ -20,8 +20,8 @@ another fresh child loads an untrained bundle (the three networks at
 size.  Last, the feature pass: a fresh child preprocesses random trials
 (``pipeline.preprocess``, the bandpass and the mean removal) and computes
 each one's covariance matrix (``covariance.ccv_matrix``), and reports the
-wall time and minor page faults of its first trial, which designs the
-filter, and of ``FEATURE_TRIALS`` x ``--repeats`` warm trials, at the
+wall time and minor page faults of its first trial, which makes the one
+cached filter design (``recording.bandpass_design``), and of ``FEATURE_TRIALS`` x ``--repeats`` warm trials, at the
 reference trial (``--size`` channels x 5000 samples at 1 kHz) and at a short
 one (8 x 256 samples at 128 Hz).  Each time is the median of ``--repeats``
 runs (a warm feature-pass figure is the median over its warm trials), and

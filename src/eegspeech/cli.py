@@ -25,7 +25,6 @@ from .config import DEFAULT_TASK_TABLE, TASK_IDS, RunConfig, load_config
 from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn import save_tensors
 from .nn.checkpoint import write_json_atomic
-from .recording import filter_padding
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,17 +104,17 @@ class _StoredRecordings:
 
 def _featurize(path: str, cfg: RunConfig):
     """The container at ``path``, its trial ids and each trial's CCV matrix.
-    The band is checked against the container's sampling rate, and each
-    trial's length against the filter's padding, before any trial is read,
-    so a bad band exits 2 even when a trial is bad too."""
+    ``pipeline.filter_design`` checks the band against the container's
+    sampling rate, and the design's ``check_length`` each trial's length,
+    before any trial is read, so a bad band exits 2 even when a trial is bad
+    too."""
     cont = container_mod.read_container(path)
-    pipeline.check_band(cfg, cont.sample_rate_hz)
-    padding = filter_padding(cfg.preprocessing, cont.sample_rate_hz)
+    design = pipeline.filter_design(cfg, cont.sample_rate_hz)
     for record in cont.trials:
-        if cont.n_times(record) <= padding:
-            raise DataError(f"trial {record.trial_id!r}: {cont.n_times(record)} time points "
-                            f"are too few for the bandpass filter, which pads each end "
-                            f"with {padding}")
+        try:
+            design.check_length(cont.n_times(record))
+        except ValueError as exc:
+            raise DataError(f"trial {record.trial_id!r}: {exc}") from exc
     covs = pipeline.ccv_features(_StoredRecordings(cont), cfg)
     return cont, [r.trial_id for r in cont.trials], covs
 

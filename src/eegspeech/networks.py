@@ -236,7 +236,7 @@ def build_dae_model(input_dim: int, seed: int = 0) -> Model:
     return _untrained("dae", input_dim, seed)
 
 
-def _train_branch(build, name: str, inputs, labels, hyper: NetworkHyper, seed: int) -> Model:
+def _train_branch(name: str, inputs, labels, hyper: NetworkHyper, seed: int) -> Model:
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise ValueError(f"inputs must be square matrices, got shape {x.shape[1:]}")
@@ -246,19 +246,19 @@ def _train_branch(build, name: str, inputs, labels, hyper: NetworkHyper, seed: i
     y = np.asarray(labels, dtype=np.int64)
     if len(x) != len(y):
         raise ValueError("inputs and labels disagree in length")
-    model = build(x.shape[1], seed=seed)
+    model = _untrained(name, x.shape[1], seed)
     _fit(model, model.standardize(x), y, hyper, seed, name)
     return model
 
 
 def train_cnn(inputs, labels, hyper: NetworkHyper, seed: int) -> Model:
     """Train the convolutional branch on square input matrices."""
-    return _train_branch(build_cnn_model, "cnn", inputs, labels, hyper, seed)
+    return _train_branch("cnn", inputs, labels, hyper, seed)
 
 
 def train_lstm(inputs, labels, hyper: NetworkHyper, seed: int) -> Model:
     """Train the recurrent branch on square input matrices."""
-    return _train_branch(build_lstm_model, "lstm", inputs, labels, hyper, seed)
+    return _train_branch("lstm", inputs, labels, hyper, seed)
 
 
 def extract_fused(cnn: Model, lstm: Model, matrices) -> np.ndarray:

@@ -31,8 +31,8 @@ from .config import SPLIT_MODES, RunConfig
 from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn import load_tensors, save_tensors
 from .nn.checkpoint import write_csv_atomic, write_json_atomic
-from .recording import (Recording, bandpass_filter, bandpass_sos, check_positives,
-                        check_prompt, subtract_channel_means)
+from .recording import (BandpassDesign, Recording, bandpass_design, bandpass_filter,
+                        check_positives, check_prompt, subtract_channel_means)
 
 HOLDOUT, LOSO = SPLIT_MODES
 
@@ -131,11 +131,11 @@ class LeakageAudit:
         self.log.append((stage, len(indices)))
 
 
-def check_band(cfg: RunConfig, sample_rate_hz: float) -> None:
-    """Design the preprocessing filter for ``sample_rate_hz``; a band edge at
-    or above its Nyquist rate is a ConfigError."""
+def filter_design(cfg: RunConfig, sample_rate_hz: float) -> BandpassDesign:
+    """The preprocessing filter for ``sample_rate_hz``; a band edge at or
+    above its Nyquist rate is a ConfigError."""
     try:
-        bandpass_sos(cfg.preprocessing, sample_rate_hz)
+        return bandpass_design(cfg.preprocessing, sample_rate_hz)
     except ValueError as exc:
         raise ConfigError(f"config key preprocessing/high_hz: {exc}") from exc
 
@@ -143,7 +143,7 @@ def check_band(cfg: RunConfig, sample_rate_hz: float) -> None:
 def preprocess(rec: Recording, cfg: RunConfig) -> Recording:
     """Bandpass ``rec`` and remove its channel means; a band edge at or above
     its Nyquist rate is a ConfigError."""
-    check_band(cfg, rec.sample_rate_hz)
+    filter_design(cfg, rec.sample_rate_hz)
     filtered = bandpass_filter(rec, cfg.preprocessing)
     # when the caller passed the only reference, the raw samples are freed
     # here, before the mean removal allocates: a worker's heap then reuses
@@ -161,8 +161,8 @@ def ccv_features(recordings, cfg: RunConfig) -> list[covariance.CovMatrix]:
     by the worker that reduces it, and dropped by the time its matrix is
     computed, so a lazy sequence that reads its item *i* from disk keeps one
     raw trial per worker in memory.  The first trial is processed alone: it
-    designs the filter's sections and steady state before any worker needs
-    them, and the rest are split only when it holds at least
+    designs the filter (`recording.bandpass_design`) before any worker needs
+    it, and the rest are split only when it holds at least
     ``SPLIT_SAMPLES`` samples.  Trials are processed in order within each
     slice, so the error of the earliest failing trial is raised; a band edge
     at or above a trial's Nyquist rate is a ConfigError.

@@ -94,7 +94,8 @@ class BandpassSpec:
     """Butterworth band edges and order for the preprocessing filter.
 
     Both cutoffs are in Hz; ``low_hz`` may be 0 to request a pure low-pass.
-    Validity against the Nyquist rate is only checkable at application time.
+    Validity against the Nyquist rate depends on a trial's sampling rate, so
+    `bandpass_design` checks it once per spec and rate.
     """
 
     low_hz: float = 1.0
@@ -111,13 +112,6 @@ class BandpassSpec:
         if not (isinstance(self.order, int) and self.order >= 1):
             raise ValueError(f"order must be a positive integer, got {self.order}")
 
-    def validate_for(self, sample_rate_hz: float) -> None:
-        nyquist = sample_rate_hz / 2.0
-        if self.high_hz >= nyquist:
-            raise ValueError(
-                f"high_hz ({self.high_hz}) must be below Nyquist ({nyquist})"
-            )
-
 
 def subtract_channel_means(rec: Recording) -> Recording:
     """Remove each channel's arithmetic mean. Shape and metadata unchanged."""
@@ -125,37 +119,43 @@ def subtract_channel_means(rec: Recording) -> Recording:
     return dataclasses.replace(rec, samples=centered)
 
 
+@dataclass(frozen=True, eq=False)
+class BandpassDesign:
+    """The preprocessing filter for one spec and sampling rate, shared
+    read-only: its second-order sections ``sos``, their steady state for a
+    unit step ``zi`` (SciPy's ``sosfilt_zi``, shaped (sections, 1, 2) to
+    scale by a trial's first samples), and the ``padding`` it extends each
+    end of a trial by, SciPy's ``sosfiltfilt`` default for these sections."""
+
+    sos: np.ndarray
+    zi: np.ndarray
+    padding: int
+
+    def check_length(self, n_times: int) -> None:
+        """A ValueError unless a trial of ``n_times`` points is longer than
+        the padding."""
+        if n_times <= self.padding:
+            raise ValueError(f"{n_times} time points are too few for the bandpass filter, "
+                             f"which pads each end with {self.padding}")
+
+
 @functools.lru_cache(maxsize=16)
-def bandpass_sos(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
-    """The filter's second-order sections, designed once per spec and rate
-    and shared read-only.  A band edge at or above Nyquist is a ValueError."""
-    spec.validate_for(sample_rate_hz)
+def bandpass_design(spec: BandpassSpec, sample_rate_hz: float) -> BandpassDesign:
+    """The filter for ``spec`` at ``sample_rate_hz``, designed once per spec
+    and rate.  A band edge at or above Nyquist is a ValueError."""
+    nyquist = sample_rate_hz / 2.0
+    if spec.high_hz >= nyquist:
+        raise ValueError(f"high_hz ({spec.high_hz}) must be below Nyquist ({nyquist})")
     if spec.low_hz > 0:
         sos = butter(spec.order, [spec.low_hz, spec.high_hz], btype="band",
                      fs=sample_rate_hz, output="sos")
     else:
         sos = butter(spec.order, spec.high_hz, btype="low", fs=sample_rate_hz, output="sos")
+    zi = sosfilt_zi(sos)[:, None, :]
     sos.setflags(write=False)
-    return sos
-
-
-@functools.lru_cache(maxsize=16)
-def bandpass_zi(spec: BandpassSpec, sample_rate_hz: float) -> np.ndarray:
-    """The sections' steady state for a unit step (SciPy's ``sosfilt_zi``),
-    shaped (sections, 1, 2) to scale by a trial's first samples; designed
-    once per spec and rate beside `bandpass_sos` and shared read-only."""
-    zi = sosfilt_zi(bandpass_sos(spec, sample_rate_hz))[:, None, :]
     zi.setflags(write=False)
-    return zi
-
-
-def filter_padding(spec: BandpassSpec, sample_rate_hz: float) -> int:
-    """Samples `bandpass_filter` extends each end of a trial by, SciPy's
-    ``sosfiltfilt`` default for the filter's sections: a trial needs more
-    time points than this."""
-    sos = bandpass_sos(spec, sample_rate_hz)
     zero_edges = min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
-    return 3 * (2 * len(sos) + 1 - zero_edges)
+    return BandpassDesign(sos, zi, 3 * (2 * len(sos) + 1 - zero_edges))
 
 
 def bandpass_filter(rec: Recording, spec: BandpassSpec) -> Recording:
@@ -164,21 +164,18 @@ def bandpass_filter(rec: Recording, spec: BandpassSpec) -> Recording:
     The filter is applied forward and backward (cascaded second-order
     sections), so the passband gain is the squared magnitude response and
     phase is exactly zero.  The steps and their bits are SciPy's
-    ``sosfiltfilt`` at its default padding: an odd extension of
-    `filter_padding` samples at each end, one ``sosfilt`` pass forward and
-    one over the reversed output, each started from `bandpass_zi` scaled by
-    its first sample, and the padding sliced off.  A trial of no more time
-    points than the padding is a ValueError.
+    ``sosfiltfilt`` at its default padding: an odd extension of the
+    design's ``padding`` samples at each end, one ``sosfilt`` pass forward
+    and one over the reversed output, each started from the design's steady
+    state scaled by its first sample, and the padding sliced off.  The
+    filter is `bandpass_design`'s for the trial's rate, and a trial it
+    refuses (`BandpassDesign.check_length`) is a ValueError.
     """
-    rate = rec.sample_rate_hz
+    design = bandpass_design(spec, rec.sample_rate_hz)
+    design.check_length(rec.n_times)
     # a copy: scipy's filter loop needs a writable buffer
-    sos = bandpass_sos(spec, rate).copy()
-    zi = bandpass_zi(spec, rate)
-    pad = filter_padding(spec, rate)
+    sos, zi, pad = design.sos.copy(), design.zi, design.padding
     x = rec.samples
-    if x.shape[1] <= pad:
-        raise ValueError(f"The length of the input vector x must be greater than padlen, "
-                         f"which is {pad}.")
     ext = np.concatenate((2 * x[:, :1] - x[:, pad:0:-1], x,
                           2 * x[:, -1:] - x[:, -2:-(pad + 2):-1]), axis=1)
     y, _ = sosfilt(sos, ext, zi=zi * ext[:, :1])

@@ -232,8 +232,7 @@ def test_ccv_features_match_one_worker(monkeypatch):
 
 
 def _clear_filter_design():
-    recording.bandpass_sos.cache_clear()
-    recording.bandpass_zi.cache_clear()
+    recording.bandpass_design.cache_clear()
 
 
 def test_a_feature_pass_designs_its_filter_once(monkeypatch):
@@ -254,15 +253,19 @@ def test_a_feature_pass_designs_its_filter_once(monkeypatch):
 
     for name in ("butter", "sosfilt_zi"):
         monkeypatch.setattr(recording, name, counting(getattr(recording, name)))
-    _clear_filter_design()
-    try:
-        with workers(3):
-            got = [c.values.tobytes() for c in pipeline.ccv_features(recs, cfg)]
-    finally:
+    for n in (1, 2, 3):
+        calls.clear()
         _clear_filter_design()
-    # one design of the sections and one of their steady state for all the trials
-    assert sorted(calls) == ["butter", "sosfilt_zi"]
-    assert got == want
+        try:
+            with workers(n):
+                got = [c.values.tobytes() for c in pipeline.ccv_features(recs, cfg)]
+            misses = recording.bandpass_design.cache_info().misses
+        finally:
+            _clear_filter_design()
+        # one design of the sections and one of their steady state for all the trials
+        assert sorted(calls) == ["butter", "sosfilt_zi"], n
+        assert misses == 1, n
+        assert got == want, n
 
 
 # --- a whole run -------------------------------------------------------------

@@ -8,9 +8,8 @@ from eegspeech.recording import (
     PROMPTS,
     BandpassSpec,
     Recording,
+    bandpass_design,
     bandpass_filter,
-    bandpass_sos,
-    filter_padding,
     subtract_channel_means,
 )
 
@@ -145,6 +144,17 @@ class TestBandpassSpec:
             bandpass_filter(rec, BandpassSpec(high_hz=40.0))
 
 
+def test_a_design_is_made_once_and_shared_read_only():
+    spec = BandpassSpec(low_hz=2.0, high_hz=30.0, order=3)
+    design = bandpass_design(spec, 128.0)
+    assert bandpass_design(spec, 128.0) is design
+    assert design.zi.shape == (len(design.sos), 1, 2)
+    for array in (design.sos, design.zi):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+
+
 class TestBandpassFilter:
     RATE = 256.0
 
@@ -194,9 +204,9 @@ class TestBandpassFilter:
                                             (BandpassSpec(order=3), 1000.0),
                                             (BandpassSpec(low_hz=0.0, order=5), 256.0)])
     def test_a_trial_needs_more_time_points_than_the_padding(self, spec, rate):
-        padding = filter_padding(spec, rate)
+        padding = bandpass_design(spec, rate).padding
         bandpass_filter(make(np.ones((2, padding + 1)), rate=rate), spec)
-        with pytest.raises(ValueError, match=f"padlen, which is {padding}"):
+        with pytest.raises(ValueError, match=f"pads each end with {padding}$"):
             bandpass_filter(make(np.ones((2, padding)), rate=rate), spec)
 
     # band-pass and low-pass, orders 1 to 8, at each rate: lengths from one
@@ -207,15 +217,16 @@ class TestBandpassFilter:
 
     @pytest.mark.parametrize("rate", [128.0, 256.0, 1000.0])
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
-    def test_pads_by_filter_padding_with_scipys_default_bits(self, spec, rate):
+    def test_pads_by_the_design_padding_with_scipys_default_bits(self, spec, rate):
         rng = np.random.default_rng(7)
-        padding = filter_padding(spec, rate)
+        padding = bandpass_design(spec, rate).padding
         for n_times in (padding + 1, padding + 2, 2 * padding + 1, 256, 1000):
             for n_channels in (2, 8, 62):
                 rec = random_recording(rng, n_channels=n_channels, n_times=n_times,
                                        sample_rate_hz=rate)
                 out = bandpass_filter(rec, spec).samples
-                expected = sosfiltfilt(bandpass_sos(spec, rate).copy(), rec.samples, axis=1)
+                expected = sosfiltfilt(bandpass_design(spec, rate).sos.copy(), rec.samples,
+                                       axis=1)
                 assert out.flags.c_contiguous
                 assert out.tobytes() == expected.tobytes(), (n_times, n_channels)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegspeech import container, pipeline
+from eegspeech import container, pipeline, recording
 from eegspeech.cli import main
 from eegspeech.config import RunConfig
 from eegspeech.errors import ConfigError, DataError
@@ -172,6 +172,22 @@ def test_a_trial_shorter_than_the_filter_padding_exits_3_before_any_output(
     err = capsys.readouterr().err
     assert "trial 't05': 10 time points" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_the_cli_refuses_a_short_trial_with_the_filters_own_words(tmp_path, capsys):
+    # a trial of exactly the padding: one point too few, at the CLI and the filter alike
+    spec = RunConfig(seed=0, tasks=("uw",)).preprocessing
+    padding = recording.bandpass_design(spec, 128.0).padding
+    samples = np.random.default_rng(3).normal(size=(4, padding))
+    with pytest.raises(ValueError) as refused:
+        recording.bandpass_filter(recording.Recording("s0", "/uw/", samples, 128.0,
+                                                      ("a", "b", "c", "d")), spec)
+    data = tmp_path / "data"
+    container.write_container(data, "edge", 128.0, ["a", "b", "c", "d"],
+                              [("t0", "s0", "/uw/", samples)])
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out")
+    assert main(_argv("featurize", cfg, data, tmp_path / "out", None)) == 3
+    assert capsys.readouterr().err.rstrip().endswith(f"trial 't0': {refused.value}")
 
 
 @pytest.mark.parametrize("verb", VERBS)
