@@ -52,33 +52,29 @@ def _env_int(name: str) -> int | None:
 
 
 def _resolve_seed(args) -> int | None:
-    """The --seed flag, else EEGSPEECH_SEED, else None; a negative seed is a ConfigError."""
-    seed = args.seed if args.seed is not None else _env_int(SEED_ENV)
-    if seed is not None and seed < 0:
-        raise ConfigError("seed must be >= 0")
-    return seed
+    """The --seed flag, else EEGSPEECH_SEED, else None."""
+    return args.seed if args.seed is not None else _env_int(SEED_ENV)
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config)
+    """The --config file, checked as written, then with --seed (or
+    EEGSPEECH_SEED), --out and --tasks in place of its seed, output_dir and
+    tasks, which pass the same schema."""
     seed = _resolve_seed(args)
-    updates = {} if seed is None else {"seed": seed}
+    overrides = {} if seed is None else {"seed": seed}
     if args.out is not None:
-        updates["output_dir"] = args.out
+        overrides["output_dir"] = args.out
     if args.tasks is not None:
-        tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
-        if not tasks:
-            raise ConfigError("--tasks must name at least one task")
-        unknown = [t for t in tasks if t not in TASK_IDS]
-        if unknown:
-            raise ConfigError(f"unknown tasks: {unknown}; choose from {list(TASK_IDS)}")
-        updates["tasks"] = tasks
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+        overrides["tasks"] = [t.strip() for t in args.tasks.split(",")]
+    return load_config(args.config, overrides)
 
 
 def _output_dir(path) -> Path:
-    """Create the directory ``path`` and its parents; a path that cannot be
-    a directory is a ConfigError naming it."""
+    """Create the directory ``path`` and its parents; an empty path (the
+    --out of synth and plot, which read no config) or one that cannot be a
+    directory is a ConfigError."""
+    if path == "":
+        raise ConfigError("the output directory must be a non-empty path")
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,10 @@ must name the verb's split.  What cannot change a result is not a key: the
 covariance is always taken at lag 0, the LSTM reads matrix rows (the
 matrices are symmetric), and each fold seeds its trees from the run seed.
 Unknown keys are rejected so typos fail loudly, and every validation error
-names the offending key path.
+names the offending key path, or the section for a rule between its keys.
+The sections are derived from the settings types' fields and the bounds
+declared on them (see `bounds`).  Command-line overrides replace the file's
+keys once the file has passed the schema, and pass it themselves.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import jsonschema
 
+from .bounds import check_bounds, section_schema
 from .errors import ConfigError
 from .gbt import GbtConfig
 from .networks import NetworkHyper
@@ -39,15 +43,20 @@ DEFAULT_TASK_TABLE = {
     "iy": ("/iy/", "/piy/", "/tiy/", "/diy/"),
 }
 
-_NETWORK_SECTION = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "epochs": {"type": "integer", "minimum": 0},
-        "batch_size": {"type": "integer", "minimum": 1},
-        "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
+
+@dataclass(frozen=True)
+class CovarianceSettings:
+    threshold: float = field(default=0.3, metadata={"exclusiveMinimum": 0, "maximum": 1})
+    # the CNN's two valid 3x3 convolutions need at least 5x5
+    input_size: int = field(default=62, metadata={"minimum": 5})
+
+    def __post_init__(self):
+        check_bounds(self)
+
+
+#: Each config section and the settings type whose fields are its keys.
+_SECTIONS = {"preprocessing": BandpassSpec, "covariance": CovarianceSettings,
+            "cnn": NetworkHyper, "lstm": NetworkHyper, "dae": NetworkHyper, "gbt": GbtConfig}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -68,41 +77,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {"mode": {"enum": list(SPLIT_MODES)}},
         },
-        "preprocessing": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "low_hz": {"type": "number", "minimum": 0},
-                "high_hz": {"type": "number", "exclusiveMinimum": 0},
-                "order": {"type": "integer", "minimum": 1},
-            },
-        },
-        "covariance": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "threshold": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                # the CNN's two valid 3x3 convolutions need at least 5x5
-                "input_size": {"type": "integer", "minimum": 5},
-            },
-        },
-        "cnn": _NETWORK_SECTION,
-        "lstm": _NETWORK_SECTION,
-        "dae": _NETWORK_SECTION,
-        "gbt": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_estimators": {"type": "integer", "minimum": 0},
-                "max_depth": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "reg_lambda": {"type": "number", "minimum": 0},
-                "gamma": {"type": "number", "minimum": 0},
-                "subsample": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "colsample": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "min_child_weight": {"type": "number", "minimum": 0},
-            },
-        },
+        # every fold seeds its trees from the run seed, so gbt has no seed key
+        **{name: section_schema(settings, omit=("seed",) if name == "gbt" else ())
+           for name, settings in _SECTIONS.items()},
         "task_table": {
             "type": "object",
             "additionalProperties": False,
@@ -114,12 +91,6 @@ CONFIG_SCHEMA = {
         },
     },
 }
-
-
-@dataclass(frozen=True)
-class CovarianceSettings:
-    threshold: float = 0.3
-    input_size: int = 62
 
 
 @dataclass(frozen=True)
@@ -170,10 +141,15 @@ def validate_raw(raw: dict) -> None:
         raise ConfigError(f"config key {path}: {err.message}")
 
 
-def config_from_dict(raw: dict) -> RunConfig:
+def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
+    """The RunConfig of the config ``raw``; each key of ``overrides`` then
+    replaces the file's, and the merged config passes the schema again."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     validate_raw(raw)
+    if overrides:
+        raw = {**raw, **overrides}
+        validate_raw(raw)
     table_raw = raw.get("task_table", {})
     table = {task: tuple(table_raw.get(task, DEFAULT_TASK_TABLE[task])) for task in TASK_IDS}
     for task, positives in table.items():
@@ -181,24 +157,25 @@ def config_from_dict(raw: dict) -> RunConfig:
             check_positives(positives)
         except ValueError as exc:
             raise ConfigError(f"config key task_table/{task}: {exc}") from exc
-    try:
-        base = RunConfig(seed=raw["seed"], tasks=tuple(raw["tasks"]))
-        # each section's keys are the fields of its settings type, and
-        # replace checks the merged section as its constructor would
-        sections = {name: replace(getattr(base, name), **raw.get(name, {}))
-                    for name in ("preprocessing", "covariance", "cnn", "lstm", "dae", "gbt")}
-        return replace(base, output_dir=raw.get("output_dir", base.output_dir),
-                       split_mode=raw.get("split", {}).get("mode"), task_table=table,
-                       **sections)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    base = RunConfig(seed=raw["seed"], tasks=tuple(raw["tasks"]))
+    # each section's keys are the fields of its settings type, and replace
+    # checks the merged section as its constructor would
+    sections = {}
+    for name in _SECTIONS:
+        try:
+            sections[name] = replace(getattr(base, name), **raw.get(name, {}))
+        except ValueError as exc:
+            raise ConfigError(f"config key {name}: {exc}") from exc
+    return replace(base, output_dir=raw.get("output_dir", base.output_dir),
+                   split_mode=raw.get("split", {}).get("mode"), task_table=table, **sections)
 
 
 def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def load_config(path: str | os.PathLike) -> RunConfig:
+def load_config(path: str | os.PathLike, overrides: dict | None = None) -> RunConfig:
+    """The config file at ``path``, with ``overrides`` as in `config_from_dict`."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no config file at {path}")
@@ -206,4 +183,4 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         raw = json.loads(path.read_text(), parse_constant=_reject_constant)
     except ValueError as exc:  # malformed JSON or UTF-8, NaN or Infinity
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(raw, overrides)

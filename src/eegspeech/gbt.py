@@ -24,38 +24,24 @@ import numpy as np
 
 from . import metrics
 from . import rng as rng_mod
+from .bounds import check_bounds
 from .nn.ops import sigmoid
 
 
 @dataclass(frozen=True)
 class GbtConfig:
-    n_estimators: int = 5000
-    max_depth: int = 10
-    learning_rate: float = 0.1
-    reg_lambda: float = 0.3
-    gamma: float = 0.0
-    subsample: float = 0.8
-    colsample: float = 0.4
-    min_child_weight: float = 1.0
+    n_estimators: int = field(default=5000, metadata={"minimum": 0})
+    max_depth: int = field(default=10, metadata={"minimum": 1})
+    learning_rate: float = field(default=0.1, metadata={"exclusiveMinimum": 0})
+    reg_lambda: float = field(default=0.3, metadata={"minimum": 0})
+    gamma: float = field(default=0.0, metadata={"minimum": 0})
+    subsample: float = field(default=0.8, metadata={"exclusiveMinimum": 0, "maximum": 1})
+    colsample: float = field(default=0.4, metadata={"exclusiveMinimum": 0, "maximum": 1})
+    min_child_weight: float = field(default=1.0, metadata={"minimum": 0})
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 0:
-            raise ValueError("n_estimators must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be >= 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if not 0 < self.subsample <= 1:
-            raise ValueError("subsample must be in (0, 1]")
-        if not 0 < self.colsample <= 1:
-            raise ValueError("colsample must be in (0, 1]")
-        if self.min_child_weight < 0:
-            raise ValueError("min_child_weight must be >= 0")
+        check_bounds(self)
 
 
 @dataclass

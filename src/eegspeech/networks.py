@@ -21,6 +21,7 @@ import numpy as np
 
 from . import metrics
 from . import rng as rng_mod
+from .bounds import check_bounds
 from .nn import Adam, LayerSpec, Network, infer_shapes, initial_state
 from .nn import ops
 from .nn.checkpoint import write_csv_atomic
@@ -94,17 +95,12 @@ def dae_specs(input_dim: int) -> list[LayerSpec]:
 class NetworkHyper:
     """Budget and optimiser settings for one network's training run."""
 
-    epochs: int
-    batch_size: int = 64
-    learning_rate: float = 0.001
+    epochs: int = field(metadata={"minimum": 0})
+    batch_size: int = field(default=64, metadata={"minimum": 1})
+    learning_rate: float = field(default=0.001, metadata={"exclusiveMinimum": 0})
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        check_bounds(self)
 
 
 @dataclass

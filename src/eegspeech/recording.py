@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import butter, sosfilt, sosfilt_zi
+
+from .bounds import check_bounds
 
 #: The eleven imagined-speech prompts: seven phonemic/syllabic, four words.
 PROMPTS = (
@@ -98,19 +100,18 @@ class BandpassSpec:
     `bandpass_design` checks it once per spec and rate.
     """
 
-    low_hz: float = 1.0
-    high_hz: float = 50.0
-    order: int = 4
+    low_hz: float = field(default=1.0, metadata={"minimum": 0})
+    high_hz: float = field(default=50.0, metadata={"exclusiveMinimum": 0})
+    order: int = field(default=4, metadata={"minimum": 1})
 
     def __post_init__(self):
-        if self.low_hz < 0:
-            raise ValueError(f"low_hz must be >= 0, got {self.low_hz}")
+        if not isinstance(self.order, int):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
+        check_bounds(self)
         if not self.high_hz > self.low_hz:
             raise ValueError(
                 f"high_hz ({self.high_hz}) must exceed low_hz ({self.low_hz})"
             )
-        if not (isinstance(self.order, int) and self.order >= 1):
-            raise ValueError(f"order must be a positive integer, got {self.order}")
 
 
 def subtract_channel_means(rec: Recording) -> Recording:

@@ -30,6 +30,8 @@ def generate_synthetic_recordings(n_trials: int, n_channels: int, n_subjects: in
     Labels alternate 0/1 and subjects rotate over label pairs, so every
     subject sees both classes whenever it has at least two trials.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if n_channels < 2:

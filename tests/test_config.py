@@ -1,6 +1,8 @@
 """Config schema validation, defaulting, and run fingerprints."""
 
+import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -8,6 +10,9 @@ import pytest
 
 from eegspeech import config
 from eegspeech.errors import ConfigError
+from eegspeech.gbt import GbtConfig
+from eegspeech.networks import NetworkHyper
+from eegspeech.recording import BandpassSpec
 
 MINIMAL = {"seed": 7, "tasks": ["uw"]}
 
@@ -128,6 +133,32 @@ def test_task_table_must_be_strict_subset():
         config.config_from_dict({**MINIMAL, "task_table": {"cv": every_prompt}})
 
 
+def test_cross_field_error_names_its_section():
+    with pytest.raises(ConfigError, match=re.escape(
+            "config key preprocessing: high_hz (10) must exceed low_hz (30)")):
+        config.config_from_dict({**MINIMAL, "preprocessing": {"low_hz": 30, "high_hz": 10}})
+
+
+@pytest.mark.parametrize("overrides,needle", [
+    ({"seed": -1}, "config key seed"),
+    ({"output_dir": ""}, "config key output_dir"),
+    ({"tasks": []}, "config key tasks"),
+    ({"tasks": ["uw", "uw"]}, "config key tasks"),
+    ({"tasks": ["uw", ""]}, "config key tasks/1"),
+])
+def test_overrides_pass_the_schema(overrides, needle):
+    with pytest.raises(ConfigError, match=needle):
+        config.config_from_dict(MINIMAL, overrides)
+
+
+def test_overrides_replace_the_files_keys_after_the_file_is_checked():
+    cfg = config.config_from_dict(MINIMAL, {"seed": 0, "output_dir": "o", "tasks": ["iy"]})
+    assert (cfg.seed, cfg.output_dir, cfg.tasks) == (0, "o", ("iy",))
+    # a bad key in the file is refused even when an override replaces it
+    with pytest.raises(ConfigError, match="config key seed"):
+        config.config_from_dict({**MINIMAL, "seed": -1}, {"seed": 3})
+
+
 def test_non_object_root_rejected():
     with pytest.raises(ConfigError):
         config.config_from_dict(["seed", 1])
@@ -192,3 +223,54 @@ def test_canonical_dict_excludes_operational_knobs():
     canonical = config.config_from_dict(MINIMAL).canonical_dict()
     assert "output_dir" not in canonical
     assert canonical["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# bounds declared on the settings fields
+# ---------------------------------------------------------------------------
+
+SCHEMA_COPY = Path(__file__).resolve().parent / "data" / "config_schema.json"
+
+
+def test_schema_equals_the_committed_copy():
+    # the sections are derived from the settings fields; the published
+    # schema is the one the hand-written sections gave
+    assert config.CONFIG_SCHEMA == json.loads(SCHEMA_COPY.read_text())
+
+
+#: Arguments that satisfy each settings type's other rules while one field
+#: moves to its bounds: a band from 0 Hz lets high_hz reach down to 0.
+SETTINGS = {BandpassSpec: {"low_hz": 0.0}, config.CovarianceSettings: {},
+            NetworkHyper: {"epochs": 1}, GbtConfig: {}}
+
+
+def _bound_cases():
+    for settings, base in SETTINGS.items():
+        for f in dataclasses.fields(settings):
+            for keyword, bound in f.metadata.items():
+                yield pytest.param(settings, base, f, keyword, bound,
+                                   id=f"{settings.__name__}.{f.name}.{keyword}")
+
+
+def _step(f, value, direction):
+    """The nearest value of ``f``'s type past ``value`` in ``direction``."""
+    if f.type == "int":
+        return value + (1 if direction > 0 else -1)
+    return math.nextafter(float(value), direction * math.inf)
+
+
+@pytest.mark.parametrize("settings,base,f,keyword,bound", list(_bound_cases()))
+def test_each_bound_admits_its_edge_and_refuses_past_it(settings, base, f, keyword, bound):
+    inward = -1 if keyword == "maximum" else 1
+    edge = _step(f, bound, inward) if keyword.startswith("exclusive") else bound
+    settings(**{**base, f.name: edge})
+    with pytest.raises(ValueError, match=f.name):
+        settings(**{**base, f.name: _step(f, edge, -inward)})
+
+
+@pytest.mark.parametrize("kwargs", [{"input_size": 4}, {"threshold": 0},
+                                    {"threshold": 1.5}, {"threshold": math.nan}])
+def test_covariance_settings_refuse_values_out_of_bounds(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        config.CovarianceSettings(**kwargs)

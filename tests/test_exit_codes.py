@@ -1,6 +1,7 @@
 """The exit-code contract under bad input: for a config with one bad key, a
-corrupted container or a corrupted model bundle, every verb that reads them
-returns 0, 2, 3 or 4 and never ends in a traceback."""
+bad --tasks or --out flag, a corrupted container or a corrupted model bundle,
+every verb that reads them returns 0, 2, 3 or 4 and never ends in a
+traceback."""
 
 import dataclasses
 import json
@@ -102,6 +103,46 @@ def test_one_bad_config_key_keeps_the_contract(corpus, key, value):
     assert set(codes.values()) <= CONTRACT, codes
     if key in REMOVED_KEYS:
         assert set(codes.values()) == {2}, codes
+
+
+#: Flag values the config file's checks refuse, and the key each names.
+BAD_FLAGS = [(["--tasks", ""], "tasks"), (["--tasks", ","], "tasks"),
+             (["--tasks", "uw,uw"], "tasks"), (["--tasks", "uw,,vowels"], "tasks"),
+             (["--tasks", "uw,,iy"], "tasks"), (["--out", ""], "output_dir")]
+
+
+@pytest.mark.parametrize("flag,key", BAD_FLAGS)
+@pytest.mark.parametrize("verb", VERBS)
+def test_a_bad_flag_is_refused_like_the_same_value_in_the_config(
+        corpus, tmp_path, monkeypatch, capsys, verb, flag, key):
+    data, models = corpus
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(BASE))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # where an empty --out would write
+    argv = [verb, "--config", str(config), "--container", str(data),
+            "--out", str(work / "out"), *flag]
+    if verb == "evaluate":
+        argv += ["--models", str(models)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key}" in err and "Traceback" not in err
+    assert not any(work.iterdir())
+
+
+@pytest.mark.parametrize("verb", ["synth", "plot"])
+def test_an_empty_out_is_refused_before_anything_is_written(
+        corpus, tmp_path, monkeypatch, capsys, verb):
+    # these verbs read no config, so no schema checks their --out
+    _, models = corpus
+    monkeypatch.chdir(tmp_path)
+    argv = {"synth": ["synth", "--n-trials", "6"],
+            "plot": ["plot", str(models / "uw" / "report.json")]}[verb]
+    assert main([*argv, "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def _truncate(root: Path, fraction: float, offset: int) -> None:
