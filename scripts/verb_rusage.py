@@ -6,8 +6,12 @@ Each run is a fresh child process that calls ``eegspeech.cli.main``
 in-process as a benchmark repetition does: synth, then the workload's
 train or crossval, then evaluate on the saved bundles.  The figures of a
 verb are ``getrusage(RUSAGE_SELF)`` differences around its call, so they
-cover every thread of the process, and its peak is the child's VmHWM
-(Linux) when the verb has returned.  The workloads are the benchmark's own
+cover every thread of the process, and its peak is the process's VmHWM
+(Linux) when the verb has returned.  The ``children_*`` figures are the
+``getrusage(RUSAGE_CHILDREN)`` differences of the same call, which cover
+the (task, fold) units a verb trains in forked children, and
+``children_peak_rss_mb`` is the peak of the largest child reaped so far.
+The workloads are the benchmark's own
 (``perfbench/workloads.py``).  The script prints each run and the medians
 as JSON; with ``--merge`` it adds them to a JSON file, such as a
 ``perfbench/run.py`` record, under ``"rusage"``, beside its ``"wall_s"``.
@@ -30,12 +34,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
-FIELDS = ("wall_s", "utime_s", "stime_s", "minflt", "peak_rss_mb")
+FIELDS = ("wall_s", "utime_s", "stime_s", "minflt", "peak_rss_mb",
+          "children_utime_s", "children_stime_s", "children_minflt", "children_peak_rss_mb")
 
 
 def _peak_mb() -> float:
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+
+
+def _usage() -> list:
+    return [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
 
 
 def run_verbs(workload, seed: int, work: Path) -> dict:
@@ -51,15 +60,19 @@ def run_verbs(workload, seed: int, work: Path) -> dict:
                           "--models", str(out), "--out", str(replay)]}
     result = {}
     for verb, argv in verbs.items():
-        before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+        before, start = _usage(), time.perf_counter()
         code = cli(argv)
-        wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+        wall, after = time.perf_counter() - start, _usage()
         if code != 0:
             raise SystemExit(f"{verb} exited with {code}")
-        result[verb] = {"wall_s": wall, "utime_s": after.ru_utime - before.ru_utime,
-                        "stime_s": after.ru_stime - before.ru_stime,
-                        "minflt": after.ru_minflt - before.ru_minflt,
-                        "peak_rss_mb": _peak_mb()}
+        figures = {"wall_s": wall}
+        for prefix, b, a in zip(("", "children_"), before, after):
+            figures.update({f"{prefix}utime_s": a.ru_utime - b.ru_utime,
+                            f"{prefix}stime_s": a.ru_stime - b.ru_stime,
+                            f"{prefix}minflt": a.ru_minflt - b.ru_minflt})
+        figures["peak_rss_mb"] = _peak_mb()
+        figures["children_peak_rss_mb"] = after[1].ru_maxrss / 1024  # KiB on Linux
+        result[verb] = {key: figures[key] for key in FIELDS}
     return result
 
 

@@ -6,13 +6,17 @@ configuration or arguments, 3 bad data, 4 training failure.  The seed
 resolves flag > environment (EEGSPEECH_SEED) > config file.  Each verb that
 reads a container preprocesses every trial and computes its covariance
 matrix once, whatever the number of tasks, reading each trial's samples
-from disk as it goes and dropping them once its matrix is computed.
+from disk as it goes and dropping them once its matrix is computed.  With
+two or more workers, train and crossval then train each (task, fold) unit
+in a forked child (`parallel.Units`) and score, publish and summarise in
+the parent, in task and fold order; no child outlives its verb.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import shutil
@@ -20,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import container as container_mod
-from . import metrics, networks, pipeline, plotting, synth
+from . import metrics, networks, parallel, pipeline, plotting, synth
 from .config import DEFAULT_TASK_TABLE, TASK_IDS, RunConfig, load_config
 from .errors import ConfigError, DataError, LeakageError, TrainingError
 from .nn import save_tensors
@@ -157,28 +161,24 @@ def _metrics_row(task: str, accuracy: float, kappa: float) -> plotting.TaskMetri
     return plotting.TaskMetrics(task=task, accuracy=accuracy, kappa=max(-1.0, min(1.0, kappa)))
 
 
-def _score_tasks(args, cfg: RunConfig, score_task,
+def _score_tasks(verb: str, cfg: RunConfig, n_trials: int, score_task,
                  record_config: bool) -> list[pipeline.EvalReport]:
-    """The per-task loop of train, crossval and evaluate: read and featurize
-    the container, create the output directory (with config.resolved.json
-    when ``record_config``), write each task's report.json and predictions.csv
-    from ``score_task(task, trials, ids, covs, task_dir)``, where ``trials``
-    are the container's TrialRecords, then summary.csv."""
-    cont, ids, covs = _featurize(args.container, cfg)
-    trials = cont.trials
+    """The per-task loop of train, crossval and evaluate, once the feature
+    pass has run: create the output directory (with config.resolved.json
+    when ``record_config``), write each task's report.json and
+    predictions.csv from ``score_task(task, task_dir)``, then summary.csv."""
     out = _output_dir(cfg.output_dir)
     if record_config:
         write_json_atomic(out / "config.resolved.json", cfg.canonical_dict())
     reports = []
     for task_id in cfg.tasks:
-        _progress(f"{args.verb}: task {task_id} on {len(trials)} trials")
+        _progress(f"{verb}: task {task_id} on {n_trials} trials")
         task_dir = out / task_id
-        report = score_task(pipeline.task_from_config(cfg, task_id), trials, ids, covs,
-                            task_dir)
+        report = score_task(pipeline.task_from_config(cfg, task_id), task_dir)
         _output_dir(task_dir)
         pipeline.write_report_json(report, task_dir / "report.json")
         pipeline.write_predictions_csv(report, task_dir / "predictions.csv")
-        _progress(f"{args.verb}: task {task_id} accuracy {report.accuracy:.4f} "
+        _progress(f"{verb}: task {task_id} accuracy {report.accuracy:.4f} "
                   f"kappa {report.kappa:.4f}")
         reports.append(report)
     plotting.write_metric_table_csv([_metrics_row(r.task_id, r.accuracy, r.kappa)
@@ -195,14 +195,47 @@ def _save_fold(bundle: pipeline.ModelBundle, task_dir: Path) -> None:
         networks.write_trace_csv(traces / f"{fold}.{model_name}.csv", model.trace)
 
 
+#: The errors a unit's child passes to the verb, which exits with their codes.
+EXIT_ERRORS = (ConfigError, DataError, LeakageError, TrainingError)
+
+
 def _publish(staging: Path, task_dir: Path) -> None:
-    """Move every file under ``staging`` to the same place under ``task_dir``."""
+    """Replace the task's bundles/ and traces/ by the files under ``staging``,
+    moved to the same places under ``task_dir``, so no fold of an earlier run
+    stays beside this run's."""
+    for name in ("bundles", "traces"):
+        shutil.rmtree(task_dir / name, ignore_errors=True)
     for path in sorted(p for p in staging.rglob("*") if p.is_file()):
         target = _output_dir(task_dir / path.parent.relative_to(staging)) / path.name
         os.replace(path, target)
 
 
+def _discard_staging(task_dirs) -> None:
+    """Remove each task's staging directory, and the task's directory when
+    that leaves it empty."""
+    for task_dir in task_dirs:
+        shutil.rmtree(task_dir / STAGING, ignore_errors=True)
+        try:
+            task_dir.rmdir()
+        except OSError:  # absent, or holding an earlier run's files
+            pass
+
+
 def _run_protocol(args, mode: str) -> int:
+    """Train and score every task of train or crossval, then publish it.
+
+    Each fold is written as it ends, under its task's staging directory,
+    whose files replace the task's own once every fold of the task is
+    scored, so a task that fails leaves no bundle behind.  Once the feature
+    pass has run, with two or more workers and trainable (task, fold) units,
+    every unit trains in a forked child of its own (`parallel.Units`), in
+    task and fold order, while the parent scores each task's folds in order
+    through `pipeline.evaluate_bundles`, loading each fold's bundle from the
+    staging directory when its child has ended.  Otherwise
+    `pipeline.run_task` trains each fold inline.  Either way the outputs are
+    the same bytes, an error is that of the earliest failing unit, and every
+    child has been killed and reaped when the verb returns.
+    """
     # the verb picks the split and split.mode may only agree with it, so one
     # split has one route; the resolved config and fingerprint record it
     cfg = _resolve_config(args)
@@ -211,23 +244,53 @@ def _run_protocol(args, mode: str) -> int:
                           f"not {cfg.split_mode}")
     cfg = dataclasses.replace(cfg, split_mode=mode)
     plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
+    cont, ids, covs = _featurize(args.container, cfg)
+    trials = cont.trials
+    task_dirs = [Path(cfg.output_dir) / task_id for task_id in cfg.tasks]
+    fingerprint = cfg.fingerprint()
+    units = []
+    for task_id, task_dir in zip(cfg.tasks, task_dirs):
+        task = pipeline.task_from_config(cfg, task_id)
+        labels = pipeline.task_labels(trials, task)
+        units += [(task, labels, fold, task_dir / STAGING)
+                  for fold, reason in pipeline.fold_plan(trials, labels, plan) if not reason]
 
-    def train_task(task, trials, ids, covs, task_dir):
-        # each fold is written as it ends, under a staging directory whose
-        # files move into the task's directory once every fold is scored, so
-        # a task that fails leaves no bundle behind
+    def train_unit(task, labels, fold, staging):
+        bundle = pipeline._train_fold(covs, labels, task, fold, cfg, mode, fingerprint, ids)
+        _save_fold(bundle, staging)
+
+    def train_task(task, task_dir):
         staging = task_dir / STAGING
-        shutil.rmtree(staging, ignore_errors=True)
-        try:
+        if not in_children:
             _, report = pipeline.run_task(trials, task, plan, cfg, trial_ids=ids, covs=covs,
                                           save=lambda bundle: _save_fold(bundle, staging))
-            _publish(staging, task_dir)
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
+        else:
+            def bundle_for(fold):
+                try:
+                    runner.result((task.task_id, fold.name))
+                except parallel.ChildFailed as exc:
+                    raise TrainingError(f"task {task.task_id!r} fold {fold.name!r}: "
+                                        f"{exc}") from None
+                return pipeline.load_bundle(staging / "bundles" / fold.name)
+
+            report = pipeline.evaluate_bundles(trials, task, plan, cfg, bundle_for, ids, covs)
+        _publish(staging, task_dir)
         return report
 
-    reports = _score_tasks(args, cfg, train_task, record_config=True)
-    summary = {"mode": mode, "seed": cfg.seed, "config_fingerprint": cfg.fingerprint(),
+    runner = parallel.Units(passes=EXIT_ERRORS)
+    in_children = parallel.WORKERS > 1 and len(units) > 1
+    try:
+        _discard_staging(task_dirs)
+        if in_children:
+            for task, labels, fold, staging in units:
+                runner.submit((task.task_id, fold.name),
+                              functools.partial(train_unit, task, labels, fold, staging))
+        reports = _score_tasks(args.verb, cfg, len(trials), train_task, record_config=True)
+    finally:
+        # the children go first, so none writes into a staging directory after it is removed
+        runner.close()
+        _discard_staging(task_dirs)
+    summary = {"mode": mode, "seed": cfg.seed, "config_fingerprint": fingerprint,
                "tasks": list(cfg.tasks)}
     for key in ("accuracy", "kappa"):
         stats = metrics.summarize([getattr(r, key) for r in reports])
@@ -251,7 +314,10 @@ def cmd_evaluate(args) -> int:
     if not models.is_dir():
         raise DataError(f"no model directory at {models}")
 
-    def evaluate_task(task, trials, ids, covs, task_dir):
+    cont, ids, covs = _featurize(args.container, cfg)
+    trials = cont.trials
+
+    def evaluate_task(task, task_dir):
         bundles_dir = models / task.task_id / "bundles"
         folds = sorted(p for p in bundles_dir.iterdir() if p.is_dir()) \
             if bundles_dir.is_dir() else []
@@ -274,7 +340,7 @@ def cmd_evaluate(args) -> int:
                                          dataclasses.replace(cfg, split_mode=modes[0]),
                                          bundle_for, trial_ids=ids, covs=covs)
 
-    _score_tasks(args, cfg, evaluate_task, record_config=False)
+    _score_tasks(args.verb, cfg, len(trials), evaluate_task, record_config=False)
     return EXIT_OK
 
 

@@ -12,12 +12,22 @@ in the same operations as a serial pass, written into arrays the caller
 allocated; every sum across slices stays with the caller, after ``split``
 returns.  Parts that allocated their own large blocks would make glibc give
 each thread its own heap arena, and the process's peak memory would grow.
+
+``Units`` runs independent keyed units of work, each in a forked child of
+its own, at most ``WORKERS`` children at once and each at one worker; the
+parent collects each unit's return value, or its exception, by key.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import pickle
+import select
+import signal
+import sys
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 #: Workers, the calling thread included: the CPUs this process may run on.
@@ -77,3 +87,134 @@ def split(n: int, part, grain: int = 1) -> None:
         wait(futures)
     for future in futures:
         future.result()
+
+
+class ChildFailed(RuntimeError):
+    """A unit's child raised an exception its runner does not pass on, or
+    ended without a result."""
+
+
+def _ended(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"was killed by signal {-code} ({signal.Signals(-code).name})"
+    return f"exited with status {code}"
+
+
+def _run_child(fn, fd: int, passes) -> None:
+    """Run ``fn`` in a forked child at one worker, write its outcome to
+    ``fd`` and end the child without running the parent's exit handlers."""
+    global WORKERS
+    WORKERS = 1
+    status = 1
+    try:
+        try:
+            outcome = (True, fn())
+        except passes as exc:
+            outcome = (False, exc)
+        except BaseException as exc:  # noqa: BLE001 - sent to the parent as text
+            outcome = (False, f"{type(exc).__name__}: {exc}")
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except Exception:  # noqa: BLE001 - a closed stream has nothing to lose
+                pass
+        os._exit(status)
+
+
+class Units:
+    """Keyed units of work, each run in a forked child of its own.
+
+    ``submit(key, fn)`` queues ``fn``, a function of no arguments; units
+    start in the order they were submitted, while fewer than ``WORKERS``
+    children are alive.  Each child sees the parent's memory as it was at
+    its fork, runs at one worker, sends ``fn``'s picklable return value back
+    through a pipe of its own and ends with ``os._exit``.  ``result(key)``
+    waits for that unit, starting queued units as children end, and returns
+    its value.  An exception of one of the ``passes`` classes is re-raised
+    there as it was raised in the child; any other exception, or a child
+    that ended without a result (a signal, say), is a ChildFailed that says
+    what happened.  Only this runner's own children are waited for.
+    ``close`` (also on leaving a ``with`` block) kills and reaps every child
+    still alive and drops the units not started.
+    """
+
+    def __init__(self, passes: tuple[type[BaseException], ...] = ()):
+        self.passes = passes
+        self._queued: deque = deque()
+        self._running: dict[int, tuple[object, int]] = {}  # pipe fd -> (key, pid)
+        self._outcomes: dict[object, tuple[bool, object]] = {}
+
+    def __enter__(self) -> "Units":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def submit(self, key, fn) -> None:
+        self._queued.append((key, fn))
+        self._start()
+
+    def _start(self) -> None:
+        while self._queued and len(self._running) < WORKERS:
+            key, fn = self._queued.popleft()
+            # a buffer flushed now is not written again by the child
+            sys.stdout.flush()
+            sys.stderr.flush()
+            read_fd, write_fd = os.pipe()
+            # the child's collections then skip the parent's objects, whose
+            # pages they would otherwise copy
+            gc.freeze()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _run_child(fn, write_fd, self.passes)
+            gc.unfreeze()
+            os.close(write_fd)
+            self._running[read_fd] = (key, pid)
+
+    def _collect(self, fd: int) -> None:
+        # the unit stays in _running until it is reaped, so that an
+        # interrupted read or wait still leaves it to close()
+        key, pid = self._running[fd]
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+        _, status = os.waitpid(pid, 0)
+        del self._running[fd]
+        os.close(fd)
+        data = b"".join(chunks)
+        try:
+            self._outcomes[key] = pickle.loads(data)
+        except Exception:  # noqa: BLE001 - nothing, or a message cut short
+            self._outcomes[key] = (False, f"the child {_ended(status)} without a result")
+
+    def result(self, key):
+        """The return value of the unit submitted under ``key``, once its
+        child has ended; raises as the class docstring says."""
+        while key not in self._outcomes:
+            if not self._running:
+                raise KeyError(key)
+            ready, _, _ = select.select(list(self._running), [], [])
+            for fd in ready:
+                self._collect(fd)
+            self._start()
+        ok, value = self._outcomes.pop(key)
+        if ok:
+            return value
+        if isinstance(value, BaseException):
+            raise value
+        raise ChildFailed(value)
+
+    def close(self) -> None:
+        self._queued.clear()
+        for _, pid in self._running.values():
+            os.kill(pid, signal.SIGKILL)
+        for fd, (_, pid) in self._running.items():
+            os.waitpid(pid, 0)
+            os.close(fd)
+        self._running.clear()

@@ -10,8 +10,10 @@ boosted-tree classifier.  Held-out trials are scored by `evaluate_bundles`,
 the one path that scores a fold, whether its bundle was just trained or
 loaded from disk: its fold loop calls a function of the fold for that
 fold's bundle, one fold at a time, and drops the bundle before the next
-call, so a task never holds more than one.  A leakage audit object checks
-that no fitting step ever sees a held-out trial index.
+call, so a task never holds more than one.  `fold_plan` owns the rule for
+which folds train, which that loop and the CLI's list of units to train in
+child processes both read.  A leakage audit object checks that no fitting
+step ever sees a held-out trial index.
 """
 
 from __future__ import annotations
@@ -456,13 +458,25 @@ def _train_fold(covs, labels, task: Task, fold: Fold, cfg: RunConfig, mode: str,
     return bundle
 
 
+def task_labels(trials, task: Task) -> np.ndarray:
+    """Each trial's label under ``task``, from its ``prompt``."""
+    return np.array([derive_label(trial.prompt, task) for trial in trials], dtype=np.int64)
+
+
+def fold_plan(trials, labels, plan: SplitPlan) -> list[tuple[Fold, str]]:
+    """Every fold of ``plan`` over ``trials``, in fold order, with the reason
+    it is not trained: the problem `metrics.label_problem` finds in its
+    training labels, or "" when it trains."""
+    return [(fold, metrics.label_problem(labels[list(fold.train)]))
+            for fold in make_splits(trials, plan)]
+
+
 def _prepare(trials, task: Task, cfg: RunConfig, covs):
     """Trials as a list, CCV matrices (computed when not given) and task labels."""
     trials = list(trials)
     if covs is None:
         covs = ccv_features(trials, cfg)
-    labels = np.array([derive_label(trial.prompt, task) for trial in trials], dtype=np.int64)
-    return trials, covs, labels
+    return trials, covs, task_labels(trials, task)
 
 
 def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids,
@@ -477,9 +491,9 @@ def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids,
     its bundle is handed to ``save`` when one is given, and it is scored and
     dropped before the next fold trains.  Returns (bundles by fold name,
     EvalReport); the dict holds every bundle, or none when ``save`` took
-    them.  Folds whose training labels lack two examples of each class are
-    not trained; `evaluate_bundles` flags them as skipped, and raises
-    TrainingError when every fold is.
+    them.  Folds that `fold_plan` does not train are not trained;
+    `evaluate_bundles` flags them as skipped, and raises TrainingError when
+    every fold is.
     """
     trials, covs, labels = _prepare(trials, task, cfg, covs)
     fingerprint = cfg.fingerprint()
@@ -508,16 +522,15 @@ def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
     task or fold, for one whose stored test trials differ from its
     recomputed fold's (another seed or container), so no bundle ever scores
     a trial it was trained on, and for one that keeps channels the container
-    lacks; another config's bundle raises ConfigError.  Folds whose
-    training labels `metrics.label_problem` refuses, and folds without a
-    bundle, are flagged as skipped, the former with that problem; if every
-    fold is skipped the task cannot be scored and a TrainingError is raised.
+    lacks; another config's bundle raises ConfigError.  Folds that
+    `fold_plan` does not train, and folds without a bundle, are flagged as
+    skipped, the former with its reason; if every fold is skipped the task
+    cannot be scored and a TrainingError is raised.
     """
     trials, covs, labels = _prepare(trials, task, cfg, covs)
     fingerprint = cfg.fingerprint()
     folds, predictions = [], []
-    for fold in make_splits(trials, plan):
-        reason = metrics.label_problem(labels[list(fold.train)])
+    for fold, reason in fold_plan(trials, labels, plan):
         bundle = None if reason else bundle_for(fold)
         if bundle is None:
             folds.append(FoldReport(name=fold.name, skipped=True,

@@ -2,7 +2,9 @@
 
 import gc
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -14,10 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegspeech import config, container, covariance, networks, pipeline
+from eegspeech import config, container, covariance, networks, parallel, pipeline
 from eegspeech.cli import main
-from eegspeech.errors import TrainingError
+from eegspeech.errors import DataError, LeakageError, TrainingError
 from eegspeech.nn import load_tensors
+
+from conftest import workers
 
 FAST_SECTIONS = {
     "covariance": {"input_size": 6},
@@ -358,7 +362,8 @@ def test_crossval_releases_a_tasks_bundles_before_the_next_task(tmp_path, monkey
         original(bundle, root)
 
     monkeypatch.setattr(pipeline, "save_bundle", tracking)
-    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    with workers(1):  # the inline path, whose folds train in this process
+        assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
     assert alive_at_save == [0] * 6
     assert _alive(refs) == 0
 
@@ -384,7 +389,8 @@ def test_crossval_live_data_stays_level_across_folds_and_tasks(tmp_path, monkeyp
     monkeypatch.setattr(networks, "train_cnn", training)
     tracemalloc.start()
     try:
-        assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+        with workers(1):  # the inline path, whose folds train in this process
+            assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
     finally:
         tracemalloc.stop()
     assert [kind for kind, _ in levels] == ["started", "saved"] * 6
@@ -408,9 +414,183 @@ def test_a_task_whose_later_fold_fails_leaves_no_bundle(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(networks, "train_lstm", failing_second_fold)
-    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 4
+    with workers(1):  # the inline path, whose folds train in this process
+        assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 4
     # the first fold was written when it ended; the failure took it back
     assert [p for p in (out / "uw").rglob("*")] == []
+
+
+def _tree(root: Path) -> dict:
+    """Every file under ``root`` by its relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _no_child_left() -> None:
+    # neither alive nor unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_fold(fold_name, fail):
+    """``pipeline._train_fold``, calling ``fail()`` first for the fold ``fold_name``."""
+    original = pipeline._train_fold
+
+    def train(covs, labels, task, fold, *args):
+        if task.task_id == "uw" and fold.name == fold_name:
+            fail()
+        return original(covs, labels, task, fold, *args)
+
+    return train
+
+
+def _two_task_crossval(tmp_path, out):
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    cfg = _write_config(tmp_path / "run.json", out, tasks=["uw", "iy"],
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    return ["crossval", "--config", str(cfg), "--container", str(cont)]
+
+
+def test_a_failing_fold_leaves_the_same_output_at_one_and_two_workers(tmp_path, monkeypatch,
+                                                                       capsys):
+    def fail():
+        raise TrainingError("subject s01's fold failed")
+
+    monkeypatch.setattr(pipeline, "_train_fold", _failing_fold("subject-s01", fail))
+    trees = []
+    for n in (1, 2):
+        out = tmp_path / f"out{n}"
+        argv = _two_task_crossval(tmp_path / f"run{n}", out)
+        capsys.readouterr()
+        with workers(n):
+            assert main(argv) == 4
+        assert "subject s01's fold failed" in capsys.readouterr().err
+        assert [p for p in (out / "uw").rglob("*")] == []
+        trees.append(_tree(out))
+        _no_child_left()
+    # iy, whose folds the children may have trained, left nothing either
+    assert list(trees[0]) == ["config.resolved.json"]
+    assert trees[0].keys() == trees[1].keys()
+
+
+def test_outputs_are_the_same_bytes_at_one_two_and_three_workers(tmp_path):
+    trees = []
+    for n in (1, 2, 3):
+        out = tmp_path / f"out{n}"
+        argv = _two_task_crossval(tmp_path / f"run{n}", out)
+        with workers(n):
+            assert main(argv) == 0
+        tree = _tree(out)
+        tree.pop("config.resolved.json")  # it names its output directory
+        trees.append(tree)
+        _no_child_left()
+    assert any(name.startswith("iy/bundles/") for name in trees[0])
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+
+
+def test_children_train_at_one_worker_while_the_parent_holds_one_bundle(tmp_path,
+                                                                         monkeypatch):
+    argv = _two_task_crossval(tmp_path, tmp_path / "out")
+    seen = tmp_path / "seen"
+    seen.mkdir()
+    original_train, original_load = pipeline._train_fold, pipeline.load_bundle
+
+    def training(covs, labels, task, fold, *args):
+        (seen / f"{task.task_id}.{fold.name}").write_text(json.dumps(
+            [os.getpid(), parallel.WORKERS]))
+        return original_train(covs, labels, task, fold, *args)
+
+    refs, loaded, earlier_alive = [], [], []
+
+    def loading(root):
+        earlier_alive.append(_alive(refs))
+        bundle = original_load(root)
+        loaded.append((Path(root).parents[2].name, Path(root).name))
+        refs.extend(_model_refs(bundle))
+        return bundle
+
+    monkeypatch.setattr(pipeline, "_train_fold", training)
+    monkeypatch.setattr(pipeline, "load_bundle", loading)
+    with workers(2):
+        assert main(argv) == 0
+    units = [(task, f"subject-s0{i}") for task in ("uw", "iy") for i in range(3)]
+    assert sorted(p.name for p in seen.iterdir()) == sorted(f"{t}.{f}" for t, f in units)
+    for path in seen.iterdir():
+        pid, n_workers = json.loads(path.read_text())
+        assert pid != os.getpid() and n_workers == 1
+    assert loaded == units
+    assert earlier_alive == [0] * 6
+    assert _alive(refs) == 0
+    _no_child_left()
+
+
+def test_a_child_killed_by_a_signal_exits_4_naming_its_task_and_fold(tmp_path, monkeypatch,
+                                                                    capsys):
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent, "this fold must train in a child"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    argv = _two_task_crossval(tmp_path, tmp_path / "out")
+    monkeypatch.setattr(pipeline, "_train_fold", _failing_fold("subject-s01", die))
+    with workers(2):
+        assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "training error: task 'uw' fold 'subject-s01'" in err and "SIGKILL" in err
+    assert "Traceback" not in err
+    assert [p for p in (tmp_path / "out" / "uw").rglob("*")] == []
+    _no_child_left()
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (DataError("trial t03 is unreadable"), 3, "data error: trial t03 is unreadable"),
+    (LeakageError("gbt-fit fit on held-out trials [3]"), 4,
+     "training error: gbt-fit fit on held-out trials [3]"),
+    (RuntimeError("out of luck"), 4,
+     "training error: task 'uw' fold 'subject-s01': RuntimeError: out of luck"),
+])
+def test_a_childs_error_gives_the_verb_its_exit_code(tmp_path, monkeypatch, capsys, exc, code,
+                                                    message):
+    def fail():
+        raise exc
+
+    argv = _two_task_crossval(tmp_path, tmp_path / "out")
+    monkeypatch.setattr(pipeline, "_train_fold", _failing_fold("subject-s01", fail))
+    with workers(2):
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    _no_child_left()
+
+
+def test_an_interrupted_parent_leaves_no_child(tmp_path, monkeypatch):
+    argv = _two_task_crossval(tmp_path, tmp_path / "out")
+
+    def interrupted(root):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "load_bundle", interrupted)
+    with workers(2), pytest.raises(KeyboardInterrupt):
+        main(argv)
+    _no_child_left()
+    assert not list((tmp_path / "out").rglob(".partial"))
+
+
+def test_a_rerun_into_the_same_directory_keeps_only_its_own_folds(tmp_path):
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out,
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    for verb in ("train", "crossval"):
+        assert main([verb, "--config", str(cfg), "--container", str(cont)]) == 0
+    folds = [f"subject-s0{i}" for i in range(3)]
+    assert sorted(p.name for p in (out / "uw" / "bundles").iterdir()) == folds
+    assert sorted({p.name.split(".")[0] for p in (out / "uw" / "traces").iterdir()}) == folds
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(out), "--out", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "uw" / "predictions.csv").read_bytes() == \
+           (out / "uw" / "predictions.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +755,16 @@ def test_crossval_records_its_split_and_replays(tmp_path):
 
 
 def test_evaluate_refuses_bundles_of_two_splits_with_exit_3(tmp_path, capsys):
-    # crossval into train's output directory leaves holdout and subject bundles side by side
+    # a holdout bundle copied beside crossval's subject bundles
     cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
     models = tmp_path / "models"
     cfg = _write_config(tmp_path / "run.json", models,
                         sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
-    for verb in ("train", "crossval"):
-        assert main([verb, "--config", str(cfg), "--container", str(cont)]) == 0
+    for verb, out in (("train", tmp_path / "holdout"), ("crossval", models)):
+        assert main([verb, "--config", str(cfg), "--container", str(cont),
+                     "--out", str(out)]) == 0
+    shutil.copytree(tmp_path / "holdout" / "uw" / "bundles" / "holdout",
+                    models / "uw" / "bundles" / "holdout")
     eval_out = tmp_path / "eval"
     assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
                  "--models", str(models), "--out", str(eval_out)]) == 3

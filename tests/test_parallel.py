@@ -141,6 +141,74 @@ def test_many_short_splits_write_each_element_once():
     assert (counts == 200).all()
 
 
+# --- the process runner ------------------------------------------------------
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _timed(seconds):
+    def unit():
+        start = time.monotonic()
+        time.sleep(seconds)
+        return start, time.monotonic(), os.getpid(), parallel.WORKERS
+
+    return unit
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_units_start_in_order_with_at_most_workers_children_alive(n_workers):
+    with workers(n_workers), parallel.Units() as units:
+        for key in range(5):
+            units.submit(key, _timed(0.2))
+        got = [units.result(key) for key in (4, 0, 1, 2, 3)]
+    _no_child_left()
+    spans = sorted(got, key=lambda g: g[0])
+    assert [g[0] for g in got[1:]] + [got[0][0]] == [s for s, *_ in spans]
+    for start, *_ in spans:  # children alive at each start, that one included
+        assert sum(s <= start < e for s, e, *_ in spans) <= n_workers
+    assert len({pid for *_, pid, _ in got} | {os.getpid()}) == 6
+    assert {n for *_, n in got} == {1}  # each child runs at one worker
+
+
+def test_a_units_exception_comes_back_by_its_class_or_as_child_failed():
+    def raising(exc):
+        def unit():
+            raise exc
+        return unit
+
+    with workers(2), parallel.Units(passes=(KeyError,)) as units:
+        units.submit("key", raising(KeyError("kept")))
+        units.submit("value", raising(ValueError("not kept")))
+        units.submit("exit", lambda: os._exit(3))
+        units.submit("signal", lambda: os.kill(os.getpid(), signal.SIGKILL))
+        units.submit("ok", lambda: "done")
+        with pytest.raises(KeyError, match="kept"):
+            units.result("key")
+        with pytest.raises(parallel.ChildFailed, match="^ValueError: not kept$"):
+            units.result("value")
+        with pytest.raises(parallel.ChildFailed, match="exited with status 3 without a result"):
+            units.result("exit")
+        with pytest.raises(parallel.ChildFailed, match=r"signal 9 \(SIGKILL\)"):
+            units.result("signal")
+        assert units.result("ok") == "done"
+    _no_child_left()
+
+
+def test_close_kills_and_reaps_every_child_and_starts_no_more():
+    start = time.monotonic()
+    with workers(2):
+        units = parallel.Units()
+        for key in range(4):
+            units.submit(key, _timed(60))
+        units.close()
+    assert time.monotonic() - start < 30
+    _no_child_left()
+    with pytest.raises(KeyError):
+        units.result(2)
+
+
 # --- convolution -------------------------------------------------------------
 
 def _reference_im2col(x, kh, kw):

@@ -15,6 +15,8 @@ from pathlib import Path
 
 from eegspeech import networks
 
+from conftest import workers
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "synthetic_end_to_end.py"
 
 
@@ -110,12 +112,21 @@ def test_verb_rusage_reports_each_verb(tmp_path):
         config={"tasks": ["uw"], "covariance": {"input_size": 6},
                 **{net: {"epochs": 0} for net in ("cnn", "lstm", "dae")},
                 "gbt": {"n_estimators": 2}})
-    result = script["run_verbs"](small, 3, tmp_path)
+    with workers(2):  # crossval's two folds train in children
+        result = script["run_verbs"](small, 3, tmp_path)
     assert list(result) == ["synth", "crossval", "evaluate"]
     for figures in result.values():
         assert set(figures) == set(script["FIELDS"])
         assert figures["wall_s"] > 0 and figures["minflt"] >= 0
         assert figures["utime_s"] >= 0 and figures["stime_s"] >= 0
         assert figures["peak_rss_mb"] > 0
+        assert figures["children_minflt"] >= 0
+        assert figures["children_utime_s"] >= 0 and figures["children_stime_s"] >= 0
+    crossval = result["crossval"]
+    assert crossval["children_utime_s"] + crossval["children_stime_s"] > 0
+    assert crossval["children_minflt"] > 0 and crossval["children_peak_rss_mb"] > 0
+    # synth and evaluate start no child
+    for verb in ("synth", "evaluate"):
+        assert result[verb]["children_utime_s"] == result[verb]["children_minflt"] == 0
     assert (tmp_path / "replay" / "uw" / "predictions.csv").read_bytes() == \
            (tmp_path / "out" / "uw" / "predictions.csv").read_bytes()
