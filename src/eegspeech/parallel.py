@@ -162,20 +162,32 @@ class Units:
     def _start(self) -> None:
         while self._queued and len(self._running) < WORKERS:
             key, fn = self._queued.popleft()
-            # a buffer flushed now is not written again by the child
-            sys.stdout.flush()
-            sys.stderr.flush()
-            read_fd, write_fd = os.pipe()
-            # the child's collections then skip the parent's objects, whose
-            # pages they would otherwise copy
-            gc.freeze()
+            try:
+                self._fork(key, fn)
+            except OSError as exc:  # out of processes, memory or descriptors
+                self._outcomes[key] = (False, f"the child could not be started: {exc}")
+
+    def _fork(self, key, fn) -> None:
+        # a buffer flushed now is not written again by the child
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        # the child's collections then skip the parent's objects, whose
+        # pages they would otherwise copy
+        gc.freeze()
+        try:
             pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                _run_child(fn, write_fd, self.passes)
+        except OSError:
             gc.unfreeze()
+            os.close(read_fd)
             os.close(write_fd)
-            self._running[read_fd] = (key, pid)
+            raise
+        if pid == 0:
+            os.close(read_fd)
+            _run_child(fn, write_fd, self.passes)
+        gc.unfreeze()
+        os.close(write_fd)
+        self._running[read_fd] = (key, pid)
 
     def _collect(self, fd: int) -> None:
         # the unit stays in _running until it is reaped, so that an

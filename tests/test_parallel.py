@@ -7,6 +7,8 @@ the Adam step and the feature pass are compared with themselves at one
 worker.  Three workers on a host with fewer CPUs still run three slices.
 """
 
+import errno
+import gc
 import json
 import os
 import signal
@@ -194,6 +196,18 @@ def test_a_units_exception_comes_back_by_its_class_or_as_child_failed():
             units.result("signal")
         assert units.result("ok") == "done"
     _no_child_left()
+
+
+def test_a_unit_whose_child_cannot_start_is_child_failed(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with workers(2), parallel.Units() as units:
+        units.submit("a", lambda: 1)
+        with pytest.raises(parallel.ChildFailed, match="could not be started"):
+            units.result("a")
+    assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 def test_close_kills_and_reaps_every_child_and_starts_no_more():
