@@ -15,9 +15,12 @@ still hold and the gradients its parameters still hold, both of which
 should be none; it runs twice, once pinned to one CPU (so ``parallel.split``
 runs everything inline) and once on every CPU the script may use.  Then
 another fresh child loads an untrained bundle (the three networks at
-``--size``, no trees) saved by ``pipeline.save_bundle``, and reports
-``pipeline.load_bundle``'s first and warm times and its peak resident set
-size.  Last, the feature pass: a fresh child preprocesses random trials
+``--size``, no trees) saved by ``pipeline.save_bundle`` and scores one input
+with it, and reports ``pipeline.load_bundle``'s first and warm times, the
+time of the first forward after each load (a mapped archive's pages are
+mapped as that forward reads them), each load's and forward's user and
+kernel time and minor page faults, and its peak resident set size.  Last,
+the feature pass: a fresh child preprocesses random trials
 (``pipeline.preprocess``, the bandpass and the mean removal) and computes
 each one's covariance matrix (``covariance.ccv_matrix``), and reports the
 wall time and minor page faults of its first trial, which makes the one
@@ -101,19 +104,37 @@ print(json.dumps({"s": s,
 """
 
 #: Loads one saved bundle in a fresh interpreter, once and then ``repeats``
-#: more times, each result dropped before the next load; prints the first
-#: load's time, the warm loads' times and the peak RSS (``_PEAK_MB``).
+#: more times, and scores one input of ``size`` x ``size`` with each loaded
+#: bundle before dropping it: a mapped archive's pages are mapped when first
+#: read, so the first forward pays for what the load deferred.  Prints each
+#: load's and each forward's wall time, user and kernel time and minor page
+#: faults, and the peak RSS (``_PEAK_MB``).
 _BUNDLE_LOAD = """
-import json, sys, time
+import json, resource, sys, time
+import numpy as np
 sys.path.insert(0, sys.argv[1])
 from eegspeech import pipeline
+inputs = np.zeros((1, int(sys.argv[4]), int(sys.argv[4])))
 runs = []
+
+def timed(key, fn, run):
+    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+    result = fn()
+    run[key + "_s"] = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    run[key + "_utime_s"] = after.ru_utime - before.ru_utime
+    run[key + "_stime_s"] = after.ru_stime - before.ru_stime
+    run[key + "_minflt"] = after.ru_minflt - before.ru_minflt
+    return result
+
 for _ in range(int(sys.argv[3]) + 1):
-    start = time.perf_counter()
-    pipeline.load_bundle(sys.argv[2])
-    runs.append(time.perf_counter() - start)
+    run = {}
+    bundle = timed("load", lambda: pipeline.load_bundle(sys.argv[2]), run)
+    timed("forward", lambda: bundle.predict_proba(inputs), run)
+    runs.append(run)
+    del bundle
 """ + _PEAK_MB + """
-print(json.dumps({"first_s": runs[0], "warm_runs": runs[1:], "peak_rss_mb": peak_mb}))
+print(json.dumps({"runs": runs, "peak_rss_mb": peak_mb}))
 """
 
 
@@ -265,11 +286,16 @@ def bench_bundle_load(size: int, repeats: int) -> dict:
         pipeline.save_bundle(bundle, tmp)
         archive_mb = (Path(tmp) / pipeline.BUNDLE_ARCHIVE).stat().st_size / 2**20
         done = subprocess.run([sys.executable, "-c", _BUNDLE_LOAD, package_root, tmp,
-                               str(repeats)], capture_output=True, text=True, check=True)
+                               str(repeats), str(size)],
+                              capture_output=True, text=True, check=True)
     timed = json.loads(done.stdout.strip().splitlines()[-1])
-    return {"params": params, "archive_mb": archive_mb, "first_s": timed["first_s"],
-            "warm_s": statistics.median(timed["warm_runs"]), "warm_runs": timed["warm_runs"],
-            "peak_rss_mb": timed["peak_rss_mb"]}
+    runs = timed["runs"]
+    warm_runs = [run["load_s"] for run in runs[1:]]
+    return {"params": params, "archive_mb": archive_mb, "first_s": runs[0]["load_s"],
+            "warm_s": statistics.median(warm_runs), "warm_runs": warm_runs,
+            "first_forward_s": runs[0]["forward_s"],
+            "warm_forward_s": statistics.median(run["forward_s"] for run in runs[1:]),
+            "runs": runs, "peak_rss_mb": timed["peak_rss_mb"]}
 
 
 def bench_feature_pass(size: int, repeats: int) -> dict:
@@ -322,8 +348,9 @@ def main() -> int:
                                round(result["trees"]["predict_s_per_tree"], 4)],
                       "cnn_train_step": [round(result["cnn_train_step"][k]["s"], 4)
                                          for k in ("one_cpu", "all_cpus")],
-                      "bundle_load": [round(result["bundle_load"]["first_s"], 4),
-                                      round(result["bundle_load"]["warm_s"], 4)],
+                      "bundle_load": [round(result["bundle_load"][k], 4)
+                                      for k in ("first_s", "warm_s", "first_forward_s",
+                                                "warm_forward_s")],
                       "feature_pass": {k: [round(e["first_s"], 5), round(e["warm_s"], 5)]
                                        for k, e in result["feature_pass"].items()}}))
     return 0

@@ -32,7 +32,8 @@ class CovMatrix:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"values must be square, got shape {values.shape}")
-        if values.size:
+        # exact symmetry, the common case, passes the tolerance check too
+        if values.size and not np.array_equal(values, values.T):
             scale = np.abs(values).max()
             if not np.allclose(values, values.T, rtol=0, atol=_SYMMETRY_RTOL * max(scale, 1e-300)):
                 raise ValueError("a covariance matrix must be symmetric")

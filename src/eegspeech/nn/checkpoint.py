@@ -1,12 +1,19 @@
 """Named-tensor archive: the one binary format of model bundles and feature
-dumps (only a trial container's samples are raw).  Layout (little-endian):
+dumps (only a trial container's samples are raw).  Layout, version 2
+(little-endian):
 
     magic b"NTAR" | u32 version | u32 count
-    per tensor: u16 name length | name utf-8 | u8 ndim | u32 dims... | f64 data
+    per tensor: u16 name length | name utf-8 | u8 ndim | u32 dims...
+                | zero bytes up to a file offset that is a multiple of 64
+                | f64 data
 
 Writes are atomic (temp file + rename) and byte-deterministic for a given
-mapping.  Reads fill one fresh float64 array per tensor from the file, with
-no intermediate copy; reading any malformed archive raises ValueError.
+mapping.  A read maps the file read-only and makes each tensor a read-only
+view of that mapping, so nothing is copied, and the padding makes every
+view 64-byte aligned.  The mapping, and one open descriptor, lives as long
+as any of its tensors; a file replaced by rename, as every write here is,
+leaves them unchanged.  Reading any malformed archive, a version-1 one
+included, raises ValueError.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import csv
 import io
 import json
 import math
+import mmap
 import os
 import secrets
 import struct
@@ -22,58 +30,60 @@ import struct
 import numpy as np
 
 MAGIC = b"NTAR"
-VERSION = 1
+VERSION = 2
+#: Each tensor's data starts at a file offset that is a multiple of this.
+ALIGN = 64
 
 
 def _chunks(named: dict[str, np.ndarray]):
     """The archive in pieces; a tensor's data is a view of it, not a copy."""
-    yield MAGIC + struct.pack("<II", VERSION, len(named))
+    head = MAGIC + struct.pack("<II", VERSION, len(named))
+    yield head
+    at = len(head)
     for name in named:
         arr = np.asarray(named[name], dtype=np.float64)
         encoded = name.encode("utf-8")
-        yield struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
-                          arr.ndim, *arr.shape)
+        header = struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
+                             arr.ndim, *arr.shape)
+        pad = -(at + len(header)) % ALIGN
+        yield header + bytes(pad)
+        at += len(header) + pad + arr.nbytes
         yield np.ascontiguousarray(arr, dtype="<f8").data
 
 
-def _exactly(f, n: int) -> bytes:
-    chunk = f.read(n)
-    if len(chunk) != n:
-        raise ValueError("truncated archive")
-    return chunk
-
-
-def _read_tensors(f, total: int) -> dict[str, np.ndarray]:
-    """Parse the archive of ``total`` bytes that the binary file ``f`` holds,
-    reading each tensor's data straight into its own slice of one block.  A
-    size is checked against ``total`` before its slice is taken.
-
-    One block per archive is one allocation, freed at once when the last of
-    its tensors is: a bundle loaded for each fold of a task maps one large
-    block instead of dozens of arrays, and numpy asks for huge pages for a
-    block of 4 MB or more, so a load faults in a few pages, not thousands.
-    """
-    if f.read(4) != MAGIC:
+def _read_tensors(buf) -> dict[str, np.ndarray]:
+    """Parse the archive that the buffer ``buf`` holds into read-only views
+    of it, one per tensor.  A size is checked against the buffer's length
+    before anything at that size is read or viewed."""
+    if buf[:len(MAGIC)] != MAGIC:
         raise ValueError("not a named-tensor archive")
-    version, count = struct.unpack("<II", _exactly(f, 8))
+    total, at = len(buf), len(MAGIC)
+
+    def take(n: int) -> bytes:
+        nonlocal at
+        if n > total - at:
+            raise ValueError("truncated archive")
+        at += n
+        return buf[at - n:at]
+
+    version, count = struct.unpack("<II", take(8))
     if version != VERSION:
-        raise ValueError(f"unsupported archive version {version}")
+        raise ValueError(f"archive version {version} is not supported; "
+                         f"this program reads version {VERSION}")
     out: dict[str, np.ndarray] = {}
-    block, used = np.empty(total // 8, dtype="<f8"), 0
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", _exactly(f, 2))
-        name = _exactly(f, name_len).decode("utf-8")
-        ndim = _exactly(f, 1)[0]
-        dims = struct.unpack(f"<{ndim}I", _exactly(f, 4 * ndim))
+        (name_len,) = struct.unpack("<H", take(2))
+        name = take(name_len).decode("utf-8")
+        ndim = take(1)[0]
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        if any(take(-at % ALIGN)):
+            raise ValueError(f"tensor {name!r} has non-zero padding")
         nbytes = 8 * math.prod(dims)
-        if nbytes > total - f.tell():
+        if nbytes > total - at:
             raise ValueError(f"tensor {name!r} runs past the end of the archive")
-        arr = block[used:used + nbytes // 8].reshape(dims)
-        used += nbytes // 8
-        if f.readinto(arr) != nbytes:
-            raise ValueError(f"tensor {name!r} is truncated")
-        out[name] = arr
-    if f.tell() != total:
+        out[name] = np.ndarray(dims, "<f8", buf, at)
+        at += nbytes
+    if at != total:
         raise ValueError("trailing bytes after last tensor")
     return out
 
@@ -111,5 +121,8 @@ def save_tensors(path: str | os.PathLike, named: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str | os.PathLike) -> dict[str, np.ndarray]:
+    """The archive at ``path`` as read-only views of one read-only mapping."""
     with open(path, "rb") as f:
-        return _read_tensors(f, os.fstat(f.fileno()).st_size)
+        if os.fstat(f.fileno()).st_size == 0:  # mmap refuses an empty file
+            raise ValueError("not a named-tensor archive: the file is empty")
+        return _read_tensors(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ))

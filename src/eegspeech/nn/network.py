@@ -94,7 +94,8 @@ class Network:
         Layer i is built from spec i, and its parameter ``layer<ii>.<name>``
         wraps the array ``state`` holds under ``prefix + "layer<ii>.<name>"``
         as it is: a contiguous float64 array becomes the parameter's data
-        without a copy, so training the network writes into it.  Raises
+        without a copy, so training the network writes into it (and a
+        read-only one, as `load_tensors` gives, cannot be trained).  Raises
         ValueError, naming the tensors by their keys in ``state``, when
         ``state`` lacks a parameter, holds a key the network does not have,
         or holds an array of another shape.

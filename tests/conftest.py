@@ -1,10 +1,18 @@
-from contextlib import contextmanager
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread, as README advises and the benchmark runs; set before numpy
+# loads OpenBLAS, so forked training children do not each start a thread per CPU.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from eegspeech import parallel
-from eegspeech.recording import Recording
+import struct  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from eegspeech import parallel  # noqa: E402
+from eegspeech.recording import Recording  # noqa: E402
 
 
 def random_recording(rng: np.random.Generator, n_channels=None, n_times=None,
@@ -39,6 +47,17 @@ def separable_matrices(rng: np.random.Generator, n: int, size: int, offset: floa
     x[half:, : size // 2, : size // 2] += offset
     y = np.array([0] * half + [1] * (n - half))
     return x, y
+
+
+def v1_archive(named: dict) -> bytes:
+    """``named`` as a version-1 named-tensor archive, whose data followed
+    each header with no padding."""
+    parts = [b"NTAR" + struct.pack("<II", 1, len(named))]
+    for name, value in named.items():
+        arr, encoded = np.asarray(value, dtype="<f8"), name.encode("utf-8")
+        parts += [struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
+                              arr.ndim, *arr.shape), arr.tobytes()]
+    return b"".join(parts)
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
-"""The named-tensor archive: exact round trips, ValueError on any malformed
+"""The named-tensor archive: exact round trips into read-only, 64-byte
+aligned views of one mapping, ValueError on any malformed or version-1
 archive, and atomic writes that honour the process umask and end CSV lines
 in a bare newline."""
 
+import mmap
 import os
 import struct
 
 import numpy as np
 import pytest
 
+from conftest import v1_archive
 from eegspeech.nn.checkpoint import (
     load_tensors,
     save_tensors,
@@ -45,11 +48,15 @@ def test_every_truncation_of_a_file_raises_value_error(tmp_path):
 
 
 def _malformed(blob: bytes) -> list[bytes]:
-    header = 12 + 2 + 1 + 1  # magic, version, count, name length, name, ndim
+    # {"w": zeros(2)}: magic, version, count, name length, name, ndim, one
+    # dim at 16, zero padding from 20 up to the data at 64
+    header = 12 + 2 + 1 + 1
+    assert blob[header + 4:64] == bytes(64 - header - 4) and len(blob) == 64 + 16
     huge_dims = blob[:header] + struct.pack("<I", 2**32 - 1) + blob[header + 4:]
-    two_dims = blob[:header - 1] + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1) + blob[header + 4:]
+    # a second dim takes 4 bytes of the padding, so the data stays at 64
+    two_dims = blob[:header - 1] + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1) + blob[header + 8:]
     return [b"XXXX" + blob[4:], blob + b"\0", huge_dims, two_dims,
-            blob[:4] + struct.pack("<I", 2) + blob[8:],
+            blob[:4] + struct.pack("<I", 3) + blob[8:],
             blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:]]
 
 
@@ -60,23 +67,54 @@ def test_malformed_files_raise_value_error(tmp_path):
             load_tensors(tmp_path / "bad.tensors")
 
 
-def test_file_reader_gives_each_tensor_its_own_slice_of_one_block(tmp_path):
+@pytest.mark.parametrize("at", [20, 41, 63])
+def test_non_zero_padding_raises_value_error(tmp_path, at):
+    blob = _archive(tmp_path, {"w": np.zeros(2)})
+    (tmp_path / "bad.tensors").write_bytes(blob[:at] + b"\1" + blob[at + 1:])
+    with pytest.raises(ValueError, match="'w' has non-zero padding"):
+        load_tensors(tmp_path / "bad.tensors")
+
+
+def test_a_version_1_archive_is_refused_by_its_version(tmp_path):
+    (tmp_path / "old.tensors").write_bytes(v1_archive(NAMED))
+    with pytest.raises(ValueError, match="archive version 1 is not supported"):
+        load_tensors(tmp_path / "old.tensors")
+
+
+def test_each_tensor_is_an_aligned_read_only_view_of_one_mapping(tmp_path):
     named = {**NAMED, "empty": np.zeros((0, 3)),
              "big": np.random.default_rng(0).normal(size=(70, 90))}
     save_tensors(tmp_path / "a.tensors", named)
+    blob = (tmp_path / "a.tensors").read_bytes()
     loaded = load_tensors(tmp_path / "a.tensors")
     assert list(loaded) == list(named)
-    block = loaded["big"].base
-    assert all(arr.base is block for arr in loaded.values()) and block.base is None
-    assert block.nbytes <= (tmp_path / "a.tensors").stat().st_size
+    mapping = loaded["big"].base
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == len(blob)
+    with pytest.raises(TypeError):  # the mapping itself is read-only
+        mapping[0] = 0
+    start = np.frombuffer(mapping, dtype=np.uint8).ctypes.data
     arrays = list(loaded.values())
     for i, arr in enumerate(arrays):  # no two tensors share an element
         assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
     for name, arr in loaded.items():
+        assert arr.base is mapping, name
         assert arr.dtype == np.float64, name
-        assert arr.flags.aligned and arr.flags.writeable and arr.flags.c_contiguous, name
+        assert arr.flags.aligned and arr.flags.c_contiguous, name
+        assert not arr.flags.writeable, name
+        offset = arr.ctypes.data - start
+        assert offset % 64 == 0, (name, offset)
+        assert blob[offset:offset + arr.nbytes] == arr.tobytes(), name
         assert arr.shape == named[name].shape, name
         assert arr.tobytes() == named[name].tobytes(), name
+
+
+def test_replacing_an_archive_leaves_loaded_tensors_unchanged(tmp_path):
+    path = tmp_path / "a.tensors"
+    save_tensors(path, {"w": np.arange(4096.0)})
+    loaded = load_tensors(path)
+    save_tensors(path, {"w": -np.arange(4096.0)})
+    assert loaded["w"].tobytes() == np.arange(4096.0).tobytes()
+    assert load_tensors(path)["w"].tobytes() == (-np.arange(4096.0)).tobytes()
 
 
 def test_written_files_follow_the_umask(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,30 @@ class TestCovMatrixType:
     def test_rejects_asymmetric_at_lag_zero(self):
         with pytest.raises(ValueError, match="symmetric"):
             CovMatrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
+
+    @pytest.mark.parametrize("values, accepted", [
+        ([[2.0, 0.5], [0.5, 1.0]], True),  # exactly symmetric
+        ([[np.inf, -1.0], [-1.0, -np.inf]], True),
+        ([[1.0, 0.5 + 1e-12], [0.5, 1.0]], True),  # asymmetric within atol
+        ([[1.0, 0.5 + 1e-6], [0.5, 1.0]], False),  # asymmetric beyond atol
+        ([[1.0, np.inf], [0.5, 1.0]], False),
+        ([[np.nan, 0.5], [0.5, 1.0]], False),  # NaN on the diagonal
+        ([[1.0, np.nan], [np.nan, 1.0]], False),
+    ])
+    def test_symmetry_check_agrees_with_the_tolerance_rule(self, values, accepted):
+        # the exact-equality shortcut changes nothing that allclose decides;
+        # numpy warns of the infinite or NaN atol that a non-finite entry makes
+        values = np.array(values)
+        scale = np.abs(values).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert np.allclose(values, values.T, rtol=0,
+                               atol=1e-9 * max(scale, 1e-300)) == accepted
+            if accepted:
+                assert CovMatrix(values).values.tobytes() == values.tobytes()
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    CovMatrix(values)
 
     def test_values_are_read_only(self):
         cov = CovMatrix(np.eye(2))

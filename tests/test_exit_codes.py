@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import v1_archive
 from eegspeech import pipeline
 from eegspeech.cli import main
 from eegspeech.config import CONFIG_SCHEMA
@@ -338,3 +339,19 @@ def test_archive_that_does_not_fit_the_model_exits_3(corpus, misfit, capsys):
                      str(work / "eval")])
     assert code == 3
     assert key in capsys.readouterr().err
+
+
+def test_a_version_1_bundle_exits_3_naming_its_version(corpus, capsys):
+    data, models = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(models / "uw", work / "models" / "uw")
+        archive = work / "models" / BUNDLE / pipeline.BUNDLE_ARCHIVE
+        archive.write_bytes(v1_archive(load_tensors(archive)))
+        (work / "run.json").write_text(json.dumps(BASE))
+        code = main(["evaluate", "--config", str(work / "run.json"), "--container",
+                     str(data), "--models", str(work / "models"), "--out",
+                     str(work / "eval")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "archive version 1 is not supported" in err and "Traceback" not in err

@@ -80,7 +80,7 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
         assert run["grad_mb"] == 0
     load = result["bundle_load"]
     assert set(load) == {"params", "archive_mb", "first_s", "warm_s", "warm_runs",
-                         "peak_rss_mb"}
+                         "first_forward_s", "warm_forward_s", "runs", "peak_rss_mb"}
     assert load["params"] == cnn_params + sum(
         t.size for model in (networks.build_lstm_model(8),
                              networks.build_dae_model(networks.FUSED_DIM))
@@ -88,6 +88,15 @@ def test_bench_layers_writes_every_layer_time(tmp_path, monkeypatch):
     assert load["archive_mb"] > 8 * load["params"] / 2**20
     assert load["first_s"] > 0 and load["warm_s"] > 0 and load["peak_rss_mb"] > 0
     assert len(load["warm_runs"]) == 1
+    assert load["first_forward_s"] > 0 and load["warm_forward_s"] > 0
+    assert len(load["runs"]) == 2 and load["runs"][0]["load_s"] == load["first_s"]
+    assert [run["load_s"] for run in load["runs"][1:]] == load["warm_runs"]
+    for run in load["runs"]:
+        assert set(run) == {f"{part}_{key}" for part in ("load", "forward")
+                            for key in ("s", "utime_s", "stime_s", "minflt")}
+        assert run["load_s"] > 0 and run["forward_s"] > 0
+        assert min(run[f"{part}_{key}"] for part in ("load", "forward")
+                   for key in ("utime_s", "stime_s", "minflt")) >= 0
     passes = result["feature_pass"]
     assert set(passes) == {"reference", "short"}
     assert [(e["channels"], e["times"], e["rate_hz"]) for e in passes.values()] == \
