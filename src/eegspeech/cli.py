@@ -3,13 +3,17 @@
 Verbs: synth, featurize, train, evaluate, crossval, plot.  Progress goes to
 standard error, results to files only.  Exit codes: 0 success, 2 bad
 configuration or arguments, 3 bad data, 4 training failure.  The seed
-resolves flag > environment (EEGSPEECH_SEED) > config file.  Each verb that
-reads a container preprocesses every trial and computes its covariance
-matrix once, whatever the number of tasks, reading each trial's samples
-from disk as it goes and dropping them once its matrix is computed.  With
-two or more workers, train and crossval then train each (task, fold) unit
-in a forked child (`parallel.Units`) and score, publish and summarise in
-the parent, in task and fold order; no child outlives its verb.
+resolves flag > environment (EEGSPEECH_SEED) > config file.  featurize,
+train and crossval preprocess every trial and compute its covariance matrix
+once, whatever the number of tasks, reading each trial's samples from disk
+as it goes and dropping them once its matrix is computed, and write those
+matrices out (features.tensors and features.json).  evaluate reuses the
+matrices its train or crossval run wrote when they were computed from the
+same container bytes, band and order, and reads no trial then; otherwise it
+computes them as the other verbs do.  With two or more workers, train and
+crossval train each (task, fold) unit in a forked child (`parallel.Units`)
+and score, publish and summarise in the parent, in task and fold order; no
+child outlives its verb.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ import sys
 from pathlib import Path
 
 from . import container as container_mod
-from . import metrics, networks, parallel, pipeline, plotting, synth
+from . import covariance, metrics, networks, parallel, pipeline, plotting, synth
 from .config import DEFAULT_TASK_TABLE, TASK_IDS, RunConfig, load_config
 from .errors import ConfigError, DataError, LeakageError, TrainingError
-from .nn import save_tensors
+from .nn import load_tensors, save_tensors
 from .nn.checkpoint import write_json_atomic
 
 EXIT_OK = 0
@@ -39,6 +43,14 @@ SEED_ENV = "EEGSPEECH_SEED"
 
 #: Where train and crossval write a task's folds until the task has ended.
 STAGING = ".partial"
+
+#: The feature pass's matrices, keyed by trial id, and what they were
+#: computed from, as featurize, train and crossval write them.
+FEATURES_ARCHIVE = "features.tensors"
+FEATURES_DOC = "features.json"
+#: The fields of a features.json that must equal a run's for evaluate to
+#: reuse the matrices beside it.
+FEATURES_KEY = ("container", "band", "order", "digest")
 
 
 def _progress(message: str) -> None:
@@ -102,12 +114,19 @@ class _StoredRecordings:
         return container_mod.load_recording(self.cont, self.cont.trials[i])
 
 
-def _featurize(path: str, cfg: RunConfig):
-    """The container at ``path``, its trial ids and each trial's CCV matrix.
+def _featurize(path: str, cfg: RunConfig, models: Path | None = None):
+    """The container at ``path``, the features.json document of its feature
+    pass (`_write_features`) and each trial's CCV matrix, in trial order.
+
     ``pipeline.filter_design`` checks the band against the container's
     sampling rate, and the design's ``check_length`` each trial's length,
     before any trial is read, so a bad band exits 2 even when a trial is bad
-    too."""
+    too.  Then the container's digest is taken.  Given the ``models``
+    directory of evaluate, the matrices stored there are used, and no trial
+    is read, when its features.json holds this run's key (`_stored_features`);
+    otherwise, as for every other verb, ``pipeline.ccv_features`` computes
+    them.
+    """
     cont = container_mod.read_container(path)
     design = pipeline.filter_design(cfg, cont.sample_rate_hz)
     for record in cont.trials:
@@ -115,8 +134,66 @@ def _featurize(path: str, cfg: RunConfig):
             design.check_length(cont.n_times(record))
         except ValueError as exc:
             raise DataError(f"trial {record.trial_id!r}: {exc}") from exc
-    covs = pipeline.ccv_features(_StoredRecordings(cont), cfg)
-    return cont, [r.trial_id for r in cont.trials], covs
+    doc = {
+        "container": cont.name,
+        "band": [cfg.preprocessing.low_hz, cfg.preprocessing.high_hz],
+        "order": cfg.preprocessing.order,
+        "trials": [r.trial_id for r in cont.trials],
+        "digest": container_mod.digest(cont),
+    }
+    covs = None if models is None else _stored_features(models, doc, cont.n_channels)
+    if covs is None:
+        covs = pipeline.ccv_features(_StoredRecordings(cont), cfg)
+    return cont, doc, covs
+
+
+def _stored_features(models: Path, doc: dict, k: int):
+    """The matrices under ``models``, as read-only views of its archive,
+    when its features.json matches ``doc`` on every `FEATURES_KEY` field;
+    None when it has no features.json, or when a key field differs, which
+    one stderr line names.  A features file that cannot be read, or that
+    does not hold one finite, symmetric k x k matrix for each of ``doc``'s
+    trials in their order, is a DataError naming the file."""
+    doc_path = models / FEATURES_DOC
+    if not doc_path.is_file():
+        return None
+    try:
+        stored = json.loads(doc_path.read_bytes())
+        if not isinstance(stored, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError) as exc:  # unreadable, or malformed JSON or UTF-8
+        raise DataError(f"cannot read {doc_path}: {exc}") from exc
+    for field in FEATURES_KEY:
+        if stored.get(field) != doc[field]:
+            _progress(f"evaluate: the {field} in {doc_path} differs from this run's; "
+                      f"computing the features")
+            return None
+    # the digest covers the manifest, so these trials can only differ in a damaged file
+    if stored.get("trials") != doc["trials"]:
+        raise DataError(f"cannot read {doc_path}: its trials are not the container's")
+    archive = models / FEATURES_ARCHIVE
+    try:
+        matrices = load_tensors(archive)
+        if list(matrices) != doc["trials"]:
+            raise ValueError("its matrices are not the container's trials in their order")
+        covs = []
+        for trial_id, values in matrices.items():
+            try:
+                if values.shape != (k, k):
+                    raise ValueError(f"shape {values.shape} is not {k} x {k}")
+                covs.append(covariance.CovMatrix(values))
+            except ValueError as exc:
+                raise ValueError(f"trial {trial_id!r}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {archive}: {exc}") from exc
+    return covs
+
+
+def _write_features(out: Path, doc: dict, covs) -> None:
+    """Write ``covs`` as one archive keyed by trial id, so no file name
+    comes from a trial id, and ``doc`` as features.json, under ``out``."""
+    save_tensors(out / FEATURES_ARCHIVE, dict(zip(doc["trials"], (cov.values for cov in covs))))
+    write_json_atomic(out / FEATURES_DOC, doc)
 
 
 def cmd_synth(args) -> int:
@@ -142,17 +219,10 @@ def cmd_synth(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = _resolve_config(args)
-    cont, ids, covs = _featurize(args.container, cfg)
+    _, doc, covs = _featurize(args.container, cfg)
     out = _output_dir(cfg.output_dir)
-    # one archive keyed by trial id, so no file name comes from a trial id
-    save_tensors(out / "features.tensors", dict(zip(ids, (cov.values for cov in covs))))
-    write_json_atomic(out / "features.json", {
-        "container": cont.name,
-        "band": [cfg.preprocessing.low_hz, cfg.preprocessing.high_hz],
-        "order": cfg.preprocessing.order,
-        "trials": ids,
-    })
-    _progress(f"featurize: wrote {len(ids)} covariance matrices to {out}")
+    _write_features(out, doc, covs)
+    _progress(f"featurize: wrote {len(covs)} covariance matrices to {out}")
     return EXIT_OK
 
 
@@ -244,8 +314,8 @@ def _run_protocol(args, mode: str) -> int:
                           f"not {cfg.split_mode}")
     cfg = dataclasses.replace(cfg, split_mode=mode)
     plan = pipeline.SplitPlan(mode=mode, seed=cfg.seed)
-    cont, ids, covs = _featurize(args.container, cfg)
-    trials = cont.trials
+    cont, doc, covs = _featurize(args.container, cfg)
+    trials, ids = cont.trials, doc["trials"]
     task_dirs = [Path(cfg.output_dir) / task_id for task_id in cfg.tasks]
     fingerprint = cfg.fingerprint()
     units = []
@@ -297,6 +367,8 @@ def _run_protocol(args, mode: str) -> int:
         summary[key] = {"mean": stats.mean, "std": stats.std, "min": stats.minimum,
                         "max": stats.maximum}
     write_json_atomic(Path(cfg.output_dir) / "summary.json", summary)
+    # last, so a failed run leaves no features for evaluate to reuse
+    _write_features(Path(cfg.output_dir), doc, covs)
     return EXIT_OK
 
 
@@ -314,8 +386,8 @@ def cmd_evaluate(args) -> int:
     if not models.is_dir():
         raise DataError(f"no model directory at {models}")
 
-    cont, ids, covs = _featurize(args.container, cfg)
-    trials = cont.trials
+    cont, doc, covs = _featurize(args.container, cfg, models)
+    trials, ids = cont.trials, doc["trials"]
 
     def evaluate_task(task, task_dir):
         bundles_dir = models / task.task_id / "bundles"

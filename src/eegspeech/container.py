@@ -4,11 +4,13 @@ The manifest lists the dataset name, sampling rate, channel names, and one
 record per trial (id, subject, prompt, byte offset/length into the data
 file).  The data file holds each trial's samples as contiguous little-endian
 float32, channel-major.  Malformed manifests and out-of-range slices raise
-DataError naming the offending trial.
+DataError naming the offending trial.  `digest` identifies a container by
+the bytes of both files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -23,6 +25,8 @@ from .recording import Recording, check_prompt, check_sample_rate
 MANIFEST_NAME = "manifest.json"
 DATA_NAME = "data.bin"
 _FORMAT = "trial-container-v1"
+#: Bytes `digest` reads at a time.
+_DIGEST_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,25 @@ def read_container(root: str | os.PathLike) -> TrialContainer:
         raise DataError("container holds no trials")
     return TrialContainer(name=str(name), sample_rate_hz=rate,
                           channel_names=channel_names, trials=tuple(records), root=root)
+
+
+def digest(container: TrialContainer) -> str:
+    """The hex sha256 of the manifest's bytes followed by the data file's.
+
+    Each file is read in chunks into one reused buffer, so no whole file is
+    held; a file that cannot be read is a DataError.
+    """
+    h = hashlib.sha256()
+    buf = bytearray(_DIGEST_CHUNK)
+    view = memoryview(buf)
+    for path in (container.root / MANIFEST_NAME, container.data_path):
+        try:
+            with open(path, "rb", buffering=0) as f:
+                while n := f.readinto(buf):
+                    h.update(view[:n])
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    return h.hexdigest()
 
 
 def load_samples(container: TrialContainer, record: TrialRecord) -> np.ndarray:

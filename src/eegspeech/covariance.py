@@ -24,7 +24,7 @@ _TILE = 16
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """A k x k covariance matrix: square, symmetric and read-only."""
+    """A k x k covariance matrix: square, finite, symmetric and read-only."""
 
     values: np.ndarray
 
@@ -32,6 +32,9 @@ class CovMatrix:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"values must be square, got shape {values.shape}")
+        # an infinite or NaN entry would make the symmetry tolerance infinite or NaN
+        if not np.isfinite(values).all():
+            raise ValueError("a covariance matrix must be finite")
         # exact symmetry, the common case, passes the tolerance check too
         if values.size and not np.array_equal(values, values.T):
             scale = np.abs(values).max()

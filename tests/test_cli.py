@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegspeech import config, container, covariance, networks, parallel, pipeline
+from eegspeech import cli, config, container, covariance, networks, parallel, pipeline
 from eegspeech.cli import main
 from eegspeech.errors import DataError, LeakageError, TrainingError
 from eegspeech.nn import load_tensors
@@ -418,6 +418,8 @@ def test_a_task_whose_later_fold_fails_leaves_no_bundle(tmp_path, monkeypatch):
         assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 4
     # the first fold was written when it ended; the failure took it back
     assert [p for p in (out / "uw").rglob("*")] == []
+    # and no features are left for an evaluate to reuse
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.json"]
 
 
 def _tree(root: Path) -> dict:
@@ -609,6 +611,122 @@ def test_evaluate_replays_train_predictions(tmp_path, trained_run):
     # the dev accuracy comes back from the bundle, so the whole report replays
     for name in ("report.json", "predictions.csv"):
         assert (eval_out / "uw" / name).read_bytes() == (train_out / "uw" / name).read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["train", "crossval"])
+def test_train_and_crossval_write_the_features_featurize_writes(tmp_path, verb):
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", tasks=["uw", "iy"],
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    for argv_verb, out in (("featurize", tmp_path / "feat"), (verb, tmp_path / "out")):
+        assert main([argv_verb, "--config", str(cfg), "--container", str(cont),
+                     "--out", str(out)]) == 0
+    for name in (cli.FEATURES_ARCHIVE, cli.FEATURES_DOC):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "feat" / name).read_bytes()
+    doc = json.loads((tmp_path / "out" / cli.FEATURES_DOC).read_text())
+    assert list(doc) == ["container", "band", "order", "trials", "digest"]
+    assert doc["digest"] == container.digest(container.read_container(cont))
+
+
+def _counting(monkeypatch, *targets) -> dict:
+    """Count the calls of each ``(owner, name)`` function, looked up on its owner."""
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        def call(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+    return calls
+
+
+def _crossval_and_bare_copy(tmp_path, tasks=("uw",)):
+    """A crossval run's container, config and models, and a copy of the
+    models without their features, on which evaluate runs the feature pass."""
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    models = tmp_path / "models"
+    cfg = _write_config(tmp_path / "run.json", models, tasks=list(tasks),
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
+    bare = tmp_path / "bare"
+    shutil.copytree(models, bare,
+                    ignore=shutil.ignore_patterns(cli.FEATURES_ARCHIVE, cli.FEATURES_DOC))
+    return cont, cfg, models, bare
+
+
+def _evaluate(cfg: Path, cont: Path, models: Path, out: Path) -> int:
+    return main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(models), "--out", str(out)])
+
+
+def test_evaluate_reuses_its_runs_features(tmp_path, monkeypatch):
+    cont, cfg, models, bare = _crossval_and_bare_copy(tmp_path, tasks=("uw", "iy"))
+    assert _evaluate(cfg, cont, bare, tmp_path / "recomputed") == 0
+    calls = _counting(monkeypatch, (container, "load_recording"),
+                      (pipeline, "ccv_features"))
+    assert _evaluate(cfg, cont, models, tmp_path / "reused") == 0
+    assert calls == {"load_recording": 0, "ccv_features": 0}
+    assert _tree(tmp_path / "reused") == _tree(tmp_path / "recomputed")
+    for task in ("uw", "iy"):
+        assert (tmp_path / "reused" / task / "predictions.csv").read_bytes() == \
+               (models / task / "predictions.csv").read_bytes()
+
+
+def _flip_a_data_bit(cont: Path) -> None:
+    # the lowest mantissa bit of the first sample: the trial stays finite
+    blob = bytearray((cont / "data.bin").read_bytes())
+    blob[0] ^= 1
+    (cont / "data.bin").write_bytes(bytes(blob))
+
+
+def _rename(cont: Path) -> None:
+    manifest = json.loads((cont / "manifest.json").read_text())
+    manifest["name"] = "renamed"
+    (cont / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("change, field", [(_flip_a_data_bit, "digest"),
+                                           (_rename, "container"),
+                                           (None, None)])
+def test_evaluate_recomputes_features_of_other_bytes(tmp_path, monkeypatch, capsys, change,
+                                                     field):
+    # a container changed after its run, or a run whose models hold no
+    # features, gets the features computed as the feature pass computes them
+    cont, cfg, models, bare = _crossval_and_bare_copy(tmp_path)
+    if change is None:
+        models = bare
+    else:
+        change(cont)
+    assert _evaluate(cfg, cont, bare, tmp_path / "recomputed") == 0
+    calls = _counting(monkeypatch, (pipeline, "ccv_features"))
+    capsys.readouterr()
+    assert _evaluate(cfg, cont, models, tmp_path / "eval") == 0
+    assert calls == {"ccv_features": 1}
+    assert _tree(tmp_path / "eval") == _tree(tmp_path / "recomputed")
+    said = [line for line in capsys.readouterr().err.splitlines() if "features" in line]
+    if field is None:
+        assert said == []
+    else:
+        assert said == [f"evaluate: the {field} in {models / cli.FEATURES_DOC} differs "
+                        f"from this run's; computing the features"]
+
+
+@pytest.mark.parametrize("preprocessing, field", [({"high_hz": 40.0}, "band"),
+                                                  ({"order": 3}, "order")])
+def test_evaluate_under_another_band_recomputes_and_exits_2(tmp_path, monkeypatch, capsys,
+                                                            preprocessing, field):
+    cont, cfg, models, _ = _crossval_and_bare_copy(tmp_path)
+    raw = json.loads(cfg.read_text())
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**raw, "preprocessing": preprocessing}))
+    calls = _counting(monkeypatch, (pipeline, "ccv_features"))
+    capsys.readouterr()
+    # the features are computed under the new band; the bundles' fingerprint then refuses it
+    assert _evaluate(other, cont, models, tmp_path / "eval") == 2
+    assert calls == {"ccv_features": 1}
+    err = capsys.readouterr().err
+    assert f"the {field} in {models / cli.FEATURES_DOC} differs" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval" / "uw" / "predictions.csv").exists()
 
 
 def test_evaluate_releases_a_tasks_bundles_before_the_next_load(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """On-disk trial container: round trips, idempotence, corruption reporting."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -208,3 +209,37 @@ def test_storage_is_float32(tmp_path):
     got = container.load_samples(written, written.trials[0])
     assert got.dtype == np.float64
     assert np.all(got == float(value))
+
+
+def test_digest_is_the_sha256_of_the_manifest_then_the_data(tmp_path, monkeypatch):
+    _write_demo(tmp_path, n_trials=5, n_times=40)
+    cont = container.read_container(tmp_path)
+    both = (tmp_path / "manifest.json").read_bytes() + (tmp_path / "data.bin").read_bytes()
+    want = hashlib.sha256(both).hexdigest()
+    assert container.digest(cont) == want
+    # chunks that split each file, and one larger than both
+    for chunk in (1, 7, 1 << 20):
+        monkeypatch.setattr(container, "_DIGEST_CHUNK", chunk)
+        assert container.digest(cont) == want
+
+
+def test_digest_changes_with_one_bit_of_either_file(tmp_path):
+    _write_demo(tmp_path)
+    cont = container.read_container(tmp_path)
+    before = container.digest(cont)
+    for name in ("data.bin", "manifest.json"):
+        path = tmp_path / name
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 1
+        path.write_bytes(bytes(blob))
+        after = container.digest(cont)
+        assert after != before
+        before = after
+
+
+def test_digest_of_an_unreadable_file_is_a_data_error(tmp_path):
+    _write_demo(tmp_path)
+    cont = container.read_container(tmp_path)
+    (tmp_path / "data.bin").unlink()
+    with pytest.raises(DataError, match="data.bin"):
+        container.digest(cont)

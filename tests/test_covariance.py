@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,29 +232,32 @@ class TestCovMatrixType:
         with pytest.raises(ValueError, match="symmetric"):
             CovMatrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
-    @pytest.mark.parametrize("values, accepted", [
-        ([[2.0, 0.5], [0.5, 1.0]], True),  # exactly symmetric
-        ([[np.inf, -1.0], [-1.0, -np.inf]], True),
-        ([[1.0, 0.5 + 1e-12], [0.5, 1.0]], True),  # asymmetric within atol
-        ([[1.0, 0.5 + 1e-6], [0.5, 1.0]], False),  # asymmetric beyond atol
-        ([[1.0, np.inf], [0.5, 1.0]], False),
-        ([[np.nan, 0.5], [0.5, 1.0]], False),  # NaN on the diagonal
-        ([[1.0, np.nan], [np.nan, 1.0]], False),
+    @pytest.mark.parametrize("values, refusal", [
+        ([[2.0, 0.5], [0.5, 1.0]], None),  # exactly symmetric
+        ([[1.0, 0.5 + 1e-12], [0.5, 1.0]], None),  # asymmetric within atol
+        ([[1.0, 0.5 + 1e-6], [0.5, 1.0]], "symmetric"),  # asymmetric beyond atol
+        ([[np.inf, -1.0], [-1.0, -np.inf]], "finite"),
+        ([[np.inf, 1.0], [2.0, np.inf]], "finite"),  # an infinite atol would accept it
+        ([[1.0, np.inf], [0.5, 1.0]], "finite"),
+        ([[np.nan, 0.5], [0.5, 1.0]], "finite"),  # NaN on the diagonal
+        ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
     ])
-    def test_symmetry_check_agrees_with_the_tolerance_rule(self, values, accepted):
+    def test_symmetry_check_agrees_with_the_tolerance_rule(self, values, refusal):
         # the exact-equality shortcut changes nothing that allclose decides;
-        # numpy warns of the infinite or NaN atol that a non-finite entry makes
+        # non-finite entries are refused before any tolerance is computed, so
+        # no numpy warning is raised (the suite turns warnings into errors)
         values = np.array(values)
-        scale = np.abs(values).max()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        if refusal == "finite":
+            assert not np.isfinite(values).all()
+        else:
+            scale = np.abs(values).max()
             assert np.allclose(values, values.T, rtol=0,
-                               atol=1e-9 * max(scale, 1e-300)) == accepted
-            if accepted:
-                assert CovMatrix(values).values.tobytes() == values.tobytes()
-            else:
-                with pytest.raises(ValueError, match="symmetric"):
-                    CovMatrix(values)
+                               atol=1e-9 * max(scale, 1e-300)) == (refusal is None)
+        if refusal is None:
+            assert CovMatrix(values).values.tobytes() == values.tobytes()
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                CovMatrix(values)
 
     def test_values_are_read_only(self):
         cov = CovMatrix(np.eye(2))

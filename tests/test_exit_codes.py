@@ -1,7 +1,7 @@
 """The exit-code contract under bad input: for a config with one bad key, a
-bad --tasks or --out flag, a corrupted container or a corrupted model bundle,
-every verb that reads them returns 0, 2, 3 or 4 and never ends in a
-traceback."""
+bad --tasks or --out flag, a corrupted container, a corrupted model bundle
+or damaged saved features, every verb that reads them returns 0, 2, 3 or 4
+and never ends in a traceback."""
 
 import dataclasses
 import json
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import v1_archive
-from eegspeech import pipeline
+from eegspeech import cli, pipeline
 from eegspeech.cli import main
 from eegspeech.config import CONFIG_SCHEMA
 from eegspeech.gbt import GbtConfig
@@ -355,3 +355,106 @@ def test_a_version_1_bundle_exits_3_naming_its_version(corpus, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "archive version 1 is not supported" in err and "Traceback" not in err
+
+
+# --- saved features -------------------------------------------------------------
+
+def _edit_doc(edit):
+    def damage(models: Path) -> str:
+        path = models / cli.FEATURES_DOC
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return cli.FEATURES_DOC
+    return damage
+
+
+def _write_doc(blob: bytes):
+    def damage(models: Path) -> str:
+        (models / cli.FEATURES_DOC).write_bytes(blob)
+        return cli.FEATURES_DOC
+    return damage
+
+
+def _edit_archive(edit):
+    def damage(models: Path) -> str:
+        path = models / cli.FEATURES_ARCHIVE
+        matrices = {name: np.array(values) for name, values in load_tensors(path).items()}
+        save_tensors(path, edit(matrices))
+        return cli.FEATURES_ARCHIVE
+    return damage
+
+
+def _set_entry(i: int, j: int, value: float):
+    def edit(matrices: dict) -> dict:
+        first = next(iter(matrices))
+        matrices[first][i, j] = value
+        return matrices
+    return edit
+
+
+def _truncate_archive(models: Path) -> str:
+    path = models / cli.FEATURES_ARCHIVE
+    path.write_bytes(path.read_bytes()[:-1])
+    return cli.FEATURES_ARCHIVE
+
+
+def _delete_archive(models: Path) -> str:
+    (models / cli.FEATURES_ARCHIVE).unlink()
+    return cli.FEATURES_ARCHIVE
+
+
+FEATURE_DAMAGE = {
+    "doc-not-json": _write_doc(b"{garbled"),
+    "doc-not-utf8": _write_doc(b'{"digest": "\xff"}'),
+    "doc-not-an-object": _write_doc(b"[]"),
+    "doc-trials-reordered": _edit_doc(lambda doc: doc["trials"].reverse()),
+    "archive-truncated": _truncate_archive,
+    "archive-deleted": _delete_archive,
+    "archive-trial-renamed": _edit_archive(
+        lambda m: {("renamed" if i == 0 else k): v for i, (k, v) in enumerate(m.items())}),
+    "archive-trials-reordered": _edit_archive(lambda m: dict(reversed(m.items()))),
+    "archive-trial-missing": _edit_archive(lambda m: dict(list(m.items())[1:])),
+    "archive-not-k-by-k": _edit_archive(
+        lambda m: {k: (v[:-1, :-1] if i == 0 else v) for i, (k, v) in enumerate(m.items())}),
+    "archive-not-square": _edit_archive(
+        lambda m: {k: (v[:-1] if i == 0 else v) for i, (k, v) in enumerate(m.items())}),
+    "archive-nan": _edit_archive(_set_entry(1, 1, float("nan"))),
+    "archive-inf": _edit_archive(_set_entry(0, 1, float("inf"))),
+    "archive-asymmetric": _edit_archive(_set_entry(0, 1, 1e3)),
+}
+
+
+@pytest.mark.parametrize("kind", FEATURE_DAMAGE)
+def test_damaged_features_exit_3_naming_the_file(corpus, capsys, kind):
+    # the key still matches, so evaluate would reuse the features
+    data, models = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(models, work / "models")
+        name = FEATURE_DAMAGE[kind](work / "models")
+        (work / "run.json").write_text(json.dumps(BASE))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(work / "run.json"), "--container",
+                     str(data), "--models", str(work / "models"), "--out",
+                     str(work / "eval")])
+        assert not (work / "eval" / "uw" / "predictions.csv").exists()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"cannot read {work / 'models' / name}" in err and "Traceback" not in err
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_any_truncation_of_the_features_archive_exits_3(corpus, fraction):
+    data, models = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(models, work / "models")
+        archive = work / "models" / cli.FEATURES_ARCHIVE
+        blob = archive.read_bytes()
+        archive.write_bytes(blob[:math.floor(len(blob) * fraction)])
+        (work / "run.json").write_text(json.dumps(BASE))
+        assert main(["evaluate", "--config", str(work / "run.json"), "--container",
+                     str(data), "--models", str(work / "models"), "--out",
+                     str(work / "eval")]) == 3

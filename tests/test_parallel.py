@@ -160,14 +160,31 @@ def _timed(seconds):
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_units_start_in_order_with_at_most_workers_children_alive(n_workers):
+def test_units_start_in_order_with_at_most_workers_children_alive(n_workers, monkeypatch):
+    # the start order is the order of the parent's forks: two children forked
+    # back to back may read their own clocks in the other order
+    forked, unreaped = [], []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+            unreaped.append(len(units._running))
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
     with workers(n_workers), parallel.Units() as units:
         for key in range(5):
             units.submit(key, _timed(0.2))
         got = [units.result(key) for key in (4, 0, 1, 2, 3)]
     _no_child_left()
+    assert forked == [pid for *_, pid, _ in got[1:]] + [got[0][2]]
+    assert max(unreaped) < n_workers  # the forked child not yet counted
+    # a child reads its end before it writes its result, and the parent forks
+    # a later child only after it has read that result, so these clocks can
+    # bound how many children were alive at once
     spans = sorted(got, key=lambda g: g[0])
-    assert [g[0] for g in got[1:]] + [got[0][0]] == [s for s, *_ in spans]
     for start, *_ in spans:  # children alive at each start, that one included
         assert sum(s <= start < e for s, e, *_ in spans) <= n_workers
     assert len({pid for *_, pid, _ in got} | {os.getpid()}) == 6

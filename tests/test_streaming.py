@@ -1,12 +1,15 @@
 """The feature pass streams a container.
 
-Every verb reads each trial's samples once, inside the feature pass, and
-keeps none of them past the trial's covariance matrix; a bad trial or a bad
-band stops a verb before it creates its output directory.
+Every verb that runs the feature pass reads each trial's samples once,
+inside it, and keeps none of them past the trial's covariance matrix;
+evaluate runs it only when its models directory holds no features of the
+same container bytes and band, and reads no trial otherwise.  A bad trial or
+a bad band stops a verb before it creates its output directory.
 """
 
 import collections
 import json
+import shutil
 import sys
 import threading
 import tracemalloc
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegspeech import container, pipeline, recording
+from eegspeech import cli, container, pipeline, recording
 from eegspeech.cli import main
 from eegspeech.config import RunConfig
 from eegspeech.errors import ConfigError, DataError
@@ -51,6 +54,14 @@ def _argv(verb: str, cfg: Path, data: Path, out: Path, models: Path | None) -> l
     return argv + ["--models", str(models)] if verb == "evaluate" else argv
 
 
+def _without_features(models: Path, copy: Path) -> Path:
+    """A copy of ``models`` without the features its run wrote, as bundles
+    written before runs saved them are: evaluate runs the feature pass on it."""
+    shutil.copytree(models, copy,
+                    ignore=shutil.ignore_patterns(cli.FEATURES_ARCHIVE, cli.FEATURES_DOC))
+    return copy
+
+
 # --- memory -------------------------------------------------------------------
 
 #: 25 trials of 62 x 5000 samples: 62 MB as float64, 31 MB on disk.
@@ -81,6 +92,8 @@ def test_no_verb_holds_the_raw_trials(long_run, tmp_path, monkeypatch, verb):
         return covs
 
     monkeypatch.setattr(pipeline, "ccv_features", traced)
+    if verb == "evaluate":
+        models = _without_features(models, tmp_path / "models")
     with workers(2):
         tracemalloc.start()
         try:
@@ -122,9 +135,21 @@ def test_each_verb_reads_each_trial_once(small_run, tmp_path, monkeypatch, verb)
 
     # the CLI looks the reader up on the module at each call, as a tracer needs
     monkeypatch.setattr(container, "load_recording", counting)
+    if verb == "evaluate":
+        models = _without_features(models, tmp_path / "models")
     assert main(_argv(verb, cfg, data, tmp_path / "out", models)) == 0
     ids = [r.trial_id for r in container.read_container(data).trials]
     assert reads == collections.Counter(ids)
+
+
+def test_evaluate_reusing_its_runs_features_reads_no_trial(small_run, tmp_path, monkeypatch):
+    data, cfg, models = small_run
+    reads = []
+    original = container.load_recording
+    monkeypatch.setattr(container, "load_recording",
+                        lambda cont, record: reads.append(record) or original(cont, record))
+    assert main(_argv("evaluate", cfg, data, tmp_path / "out", models)) == 0
+    assert reads == []
 
 
 # --- failures -----------------------------------------------------------------
