@@ -10,10 +10,11 @@ as it goes and dropping them once its matrix is computed, and write those
 matrices out (features.tensors and features.json).  evaluate reuses the
 matrices its train or crossval run wrote when they were computed from the
 same container bytes, band and order, and reads no trial then; otherwise it
-computes them as the other verbs do.  With two or more workers, train and
-crossval train each (task, fold) unit in a forked child (`parallel.Units`)
-and score, publish and summarise in the parent, in task and fold order; no
-child outlives its verb.
+computes them as the other verbs do.  train and crossval hand each (task,
+fold) unit to `parallel.Units`, which trains it in a forked child when two
+units can run at once and in this process otherwise, and score, publish
+and summarise in this process, in task and fold order, from the bundles
+the units wrote; no child outlives its verb.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def _save_fold(bundle: pipeline.ModelBundle, task_dir: Path) -> None:
         networks.write_trace_csv(traces / f"{fold}.{model_name}.csv", model.trace)
 
 
-#: The errors a unit's child passes to the verb, which exits with their codes.
+#: The errors a unit passes to the verb as raised, which exits with their codes.
 EXIT_ERRORS = (ConfigError, DataError, LeakageError, TrainingError)
 
 
@@ -294,17 +295,16 @@ def _discard_staging(task_dirs) -> None:
 def _run_protocol(args, mode: str) -> int:
     """Train and score every task of train or crossval, then publish it.
 
-    Each fold is written as it ends, under its task's staging directory,
-    whose files replace the task's own once every fold of the task is
-    scored, so a task that fails leaves no bundle behind.  Once the feature
-    pass has run, with two or more workers and trainable (task, fold) units,
-    every unit trains in a forked child of its own (`parallel.Units`), in
-    task and fold order, while the parent scores each task's folds in order
-    through `pipeline.evaluate_bundles`, loading each fold's bundle from the
-    staging directory when its child has ended.  Otherwise
-    `pipeline.run_task` trains each fold inline.  Either way the outputs are
-    the same bytes, an error is that of the earliest failing unit, and every
-    child has been killed and reaped when the verb returns.
+    Once the feature pass has run, every trainable (task, fold) unit goes
+    to `parallel.Units`, in task and fold order, to train its fold and write
+    it under its task's staging directory.  `pipeline.evaluate_bundles`
+    scores each task's folds in order, loading each fold's bundle from the
+    staging directory once its unit has ended, so every bundle a verb scores
+    is read from disk.  The staging files replace the task's own once every
+    fold of the task is scored, so a task that fails leaves no bundle
+    behind.  The outputs are the same bytes at every worker count, an error
+    is that of the earliest failing unit, and every child has been killed
+    and reaped when the verb returns.
     """
     # the verb picks the split and split.mode may only agree with it, so one
     # split has one route; the resolved config and fingerprint record it
@@ -318,47 +318,40 @@ def _run_protocol(args, mode: str) -> int:
     trials, ids = cont.trials, doc["trials"]
     task_dirs = [Path(cfg.output_dir) / task_id for task_id in cfg.tasks]
     fingerprint = cfg.fingerprint()
-    units = []
-    for task_id, task_dir in zip(cfg.tasks, task_dirs):
-        task = pipeline.task_from_config(cfg, task_id)
-        labels = pipeline.task_labels(trials, task)
-        units += [(task, labels, fold, task_dir / STAGING)
-                  for fold, reason in pipeline.fold_plan(trials, labels, plan) if not reason]
 
     def train_unit(task, labels, fold, staging):
         bundle = pipeline._train_fold(covs, labels, task, fold, cfg, mode, fingerprint, ids)
         _save_fold(bundle, staging)
 
+    work = {}
+    for task_id, task_dir in zip(cfg.tasks, task_dirs):
+        task = pipeline.task_from_config(cfg, task_id)
+        labels = pipeline.task_labels(trials, task)
+        work.update({(task_id, fold.name): functools.partial(train_unit, task, labels, fold,
+                                                             task_dir / STAGING)
+                     for fold, reason in pipeline.fold_plan(trials, labels, plan) if not reason})
+
     def train_task(task, task_dir):
         staging = task_dir / STAGING
-        if not in_children:
-            _, report = pipeline.run_task(trials, task, plan, cfg, trial_ids=ids, covs=covs,
-                                          save=lambda bundle: _save_fold(bundle, staging))
-        else:
-            def bundle_for(fold):
-                try:
-                    runner.result((task.task_id, fold.name))
-                except parallel.ChildFailed as exc:
-                    raise TrainingError(f"task {task.task_id!r} fold {fold.name!r}: "
-                                        f"{exc}") from None
-                return pipeline.load_bundle(staging / "bundles" / fold.name)
 
-            report = pipeline.evaluate_bundles(trials, task, plan, cfg, bundle_for, ids, covs)
+        def bundle_for(fold):
+            try:
+                runner.result((task.task_id, fold.name))
+            except parallel.UnitFailed as exc:
+                raise TrainingError(f"task {task.task_id!r} fold {fold.name!r}: "
+                                    f"{exc}") from None
+            return pipeline.load_bundle(staging / "bundles" / fold.name)
+
+        report = pipeline.evaluate_bundles(trials, task, plan, cfg, bundle_for, ids, covs)
         _publish(staging, task_dir)
         return report
 
-    runner = parallel.Units(passes=EXIT_ERRORS)
-    in_children = parallel.WORKERS > 1 and len(units) > 1
     try:
         _discard_staging(task_dirs)
-        if in_children:
-            for task, labels, fold, staging in units:
-                runner.submit((task.task_id, fold.name),
-                              functools.partial(train_unit, task, labels, fold, staging))
-        reports = _score_tasks(args.verb, cfg, len(trials), train_task, record_config=True)
-    finally:
         # the children go first, so none writes into a staging directory after it is removed
-        runner.close()
+        with parallel.Units(work, passes=EXIT_ERRORS) as runner:
+            reports = _score_tasks(args.verb, cfg, len(trials), train_task, record_config=True)
+    finally:
         _discard_staging(task_dirs)
     summary = {"mode": mode, "seed": cfg.seed, "config_fingerprint": fingerprint,
                "tasks": list(cfg.tasks)}

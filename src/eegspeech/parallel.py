@@ -13,9 +13,11 @@ allocated; every sum across slices stays with the caller, after ``split``
 returns.  Parts that allocated their own large blocks would make glibc give
 each thread its own heap arena, and the process's peak memory would grow.
 
-``Units`` runs independent keyed units of work, each in a forked child of
-its own, at most ``WORKERS`` children at once and each at one worker; the
-parent collects each unit's return value, or its exception, by key.
+``Units`` runs independent keyed units of work and hands back each one's
+return value, or its exception, by key.  When two units can run at once it
+runs each in a forked child of its own, at most ``WORKERS`` children at once
+and each at one worker; otherwise it runs each in this process, at this
+process's worker count, when its result is asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import select
 import signal
 import sys
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 #: Workers, the calling thread included: the CPUs this process may run on.
@@ -89,9 +90,20 @@ def split(n: int, part, grain: int = 1) -> None:
         future.result()
 
 
-class ChildFailed(RuntimeError):
-    """A unit's child raised an exception its runner does not pass on, or
+class UnitFailed(RuntimeError):
+    """A unit raised an exception its runner does not pass on, or its child
     ended without a result."""
+
+
+def _outcome(fn, passes, caught=BaseException) -> tuple[bool, object]:
+    """(True, ``fn()``), or (False, the exception of a ``passes`` class, or
+    the text of any other ``caught`` one)."""
+    try:
+        return True, fn()
+    except passes as exc:
+        return False, exc
+    except caught as exc:  # noqa: BLE001 - in a child, sent to the parent as text
+        return False, f"{type(exc).__name__}: {exc}"
 
 
 def _ended(status: int) -> str:
@@ -108,12 +120,7 @@ def _run_child(fn, fd: int, passes) -> None:
     WORKERS = 1
     status = 1
     try:
-        try:
-            outcome = (True, fn())
-        except passes as exc:
-            outcome = (False, exc)
-        except BaseException as exc:  # noqa: BLE001 - sent to the parent as text
-            outcome = (False, f"{type(exc).__name__}: {exc}")
+        outcome = _outcome(fn, passes)
         with open(fd, "wb") as pipe:
             pipe.write(pickle.dumps(outcome))
         status = 0
@@ -127,27 +134,35 @@ def _run_child(fn, fd: int, passes) -> None:
 
 
 class Units:
-    """Keyed units of work, each run in a forked child of its own.
+    """Keyed units of work, ``work`` mapping each key to a function of no
+    arguments, in the order they start.
 
-    ``submit(key, fn)`` queues ``fn``, a function of no arguments; units
-    start in the order they were submitted, while fewer than ``WORKERS``
-    children are alive.  Each child sees the parent's memory as it was at
-    its fork, runs at one worker, sends ``fn``'s picklable return value back
-    through a pipe of its own and ends with ``os._exit``.  ``result(key)``
-    waits for that unit, starting queued units as children end, and returns
-    its value.  An exception of one of the ``passes`` classes is re-raised
-    there as it was raised in the child; any other exception, or a child
-    that ended without a result (a signal, say), is a ChildFailed that says
-    what happened.  Only this runner's own children are waited for.
-    ``close`` (also on leaving a ``with`` block) kills and reaps every child
-    still alive and drops the units not started.
+    When two units can run at once (``WORKERS`` > 1 and more than one unit),
+    each runs in a forked child of its own, while fewer than ``WORKERS`` are
+    alive.  A child sees this process's memory as it was at its fork, runs
+    at one worker, sends its picklable return value back through a pipe of
+    its own and ends with ``os._exit``.  Otherwise nothing forks: a unit runs
+    here, at this process's worker count, when its result is asked for.
+    ``result(key)`` returns a unit's value.  An exception of one of the
+    ``passes`` classes is re-raised there as it was raised; any other
+    exception, or a child that ended without a result (a signal, say), is a
+    UnitFailed that says what happened; an interrupt here propagates.  Only
+    this runner's own children are waited for.  ``close`` (also on leaving a
+    ``with`` block) kills and reaps every child still alive and drops the
+    units not started.
     """
 
-    def __init__(self, passes: tuple[type[BaseException], ...] = ()):
+    def __init__(self, work: dict, passes: tuple[type[BaseException], ...] = ()):
         self.passes = passes
-        self._queued: deque = deque()
+        self._queued = dict(work)
+        self._forks = WORKERS > 1 and len(self._queued) > 1
         self._running: dict[int, tuple[object, int]] = {}  # pipe fd -> (key, pid)
         self._outcomes: dict[object, tuple[bool, object]] = {}
+        try:
+            self._start()
+        except BaseException:
+            self.close()
+            raise
 
     def __enter__(self) -> "Units":
         return self
@@ -155,13 +170,10 @@ class Units:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def submit(self, key, fn) -> None:
-        self._queued.append((key, fn))
-        self._start()
-
     def _start(self) -> None:
-        while self._queued and len(self._running) < WORKERS:
-            key, fn = self._queued.popleft()
+        while self._forks and self._queued and len(self._running) < WORKERS:
+            key = next(iter(self._queued))
+            fn = self._queued.pop(key)
             try:
                 self._fork(key, fn)
             except OSError as exc:  # out of processes, memory or descriptors
@@ -206,8 +218,9 @@ class Units:
             self._outcomes[key] = (False, f"the child {_ended(status)} without a result")
 
     def result(self, key):
-        """The return value of the unit submitted under ``key``, once its
-        child has ended; raises as the class docstring says."""
+        """The value of the unit under ``key``; raises as the class docstring says."""
+        if not self._forks:  # an interrupt or exit propagates from here
+            self._outcomes[key] = _outcome(self._queued.pop(key), self.passes, Exception)
         while key not in self._outcomes:
             if not self._running:
                 raise KeyError(key)
@@ -220,7 +233,7 @@ class Units:
             return value
         if isinstance(value, BaseException):
             raise value
-        raise ChildFailed(value)
+        raise UnitFailed(value)
 
     def close(self) -> None:
         self._queued.clear()

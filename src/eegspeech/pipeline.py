@@ -11,9 +11,9 @@ the one path that scores a fold, whether its bundle was just trained or
 loaded from disk: its fold loop calls a function of the fold for that
 fold's bundle, one fold at a time, and drops the bundle before the next
 call, so a task never holds more than one.  `fold_plan` owns the rule for
-which folds train, which that loop and the CLI's list of units to train in
-child processes both read.  A leakage audit object checks that no fitting
-step ever sees a held-out trial index.
+which folds train, which that loop and the CLI's list of (task, fold) units
+both read.  A leakage audit object checks that no fitting step ever sees a
+held-out trial index.
 """
 
 from __future__ import annotations
@@ -479,33 +479,27 @@ def _prepare(trials, task: Task, cfg: RunConfig, covs):
     return trials, covs, task_labels(trials, task)
 
 
-def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids,
-             covs=None, save=None):
-    """Train and score every fold of one task, one fold at a time.
+def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids, covs=None):
+    """Train and score every fold of one task, one fold at a time, in this
+    process, keeping every bundle.
 
     ``trials`` carry each trial's ``subject_id`` and ``prompt``: the
     container's TrialRecords, or Recordings.  ``covs`` are the trials' CCV
     matrices from `ccv_features`, computed here from the trials, which must
     then be Recordings, when not given.  `evaluate_bundles`' fold loop calls
-    the training function with each fold in turn: the fold is trained then,
-    its bundle is handed to ``save`` when one is given, and it is scored and
-    dropped before the next fold trains.  Returns (bundles by fold name,
-    EvalReport); the dict holds every bundle, or none when ``save`` took
-    them.  Folds that `fold_plan` does not train are not trained;
-    `evaluate_bundles` flags them as skipped, and raises TrainingError when
-    every fold is.
+    the training function with each fold in turn, and the fold is trained
+    and scored then.  Returns (bundles by fold name, EvalReport).  Folds
+    that `fold_plan` does not train are not trained; `evaluate_bundles`
+    flags them as skipped, and raises TrainingError when every fold is.
     """
     trials, covs, labels = _prepare(trials, task, cfg, covs)
     fingerprint = cfg.fingerprint()
     kept = {}
 
     def train(fold: Fold) -> ModelBundle:
-        bundle = _train_fold(covs, labels, task, fold, cfg, plan.mode, fingerprint, trial_ids)
-        if save is None:
-            kept[fold.name] = bundle
-        else:
-            save(bundle)
-        return bundle
+        kept[fold.name] = _train_fold(covs, labels, task, fold, cfg, plan.mode, fingerprint,
+                                      trial_ids)
+        return kept[fold.name]
 
     return kept, evaluate_bundles(trials, task, plan, cfg, train, trial_ids, covs)
 

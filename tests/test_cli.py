@@ -362,7 +362,7 @@ def test_crossval_releases_a_tasks_bundles_before_the_next_task(tmp_path, monkey
         original(bundle, root)
 
     monkeypatch.setattr(pipeline, "save_bundle", tracking)
-    with workers(1):  # the inline path, whose folds train in this process
+    with workers(1):  # one worker: every unit trains in this process
         assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
     assert alive_at_save == [0] * 6
     assert _alive(refs) == 0
@@ -389,7 +389,7 @@ def test_crossval_live_data_stays_level_across_folds_and_tasks(tmp_path, monkeyp
     monkeypatch.setattr(networks, "train_cnn", training)
     tracemalloc.start()
     try:
-        with workers(1):  # the inline path, whose folds train in this process
+        with workers(1):  # one worker: every unit trains in this process
             assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 0
     finally:
         tracemalloc.stop()
@@ -414,7 +414,7 @@ def test_a_task_whose_later_fold_fails_leaves_no_bundle(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(networks, "train_lstm", failing_second_fold)
-    with workers(1):  # the inline path, whose folds train in this process
+    with workers(1):  # one worker: every unit trains in this process
         assert main(["crossval", "--config", str(cfg), "--container", str(cont)]) == 4
     # the first fold was written when it ended; the failure took it back
     assert [p for p in (out / "uw").rglob("*")] == []
@@ -451,6 +451,14 @@ def _two_task_crossval(tmp_path, out):
     cfg = _write_config(tmp_path / "run.json", out, tasks=["uw", "iy"],
                         sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
     return ["crossval", "--config", str(cfg), "--container", str(cont)]
+
+
+def _one_task_train(tmp_path, out):
+    """A holdout run of one task: a single (task, fold) unit."""
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    cfg = _write_config(tmp_path / "run.json", out,
+                        sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}})
+    return ["train", "--config", str(cfg), "--container", str(cont)]
 
 
 def test_a_failing_fold_leaves_the_same_output_at_one_and_two_workers(tmp_path, monkeypatch,
@@ -490,8 +498,11 @@ def test_outputs_are_the_same_bytes_at_one_two_and_three_workers(tmp_path):
     assert trees[1] == trees[0] and trees[2] == trees[0]
 
 
-def test_children_train_at_one_worker_while_the_parent_holds_one_bundle(tmp_path,
-                                                                         monkeypatch):
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_children_train_at_one_worker_while_the_parent_holds_one_bundle(tmp_path, monkeypatch,
+                                                                         n_workers):
+    # at one worker the units train in this process instead; either way the
+    # parent scores every fold from the bundle its unit wrote to staging
     argv = _two_task_crossval(tmp_path, tmp_path / "out")
     seen = tmp_path / "seen"
     seen.mkdir()
@@ -513,13 +524,13 @@ def test_children_train_at_one_worker_while_the_parent_holds_one_bundle(tmp_path
 
     monkeypatch.setattr(pipeline, "_train_fold", training)
     monkeypatch.setattr(pipeline, "load_bundle", loading)
-    with workers(2):
+    with workers(n_workers):
         assert main(argv) == 0
     units = [(task, f"subject-s0{i}") for task in ("uw", "iy") for i in range(3)]
     assert sorted(p.name for p in seen.iterdir()) == sorted(f"{t}.{f}" for t, f in units)
     for path in seen.iterdir():
-        pid, n_workers = json.loads(path.read_text())
-        assert pid != os.getpid() and n_workers == 1
+        pid, unit_workers = json.loads(path.read_text())
+        assert (pid == os.getpid()) == (n_workers == 1) and unit_workers == 1
     assert loaded == units
     assert earlier_alive == [0] * 6
     assert _alive(refs) == 0
@@ -545,35 +556,61 @@ def test_a_child_killed_by_a_signal_exits_4_naming_its_task_and_fold(tmp_path, m
     _no_child_left()
 
 
+def test_a_lone_unit_trains_in_this_process_at_two_workers(tmp_path, monkeypatch):
+    # no other unit could run beside it, so it keeps both workers
+    argv = _one_task_train(tmp_path, tmp_path / "out")
+    seen = []
+    original = pipeline._train_fold
+
+    def training(*args):
+        seen.append((os.getpid(), parallel.WORKERS))
+        return original(*args)
+
+    def no_fork():
+        raise AssertionError("a lone unit must not fork")
+
+    monkeypatch.setattr(pipeline, "_train_fold", training)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with workers(2):
+        assert main(argv) == 0
+    assert seen == [(os.getpid(), 2)]
+
+
+@pytest.mark.parametrize("verb, n_workers", [("crossval", 1), ("crossval", 2), ("train", 2)])
 @pytest.mark.parametrize("exc, code, message", [
     (DataError("trial t03 is unreadable"), 3, "data error: trial t03 is unreadable"),
     (LeakageError("gbt-fit fit on held-out trials [3]"), 4,
      "training error: gbt-fit fit on held-out trials [3]"),
     (RuntimeError("out of luck"), 4,
-     "training error: task 'uw' fold 'subject-s01': RuntimeError: out of luck"),
+     "training error: task 'uw' fold '{fold}': RuntimeError: out of luck"),
 ])
 def test_a_childs_error_gives_the_verb_its_exit_code(tmp_path, monkeypatch, capsys, exc, code,
-                                                    message):
+                                                    message, verb, n_workers):
+    # a unit trained in this process (one worker, or the lone holdout unit)
+    # fails with the same exit code and line as one trained in a child
     def fail():
         raise exc
 
-    argv = _two_task_crossval(tmp_path, tmp_path / "out")
-    monkeypatch.setattr(pipeline, "_train_fold", _failing_fold("subject-s01", fail))
-    with workers(2):
+    run, fold = {"crossval": (_two_task_crossval, "subject-s01"),
+                 "train": (_one_task_train, "holdout")}[verb]
+    argv = run(tmp_path, tmp_path / "out")
+    monkeypatch.setattr(pipeline, "_train_fold", _failing_fold(fold, fail))
+    with workers(n_workers):
         assert main(argv) == code
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message.format(fold=fold) in err and "Traceback" not in err
     _no_child_left()
 
 
-def test_an_interrupted_parent_leaves_no_child(tmp_path, monkeypatch):
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_an_interrupted_parent_leaves_no_child(tmp_path, monkeypatch, n_workers):
     argv = _two_task_crossval(tmp_path, tmp_path / "out")
 
     def interrupted(root):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(pipeline, "load_bundle", interrupted)
-    with workers(2), pytest.raises(KeyboardInterrupt):
+    with workers(n_workers), pytest.raises(KeyboardInterrupt):
         main(argv)
     _no_child_left()
     assert not list((tmp_path / "out").rglob(".partial"))

@@ -163,22 +163,31 @@ def _timed(seconds):
 def test_units_start_in_order_with_at_most_workers_children_alive(n_workers, monkeypatch):
     # the start order is the order of the parent's forks: two children forked
     # back to back may read their own clocks in the other order
-    forked, unreaped = [], []
-    fork = os.fork
+    forked, reaped, unreaped = [], [], []
+    fork, waitpid = os.fork, os.waitpid
 
     def recording_fork():
         pid = fork()
         if pid:
+            unreaped.append(len(forked) - len(reaped))
             forked.append(pid)
-            unreaped.append(len(units._running))
         return pid
 
+    def recording_waitpid(pid, options):
+        reaped.append(pid)
+        return waitpid(pid, options)
+
     monkeypatch.setattr(os, "fork", recording_fork)
-    with workers(n_workers), parallel.Units() as units:
-        for key in range(5):
-            units.submit(key, _timed(0.2))
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    with workers(n_workers), parallel.Units({key: _timed(0.2) for key in range(5)}) as units:
         got = [units.result(key) for key in (4, 0, 1, 2, 3)]
     _no_child_left()
+    if n_workers == 1:
+        # no two units can run at once, so each runs here when it is asked for
+        assert forked == [] and [pid for *_, pid, _ in got] == [os.getpid()] * 5
+        assert [start for start, *_ in got] == sorted(start for start, *_ in got)
+        assert {n for *_, n in got} == {1}
+        return
     assert forked == [pid for *_, pid, _ in got[1:]] + [got[0][2]]
     assert max(unreaped) < n_workers  # the forked child not yet counted
     # a child reads its end before it writes its result, and the parent forks
@@ -191,48 +200,66 @@ def test_units_start_in_order_with_at_most_workers_children_alive(n_workers, mon
     assert {n for *_, n in got} == {1}  # each child runs at one worker
 
 
-def test_a_units_exception_comes_back_by_its_class_or_as_child_failed():
-    def raising(exc):
-        def unit():
-            raise exc
-        return unit
+def _raising(exc):
+    def unit():
+        raise exc
+    return unit
 
-    with workers(2), parallel.Units(passes=(KeyError,)) as units:
-        units.submit("key", raising(KeyError("kept")))
-        units.submit("value", raising(ValueError("not kept")))
-        units.submit("exit", lambda: os._exit(3))
-        units.submit("signal", lambda: os.kill(os.getpid(), signal.SIGKILL))
-        units.submit("ok", lambda: "done")
+
+def test_a_units_exception_comes_back_by_its_class_or_as_unit_failed():
+    with workers(2), parallel.Units({
+            "key": _raising(KeyError("kept")),
+            "value": _raising(ValueError("not kept")),
+            "exit": lambda: os._exit(3),
+            "signal": lambda: os.kill(os.getpid(), signal.SIGKILL),
+            "ok": lambda: "done"}, passes=(KeyError,)) as units:
         with pytest.raises(KeyError, match="kept"):
             units.result("key")
-        with pytest.raises(parallel.ChildFailed, match="^ValueError: not kept$"):
+        with pytest.raises(parallel.UnitFailed, match="^ValueError: not kept$"):
             units.result("value")
-        with pytest.raises(parallel.ChildFailed, match="exited with status 3 without a result"):
+        with pytest.raises(parallel.UnitFailed, match="exited with status 3 without a result"):
             units.result("exit")
-        with pytest.raises(parallel.ChildFailed, match=r"signal 9 \(SIGKILL\)"):
+        with pytest.raises(parallel.UnitFailed, match=r"signal 9 \(SIGKILL\)"):
             units.result("signal")
         assert units.result("ok") == "done"
     _no_child_left()
 
 
-def test_a_unit_whose_child_cannot_start_is_child_failed(monkeypatch):
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("exc, raised, message", [
+    (KeyError("kept"), KeyError, "kept"),
+    (ValueError("not kept"), parallel.UnitFailed, "^ValueError: not kept$"),
+    (KeyboardInterrupt(), KeyboardInterrupt, None),
+    (SystemExit(3), SystemExit, "^3$"),
+])
+def test_an_exception_raised_here_comes_back_as_a_childs_would(n_workers, exc, raised,
+                                                               message, monkeypatch):
+    def no_fork():
+        raise AssertionError("a lone unit must not fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with workers(n_workers), parallel.Units({"unit": _raising(exc)},
+                                            passes=(KeyError,)) as units:
+        with pytest.raises(raised, match=message):
+            units.result("unit")
+
+
+def test_a_unit_whose_child_cannot_start_is_unit_failed(monkeypatch):
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    with workers(2), parallel.Units() as units:
-        units.submit("a", lambda: 1)
-        with pytest.raises(parallel.ChildFailed, match="could not be started"):
-            units.result("a")
+    with workers(2), parallel.Units({"a": lambda: 1, "b": lambda: 2}) as units:
+        for key in "ab":
+            with pytest.raises(parallel.UnitFailed, match="could not be started"):
+                units.result(key)
     assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 def test_close_kills_and_reaps_every_child_and_starts_no_more():
     start = time.monotonic()
     with workers(2):
-        units = parallel.Units()
-        for key in range(4):
-            units.submit(key, _timed(60))
+        units = parallel.Units({key: _timed(60) for key in range(4)})
         units.close()
     assert time.monotonic() - start < 30
     _no_child_left()

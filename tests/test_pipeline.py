@@ -334,14 +334,6 @@ def test_run_task_splits_the_trials_once(small_run, monkeypatch):
     assert pipeline.report_to_dict(again) == pipeline.report_to_dict(report)
 
 
-def test_run_task_hands_each_bundle_to_save_and_keeps_none(small_run):
-    recs, ids, cfg, task, plan, _, report = small_run
-    saved = []
-    kept, again = pipeline.run_task(recs, task, plan, cfg, trial_ids=ids, save=saved.append)
-    assert kept == {} and [b.fold_name for b in saved] == ["holdout"]
-    assert pipeline.report_to_dict(again) == pipeline.report_to_dict(report)
-
-
 def test_bundle_preserves_unsigned_fold_seed(tmp_path, small_run):
     *_, bundles, _ = small_run
     bundle = bundles["holdout"]
