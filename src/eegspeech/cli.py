@@ -271,14 +271,15 @@ EXIT_ERRORS = (ConfigError, DataError, LeakageError, TrainingError)
 
 
 def _publish(staging: Path, task_dir: Path) -> None:
-    """Replace the task's bundles/ and traces/ by the files under ``staging``,
-    moved to the same places under ``task_dir``, so no fold of an earlier run
-    stays beside this run's."""
+    """Replace the task's bundles/ and traces/ by those under ``staging``,
+    each moved whole, so no fold of an earlier run stays beside this run's."""
     for name in ("bundles", "traces"):
         shutil.rmtree(task_dir / name, ignore_errors=True)
-    for path in sorted(p for p in staging.rglob("*") if p.is_file()):
-        target = _output_dir(task_dir / path.parent.relative_to(staging)) / path.name
-        os.replace(path, target)
+        try:
+            os.replace(staging / name, task_dir / name)
+        except OSError as exc:  # a file in the way: name the first path it blocks
+            first = task_dir / name / min(p.name for p in (staging / name).iterdir())
+            raise ConfigError(f"cannot write {first}: {exc.strerror}") from exc
 
 
 def _discard_staging(task_dirs) -> None:

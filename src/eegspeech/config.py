@@ -159,12 +159,17 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"config key task_table/{task}: {exc}") from exc
     base = RunConfig(seed=raw["seed"], tasks=tuple(raw["tasks"]))
     # each section's keys are the fields of its settings type, and replace
-    # checks the merged section as its constructor would
+    # checks the merged section as its constructor would, quoting the file's
+    # values; a float field written as an integer is the same setting, so it
+    # is then stored, and hashed, as a float
     sections = {}
     for name in _SECTIONS:
+        values, keys = raw.get(name, {}), CONFIG_SCHEMA["properties"][name]["properties"]
         try:
-            sections[name] = replace(getattr(base, name), **raw.get(name, {}))
-        except ValueError as exc:
+            section = replace(getattr(base, name), **values)
+            sections[name] = replace(section, **{key: float(value) for key, value in values.items()
+                                                 if keys[key]["type"] == "number"})
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"config key {name}: {exc}") from exc
     return replace(base, output_dir=raw.get("output_dir", base.output_dir),
                    split_mode=raw.get("split", {}).get("mode"), task_table=table, **sections)

@@ -102,10 +102,10 @@ def dense_backward(x, weights, grad):
 # strided add per kernel tap.
 
 #: Forward multiply-adds a slice of a conv's batch needs before it runs on a
-#: thread of its own.  Waking a pool thread and passing the interpreter lock
-#: between the two cost about 0.25 ms per call on a 2-vCPU VM, more than a
-#: whole 1->32 conv at 6x6 over 16 samples; 4 M multiply-adds take about as
-#: long at one core's DGEMM rate.
+#: thread of its own.  Starting and joining that thread and passing the
+#: interpreter lock between the two cost about 0.25 ms per call on a 2-vCPU
+#: VM, more than a whole 1->32 conv at 6x6 over 16 samples; 4 M multiply-adds
+#: take about as long at one core's DGEMM rate.
 SPLIT_MACS = 4_000_000
 
 

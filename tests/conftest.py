@@ -29,15 +29,13 @@ def random_recording(rng: np.random.Generator, n_channels=None, n_times=None,
 
 @contextmanager
 def workers(n):
-    """Run the block at ``n`` workers, on a pool of its own."""
-    saved = parallel.WORKERS, parallel._pool
-    parallel.WORKERS, parallel._pool = n, None
+    """Run the block at ``n`` workers."""
+    saved = parallel.WORKERS
+    parallel.WORKERS = n
     try:
         yield
     finally:
-        if parallel._pool is not None:
-            parallel._pool.shutdown(wait=False, cancel_futures=True)
-        parallel.WORKERS, parallel._pool = saved
+        parallel.WORKERS = saved
 
 
 def separable_matrices(rng: np.random.Generator, n: int, size: int, offset: float):

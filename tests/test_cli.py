@@ -747,6 +747,21 @@ def test_evaluate_recomputes_features_of_other_bytes(tmp_path, monkeypatch, caps
                         f"from this run's; computing the features"]
 
 
+def test_a_band_edge_written_as_an_integer_is_the_same_config(tmp_path):
+    cont = _make_container(tmp_path / "data", n_trials=24, n_subjects=3)
+    outs, cfgs = [], []
+    for name, low in (("int", 1), ("float", 1.0)):
+        outs.append(tmp_path / name)
+        cfgs.append(_write_config(tmp_path / f"{name}.json", outs[-1],
+                                  sections={**ZERO_SECTIONS, "gbt": {"n_estimators": 2}},
+                                  preprocessing={"low_hz": low}))
+    for cfg in cfgs:
+        assert main(["train", "--config", str(cfg), "--container", str(cont)]) == 0
+    assert (outs[0] / "config.resolved.json").read_bytes() == \
+           (outs[1] / "config.resolved.json").read_bytes()
+    assert _evaluate(cfgs[1], cont, outs[0], tmp_path / "eval") == 0
+
+
 @pytest.mark.parametrize("preprocessing, field", [({"high_hz": 40.0}, "band"),
                                                   ({"order": 3}, "order")])
 def test_evaluate_under_another_band_recomputes_and_exits_2(tmp_path, monkeypatch, capsys,

@@ -219,6 +219,22 @@ def test_fingerprint_ignores_the_task_subset():
     assert config.config_from_dict(table).fingerprint() != base.fingerprint()
 
 
+@pytest.mark.parametrize("section, key, spellings", [
+    ("preprocessing", "low_hz", ({}, {"low_hz": 1}, {"low_hz": 1.0})),
+    ("gbt", "reg_lambda", ({"reg_lambda": 1}, {"reg_lambda": 1.0})),
+])
+def test_a_float_written_as_an_integer_is_the_same_setting(section, key, spellings):
+    cfgs = [config.config_from_dict({**MINIMAL, section: spelling}) for spelling in spellings]
+    assert all(type(getattr(getattr(cfg, section), key)) is float for cfg in cfgs)
+    assert len({cfg.fingerprint() for cfg in cfgs}) == 1
+    assert len({json.dumps(cfg.canonical_dict()) for cfg in cfgs}) == 1
+
+
+def test_an_integer_too_large_for_a_float_is_a_config_error():
+    with pytest.raises(ConfigError, match="^config key preprocessing: "):
+        config.config_from_dict({**MINIMAL, "preprocessing": {"high_hz": 10 ** 400}})
+
+
 def test_canonical_dict_excludes_operational_knobs():
     canonical = config.config_from_dict(MINIMAL).canonical_dict()
     assert "output_dir" not in canonical

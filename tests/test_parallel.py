@@ -46,31 +46,81 @@ def test_slices_cover_the_range_in_order(n_workers, n, grain):
     assert len(seen) <= 1 or min(lengths) >= grain
 
 
-def test_one_cpu_runs_inline_without_a_pool():
+def test_one_slice_runs_inline_and_starts_no_thread(monkeypatch):
+    def no_start(thread):
+        raise AssertionError("a call of one slice must start no thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
     calls = []
     with workers(1):
         parallel.split(10, lambda lo, hi: calls.append((lo, hi, threading.current_thread())))
-        assert parallel._pool is None
-    assert calls == [(0, 10, threading.current_thread())]
+    with workers(2):  # too few items for two slices of the grain
+        parallel.split(3, lambda lo, hi: calls.append((lo, hi, threading.current_thread())), 2)
+    assert calls == [(0, 10, threading.current_thread()), (0, 3, threading.current_thread())]
 
 
-def test_a_call_from_a_pool_thread_runs_inline():
+def test_a_nested_call_splits_and_covers_every_index_once():
     inner = []
 
     def outer(lo, hi):
-        parallel.split(4, lambda a, b: inner.append((lo, a, b, threading.current_thread())))
+        parallel.split(4, lambda a, b: inner.append((lo, a, b)))
 
     with workers(2):
-        # one pool thread: a nested call that queued on the pool would wait forever
         runner = threading.Thread(target=parallel.split, args=(2, outer), daemon=True)
         runner.start()
         runner.join(timeout=30)
         assert not runner.is_alive()
-    by_outer = {lo: (a, b, thread) for lo, a, b, thread in inner}
-    assert sorted(by_outer) == [0, 1]
-    # slice 1 ran on the pool thread, and its nested call ran there whole
-    assert by_outer[1][:2] == (0, 4)
-    assert by_outer[1][2].name.startswith("eegspeech-split")
+    assert sorted(inner) == [(0, 0, 2), (0, 2, 4), (1, 0, 2), (1, 2, 4)]
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_no_thread_outlives_a_call(n_workers):
+    before = threading.enumerate()
+    started = []
+
+    def part(lo, hi):
+        started.append(threading.current_thread())
+        time.sleep(0.02)
+
+    def raising(at):
+        def part(lo, hi):
+            time.sleep(0.02)
+            if lo == at:
+                raise ValueError(f"slice at {lo}")
+        return part
+
+    with workers(n_workers):
+        parallel.split(n_workers, part)
+        assert len(set(started)) == n_workers
+        assert threading.enumerate() == before
+        for at in (0, 1):  # the calling thread's slice, and another thread's
+            with pytest.raises(ValueError, match=f"^slice at {at}$"):
+                parallel.split(n_workers, raising(at))
+            assert threading.enumerate() == before
+
+
+def test_a_thread_that_cannot_start_is_raised_once_the_started_ones_end(monkeypatch):
+    start, starts, ended = threading.Thread.start, [], []
+
+    def second_fails(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def part(lo, hi):
+        time.sleep(0.1)
+        ended.append(lo)
+
+    before = threading.enumerate()
+    monkeypatch.setattr(threading.Thread, "start", second_fails)
+    with workers(3):
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            parallel.split(3, part)
+    # slice 1's thread was joined; slice 2 never started, and the calling
+    # thread raised before it ran slice 0
+    assert ended == [1]
+    assert threading.enumerate() == before
 
 
 def test_the_first_failing_slice_is_raised_after_every_part_ends():
@@ -103,11 +153,11 @@ def test_the_first_failing_slice_is_raised_after_every_part_ends():
         assert ended == [1]
 
 
-def test_a_forked_child_starts_a_pool_of_its_own():
+def test_a_forked_child_splits_on_threads_of_its_own():
     with workers(2):
-        parallel.split(2, lambda lo, hi: None)  # the parent's pool and its thread
+        parallel.split(2, lambda lo, hi: None)  # a split in the parent first
         pid = os.fork()
-        if pid == 0:  # the child has no thread of its parent's pool
+        if pid == 0:  # the child starts threads of its own
             code = 1
             try:
                 done = []
@@ -424,3 +474,33 @@ def test_train_writes_the_same_bytes_at_one_and_two_workers(tmp_path, monkeypatc
         out.rename(tmp_path / f"out{n}")
     assert trees[0].keys() == trees[1].keys() and len(trees[0]) > 3
     assert trees[0] == trees[1]
+
+
+def test_crossval_forks_every_unit_from_a_one_thread_process(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    # 8 x 4096 samples a trial, so the feature pass splits its trials
+    assert main(["synth", "--out", str(data), "--n-trials", "12", "--n-channels", "8",
+                 "--n-times", "4096", "--n-subjects", "2", "--seed", "5"]) == 0
+    assert 8 * 4096 >= pipeline.SPLIT_SAMPLES
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "seed": 11, "tasks": ["uw"], "output_dir": str(tmp_path / "out"),
+        "covariance": {"input_size": 6}, "cnn": {"epochs": 0}, "lstm": {"epochs": 0},
+        "dae": {"epochs": 0}, "gbt": {"n_estimators": 2}}))
+    fork, start = os.fork, threading.Thread.start
+    threads_at_fork, starts = [], []
+
+    def recording_fork():
+        threads_at_fork.append(threading.active_count())
+        return fork()
+
+    def recording_start(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    with workers(2):
+        assert main(["crossval", "--config", str(cfg), "--container", str(data)]) == 0
+    assert starts  # the feature pass ran on two threads
+    assert threads_at_fork == [1, 1]  # one fork per subject's fold
