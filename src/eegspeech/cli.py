@@ -321,7 +321,7 @@ def _run_protocol(args, mode: str) -> int:
     fingerprint = cfg.fingerprint()
 
     def train_unit(task, labels, fold, staging):
-        bundle = pipeline._train_fold(covs, labels, task, fold, cfg, mode, fingerprint, ids)
+        bundle = pipeline.train_fold(covs, labels, task, fold, cfg, mode, fingerprint, ids)
         _save_fold(bundle, staging)
 
     work = {}
@@ -418,9 +418,10 @@ def cmd_plot(args) -> int:
             raise DataError(f"no report file at {path}")
         try:
             payload = json.loads(path.read_text())
-            entries.append(_metrics_row(str(payload["task"]), float(payload["accuracy"]),
-                                        float(payload["kappa"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            field = functools.partial(container_mod.json_field, payload)
+            entries.append(_metrics_row(field("task", "string"), field("accuracy", "number"),
+                                        field("kappa", "number")))
+        except (TypeError, ValueError) as exc:
             raise DataError(f"bad report file {path}: {exc}") from exc
     out = _output_dir(args.out if args.out is not None else ".")
     plotting.write_task_bars_svg(entries, out / "metrics.svg")

@@ -3,9 +3,10 @@
 The manifest lists the dataset name, sampling rate, channel names, and one
 record per trial (id, subject, prompt, byte offset/length into the data
 file).  The data file holds each trial's samples as contiguous little-endian
-float32, channel-major.  Malformed manifests and out-of-range slices raise
-DataError naming the offending trial.  `digest` identifies a container by
-the bytes of both files.
+float32, channel-major.  A manifest field of another JSON type (nothing is
+coerced), a subject id that `check_subject` refuses and an out-of-range slice
+raise DataError naming the manifest or the offending trial.  `digest`
+identifies a container by the bytes of both files.
 """
 
 from __future__ import annotations
@@ -13,20 +14,24 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .nn.checkpoint import write_bytes_atomic, write_json_atomic
-from .recording import Recording, check_prompt, check_sample_rate
+from .recording import Recording, check_prompt, check_sample_rate, check_subject
 
 MANIFEST_NAME = "manifest.json"
 DATA_NAME = "data.bin"
 _FORMAT = "trial-container-v1"
 #: Bytes `digest` reads at a time.
 _DIGEST_CHUNK = 1 << 20
+#: Whether a value that `json` read is of each JSON type; a bool is no number.
+_JSON_KINDS = {"string": lambda v: type(v) is str, "integer": lambda v: type(v) is int,
+               "number": lambda v: type(v) in (int, float), "array": lambda v: type(v) is list,
+               "array of strings": lambda v: type(v) is list and all(type(s) is str for s in v)}
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,9 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
     """Write a container directory.
 
     `trials` is an iterable of (trial_id, subject_id, prompt, samples) where
-    samples is a channels x times float array; storage is float32.  A rate
-    or a prompt that the readers refuse is a DataError, and then no file or
-    directory is written.
+    samples is a channels x times float array; storage is float32.  A rate,
+    a prompt or a subject id that the readers refuse is a DataError, and
+    then no file or directory is written.
     """
     root = Path(root)
     try:
@@ -82,17 +87,18 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
     seen = set()
     for trial_id, subject_id, prompt, samples in trials:
         trial_id = str(trial_id)
-        if trial_id in seen:
-            raise DataError(f"duplicate trial id {trial_id!r}")
-        seen.add(trial_id)
         try:
+            if trial_id in seen:
+                raise ValueError("duplicate trial id")
             check_prompt(prompt)
+            check_subject(str(subject_id))
             # float32 samples are written from the caller's array, without a copy
             arr = np.ascontiguousarray(samples, dtype="<f4")
             if arr.ndim != 2 or arr.shape[0] != n_channels:
                 raise ValueError(f"expected {n_channels} channels, got shape {arr.shape}")
         except ValueError as exc:
             raise DataError(f"trial {trial_id!r}: {exc}") from exc
+        seen.add(trial_id)
         records.append(TrialRecord(trial_id=trial_id, subject_id=str(subject_id),
                                    prompt=str(prompt), offset=offset, length=arr.nbytes))
         arrays.append(arr)
@@ -104,17 +110,24 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
         "name": str(name),
         "sample_rate_hz": rate,
         "channel_names": list(channel_names),
-        "trials": [
-            {"trial_id": r.trial_id, "subject_id": r.subject_id, "prompt": r.prompt,
-             "offset": r.offset, "length": r.length}
-            for r in records
-        ],
+        "trials": [asdict(r) for r in records],
     }
     root.mkdir(parents=True, exist_ok=True)
     write_bytes_atomic(root / DATA_NAME, *(arr.data for arr in arrays))
     write_json_atomic(root / MANIFEST_NAME, manifest)
     return TrialContainer(name=str(name), sample_rate_hz=rate,
                           channel_names=channel_names, trials=tuple(records), root=root)
+
+
+def json_field(doc: dict, key: str, kind: str):
+    """``doc[key]`` when it is a JSON ``kind``, a key of `_JSON_KINDS`; a
+    ValueError naming the field otherwise."""
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    value = doc[key]
+    if not _JSON_KINDS[kind](value):
+        raise ValueError(f"field {key!r} must be a JSON {kind}, got {value!r}")
+    return value
 
 
 def read_container(root: str | os.PathLike) -> TrialContainer:
@@ -134,15 +147,12 @@ def read_container(root: str | os.PathLike) -> TrialContainer:
     except UnicodeEncodeError as exc:
         raise DataError(f"manifest text is not valid Unicode: {exc}") from exc
     try:
-        name = manifest["name"]
-        rate = float(manifest["sample_rate_hz"])
-        channel_names = tuple(str(c) for c in manifest["channel_names"])
-        raw_trials = list(manifest["trials"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"manifest field error: {exc}") from exc
-    try:
+        name = json_field(manifest, "name", "string")
+        rate = float(json_field(manifest, "sample_rate_hz", "number"))
         check_sample_rate(rate)
-    except ValueError as exc:
+        channel_names = tuple(json_field(manifest, "channel_names", "array of strings"))
+        raw_trials = json_field(manifest, "trials", "array")
+    except (ValueError, OverflowError) as exc:  # OverflowError: a rate too large for a float
         raise DataError(f"manifest {manifest_path}: {exc}") from exc
     if not channel_names:
         raise DataError("manifest lists no channels")
@@ -151,33 +161,34 @@ def read_container(root: str | os.PathLike) -> TrialContainer:
         raise DataError(f"no data file at {data_path}")
     data_size = data_path.stat().st_size
     n_channels = len(channel_names)
-    item = 4 * n_channels
     records = []
     seen = set()
     for entry in raw_trials:
         try:
-            record = TrialRecord(trial_id=str(entry["trial_id"]),
-                                 subject_id=str(entry["subject_id"]),
-                                 prompt=str(entry["prompt"]),
-                                 offset=int(entry["offset"]),
-                                 length=int(entry["length"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"bad trial record {entry!r}: {exc}") from exc
-        if record.trial_id in seen:
-            raise DataError(f"duplicate trial id {record.trial_id!r}")
+            record = TrialRecord(*(json_field(entry, *field) for field in (
+                ("trial_id", "string"), ("subject_id", "string"), ("prompt", "string"),
+                ("offset", "integer"), ("length", "integer"))))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"manifest {manifest_path}: bad trial record {entry!r}: "
+                            f"{exc}") from exc
+        try:
+            check_subject(record.subject_id)
+            if record.trial_id in seen:
+                raise ValueError("duplicate trial id")
+            end = record.offset + record.length
+            if not 0 <= record.offset < end <= data_size:
+                raise ValueError(f"slice [{record.offset}, {end}) outside data file of "
+                                 f"{data_size} bytes")
+            if record.length % (4 * n_channels) != 0:
+                raise ValueError(f"length {record.length} not a multiple of {n_channels} "
+                                 f"channels x 4 bytes")
+        except ValueError as exc:
+            raise DataError(f"trial {record.trial_id!r}: {exc}") from exc
         seen.add(record.trial_id)
-        if record.offset < 0 or record.length <= 0 or record.offset + record.length > data_size:
-            raise DataError(
-                f"trial {record.trial_id!r}: slice [{record.offset}, "
-                f"{record.offset + record.length}) outside data file of {data_size} bytes")
-        if record.length % item != 0:
-            raise DataError(
-                f"trial {record.trial_id!r}: length {record.length} not a multiple of "
-                f"{n_channels} channels x 4 bytes")
         records.append(record)
     if not records:
         raise DataError("container holds no trials")
-    return TrialContainer(name=str(name), sample_rate_hz=rate,
+    return TrialContainer(name=name, sample_rate_hz=rate,
                           channel_names=channel_names, trials=tuple(records), root=root)
 
 

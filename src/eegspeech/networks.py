@@ -1,7 +1,7 @@
 """The three networks of the hierarchy, as one model type with one training loop.
 
 Level 1 trains a CNN and an LSTM network in parallel roles on the same square
-input matrices, each ending in a 2-class softmax.  Their penultimate hidden
+input matrices, each ending in two class logits.  Their penultimate hidden
 activations (128 and 1024 wide) are concatenated into a 1152-dim fused vector.
 Level 2 compresses fused vectors with an unsupervised autoencoder whose 32-dim
 latent code feeds the boosted-tree classifier at level 3.  Each network is a
@@ -53,7 +53,6 @@ CNN_SPECS = [
     LayerSpec("dense", units=CNN_PENULTIMATE),
     LayerSpec("activation", fn="relu"),
     LayerSpec("dense", units=2),
-    LayerSpec("softmax"),
 ]
 
 LSTM_SPECS = [
@@ -67,7 +66,6 @@ LSTM_SPECS = [
     LayerSpec("dense", units=LSTM_PENULTIMATE),
     LayerSpec("activation", fn="relu"),
     LayerSpec("dense", units=2),
-    LayerSpec("softmax"),
 ]
 
 
@@ -132,10 +130,6 @@ class Model:
         x = np.asarray(rows, dtype=np.float64)
         return (x.reshape(len(x), *self.input_shape) - self.mean) / self.std
 
-    def predict_proba(self, rows) -> np.ndarray:
-        """The network's output per row: class probabilities for a branch."""
-        return _eval_rows(self, rows)
-
     def penultimate(self, rows) -> np.ndarray:
         """The feature layer's output per row."""
         return _eval_rows(self, rows, self.feature_index)
@@ -154,9 +148,9 @@ def _fit(model: Model, x: np.ndarray, targets: np.ndarray, hyper: NetworkHyper,
          seed: int, name: str) -> None:
     """Minibatch Adam on standardised rows, appending one EpochStats per epoch.
 
-    Integer targets are class labels: softmax cross-entropy, backpropagated
-    from the logits below the final softmax layer.  Float targets are
-    regressed with MSE, and the accuracy column stays 0.
+    Integer targets are class labels: softmax cross-entropy on the output
+    logits, the softmax part of the loss.  Float targets are regressed with
+    MSE, and the accuracy column stays 0.
     """
     net = model.net
     classify = targets.dtype.kind == "i"
@@ -173,12 +167,14 @@ def _fit(model: Model, x: np.ndarray, targets: np.ndarray, hyper: NetworkHyper,
             xb, tb = x[idx], targets[idx]
             out = net.forward(xb, train=True)
             if classify:
-                loss += ops.bce_loss_batch(out, tb) * len(idx)
-                hits += int((out.argmax(axis=1) == tb).sum())
-                net.backward(ops.cross_entropy_logit_grad(out, tb), start=len(net.layers) - 2)
+                probs = ops.softmax(out)
+                loss += ops.bce_loss_batch(probs, tb) * len(idx)
+                hits += int((probs.argmax(axis=1) == tb).sum())
+                grad = ops.cross_entropy_logit_grad(probs, tb)
             else:
                 loss += ops.mse_loss(out, tb) * len(idx)
-                net.backward(ops.mse_grad(out, tb))
+                grad = ops.mse_grad(out, tb)
+            net.backward(grad)
             adam.step()
         model.trace.append(EpochStats(epoch, loss / n, hits / n))
     net.set_dropout_rng(None)
@@ -286,7 +282,7 @@ def encode(dae: Model, features) -> np.ndarray:
 
 
 def reconstruction_mse(dae: Model, features) -> float:
-    return ops.mse_loss(dae.predict_proba(features), dae.standardize(features))
+    return ops.mse_loss(_eval_rows(dae, features), dae.standardize(features))
 
 
 def write_trace_csv(path: str | os.PathLike, trace: list[EpochStats]) -> None:

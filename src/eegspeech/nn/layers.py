@@ -198,14 +198,6 @@ class Activation(Layer):
         return ops.activation_backward(None, out, self.fn, grad)
 
 
-class Softmax(Layer):
-    """Class probabilities over the last axis, with no backward: the
-    cross-entropy gradient is taken with respect to the logits below it."""
-
-    def forward(self, x, train=False):
-        return ops.softmax(x)
-
-
 class Dropout(Layer):
     @staticmethod
     def check(spec):

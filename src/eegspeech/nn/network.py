@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Activation, Conv2D, Dense, Dropout, Flatten, LastStep, Layer, Lstm, Softmax
+from .layers import Activation, Conv2D, Dense, Dropout, Flatten, LastStep, Layer, Lstm
 from .tensor import Tensor
 
 KINDS: dict[str, type[Layer]] = {
     "conv2d": Conv2D, "dense": Dense, "lstm": Lstm, "last_step": LastStep,
-    "dropout": Dropout, "activation": Activation, "softmax": Softmax, "flatten": Flatten}
+    "dropout": Dropout, "activation": Activation, "flatten": Flatten}
 
 
 @dataclass(frozen=True)
@@ -122,21 +122,13 @@ class Network:
         forward call.  With ``train=False`` dropout is the identity and no
         layer caches anything, so eval passes leave the network unchanged.
         """
-        last = len(self.layers) - 1 if stop is None else stop
-        for layer in self.layers[: last + 1]:
+        for layer in self.layers if stop is None else self.layers[: stop + 1]:
             x = layer.forward(x, train)
         return x
 
-    def backward(self, grad, start: int | None = None):
-        """Propagate ``grad`` backward from the output of layer ``start``
-        (default: the last layer), writing each parameter's gradient.
-
-        Layers above ``start`` keep their old gradients.  ``Softmax`` has no
-        backward, so a network ending in one starts below it, at the logits.
-        """
-        if start is None:
-            start = len(self.layers) - 1
-        for layer in reversed(self.layers[: start + 1]):
+    def backward(self, grad):
+        """Backpropagate ``grad``, at the output, through every layer; returns it at the input."""
+        for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
 

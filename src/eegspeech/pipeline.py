@@ -423,8 +423,9 @@ def score_fold(bundle: ModelBundle, fold: Fold, covs, labels, trials,
     return report, predictions
 
 
-def _train_fold(covs, labels, task: Task, fold: Fold, cfg: RunConfig, mode: str,
-                fingerprint: str, trial_ids) -> ModelBundle:
+def train_fold(covs, labels, task: Task, fold: Fold, cfg: RunConfig, mode: str,
+               fingerprint: str, trial_ids) -> ModelBundle:
+    """Train one fold, every stage on ``fold.train`` alone, and return its bundle."""
     train_labels = labels[list(fold.train)]
     audit = LeakageAudit(held_out=frozenset(fold.dev) | frozenset(fold.test))
     kept = fit_channel_rejection(covs, trial_ids, fold.train, cfg.covariance.threshold,
@@ -497,7 +498,7 @@ def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids, cov
     kept = {}
 
     def train(fold: Fold) -> ModelBundle:
-        kept[fold.name] = _train_fold(covs, labels, task, fold, cfg, plan.mode, fingerprint,
+        kept[fold.name] = train_fold(covs, labels, task, fold, cfg, plan.mode, fingerprint,
                                       trial_ids)
         return kept[fold.name]
 

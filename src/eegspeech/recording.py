@@ -30,6 +30,12 @@ def check_prompt(prompt: str) -> None:
         raise ValueError(f"unknown prompt {prompt!r}")
 
 
+def check_subject(subject_id: str) -> None:
+    """A ValueError if ``subject_id``, part of a fold's path, holds "/" or NUL."""
+    if "/" in subject_id or "\0" in subject_id:
+        raise ValueError(f"subject id {subject_id!r} may not contain '/' or NUL")
+
+
 def check_positives(positives) -> tuple[str, ...]:
     """A task's positive prompts as a tuple; a ValueError unless they are a
     non-empty strict subset of `PROMPTS`, so both classes can occur."""

@@ -290,6 +290,56 @@ def test_single_class_container_exits_4(tmp_path):
                  str(tmp_path / "data")]) == 4
 
 
+def _files(root: Path) -> list[Path]:
+    return sorted(root.rglob("*"))
+
+
+@pytest.mark.parametrize("subject", ["../../../../../escaped", "lab/s00"])
+@pytest.mark.parametrize("verb", ["train", "crossval"])
+def test_a_subject_id_that_leaves_its_fold_directory_exits_3(tmp_path, capsys, verb, subject):
+    # a fold is named subject-<id>, and its bundle directory after it
+    cont = _make_container(tmp_path / "data", n_trials=12)
+    manifest = json.loads((cont / "manifest.json").read_text())
+    for trial in manifest["trials"]:
+        if trial["subject_id"] == "s00":
+            trial["subject_id"] = subject
+    (cont / "manifest.json").write_text(json.dumps(manifest))
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "run" / "out", sections=ZERO_SECTIONS)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main([verb, "--config", str(cfg), "--container", str(cont)]) == 3
+    err = capsys.readouterr().err
+    assert f"subject id {subject!r} may not contain" in err and "Traceback" not in err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("trial", "offset", 0.9),  # the offset of the first trial is 0
+    ("trial", "offset", "0"),
+    ("trial", "length", "length as a float"),
+    ("manifest", "channel_names", "abcdef"),
+    ("manifest", "sample_rate_hz", "128"),
+    ("trial", "trial_id", 7),
+    ("trial", "subject_id", 0),
+    ("manifest", "name", 5),
+])
+def test_a_manifest_field_of_another_json_type_exits_3(tmp_path, capsys, where, key, value):
+    cont = _make_container(tmp_path / "data", n_trials=12)
+    path = cont / "manifest.json"
+    manifest = json.loads(path.read_text())
+    owner = manifest if where == "manifest" else manifest["trials"][0]
+    owner[key] = float(owner[key]) if value == "length as a float" else value
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out, sections=ZERO_SECTIONS)
+    capsys.readouterr()
+    assert main(["featurize", "--config", str(cfg), "--container", str(cont)]) == 3
+    err = capsys.readouterr().err
+    assert f"manifest {path}: " in err and f"field {key!r} must be a JSON " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # crossval
 # ---------------------------------------------------------------------------
@@ -435,8 +485,8 @@ def _no_child_left() -> None:
 
 
 def _failing_fold(fold_name, fail):
-    """``pipeline._train_fold``, calling ``fail()`` first for the fold ``fold_name``."""
-    original = pipeline._train_fold
+    """``pipeline.train_fold``, calling ``fail()`` first for the fold ``fold_name``."""
+    original = pipeline.train_fold
 
     def train(covs, labels, task, fold, *args):
         if task.task_id == "uw" and fold.name == fold_name:
@@ -466,7 +516,7 @@ def test_a_failing_fold_leaves_the_same_output_at_one_and_two_workers(tmp_path, 
     def fail():
         raise TrainingError("subject s01's fold failed")
 
-    monkeypatch.setattr(pipeline, "_train_fold", _failing_fold("subject-s01", fail))
+    monkeypatch.setattr(pipeline, "train_fold", _failing_fold("subject-s01", fail))
     trees = []
     for n in (1, 2):
         out = tmp_path / f"out{n}"
@@ -506,7 +556,7 @@ def test_children_train_at_one_worker_while_the_parent_holds_one_bundle(tmp_path
     argv = _two_task_crossval(tmp_path, tmp_path / "out")
     seen = tmp_path / "seen"
     seen.mkdir()
-    original_train, original_load = pipeline._train_fold, pipeline.load_bundle
+    original_train, original_load = pipeline.train_fold, pipeline.load_bundle
 
     def training(covs, labels, task, fold, *args):
         (seen / f"{task.task_id}.{fold.name}").write_text(json.dumps(
@@ -522,7 +572,7 @@ def test_children_train_at_one_worker_while_the_parent_holds_one_bundle(tmp_path
         refs.extend(_model_refs(bundle))
         return bundle
 
-    monkeypatch.setattr(pipeline, "_train_fold", training)
+    monkeypatch.setattr(pipeline, "train_fold", training)
     monkeypatch.setattr(pipeline, "load_bundle", loading)
     with workers(n_workers):
         assert main(argv) == 0
@@ -546,7 +596,7 @@ def test_a_child_killed_by_a_signal_exits_4_naming_its_task_and_fold(tmp_path, m
         os.kill(os.getpid(), signal.SIGKILL)
 
     argv = _two_task_crossval(tmp_path, tmp_path / "out")
-    monkeypatch.setattr(pipeline, "_train_fold", _failing_fold("subject-s01", die))
+    monkeypatch.setattr(pipeline, "train_fold", _failing_fold("subject-s01", die))
     with workers(2):
         assert main(argv) == 4
     err = capsys.readouterr().err
@@ -560,7 +610,7 @@ def test_a_lone_unit_trains_in_this_process_at_two_workers(tmp_path, monkeypatch
     # no other unit could run beside it, so it keeps both workers
     argv = _one_task_train(tmp_path, tmp_path / "out")
     seen = []
-    original = pipeline._train_fold
+    original = pipeline.train_fold
 
     def training(*args):
         seen.append((os.getpid(), parallel.WORKERS))
@@ -569,7 +619,7 @@ def test_a_lone_unit_trains_in_this_process_at_two_workers(tmp_path, monkeypatch
     def no_fork():
         raise AssertionError("a lone unit must not fork")
 
-    monkeypatch.setattr(pipeline, "_train_fold", training)
+    monkeypatch.setattr(pipeline, "train_fold", training)
     monkeypatch.setattr(os, "fork", no_fork)
     with workers(2):
         assert main(argv) == 0
@@ -594,7 +644,7 @@ def test_a_childs_error_gives_the_verb_its_exit_code(tmp_path, monkeypatch, caps
     run, fold = {"crossval": (_two_task_crossval, "subject-s01"),
                  "train": (_one_task_train, "holdout")}[verb]
     argv = run(tmp_path, tmp_path / "out")
-    monkeypatch.setattr(pipeline, "_train_fold", _failing_fold(fold, fail))
+    monkeypatch.setattr(pipeline, "train_fold", _failing_fold(fold, fail))
     with workers(n_workers):
         assert main(argv) == code
     err = capsys.readouterr().err
@@ -998,6 +1048,21 @@ def test_plot_round_trips_metric_values(tmp_path, trained_run):
     assert table[0] == "metric,uw"
     assert table[1] == f"accuracy_pct,{report['accuracy'] * 100:.2f}"
     assert table[2] == f"kappa,{max(-1.0, min(1.0, report['kappa'])):.2f}"
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("accuracy", True, "number"),
+    ("kappa", "0.5", "number"),
+    ("task", ["uw"], "string"),
+])
+def test_a_report_field_of_another_json_type_exits_3(tmp_path, capsys, key, value, kind):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"task": "uw", "accuracy": 0.5, "kappa": 0.0, key: value}))
+    capsys.readouterr()
+    assert main(["plot", str(report), "--out", str(tmp_path / "plots")]) == 3
+    err = capsys.readouterr().err
+    assert f"bad report file {report}: field {key!r} must be a JSON {kind}" in err
+    assert not (tmp_path / "plots").exists()
 
 
 def test_plot_missing_report_exits_3(tmp_path):

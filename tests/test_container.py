@@ -243,3 +243,69 @@ def test_digest_of_an_unreadable_file_is_a_data_error(tmp_path):
     (tmp_path / "data.bin").unlink()
     with pytest.raises(DataError, match="data.bin"):
         container.digest(cont)
+
+
+#: Subject ids that would put a fold's files outside its directory: a fold
+#: is named ``subject-<id>``, and the name is a path component.
+ESCAPING_SUBJECTS = ["../../../../../escaped", "lab/s00", "s\0"]
+
+
+@pytest.mark.parametrize("subject", ESCAPING_SUBJECTS)
+def test_write_refuses_a_subject_id_with_a_slash_or_nul(tmp_path, subject):
+    root = tmp_path / "new"
+    with pytest.raises(DataError, match="trial 't0': subject id .* may not contain"):
+        container.write_container(root, "demo", 128.0, ["a", "b"],
+                                  [("t0", subject, "/uw/", _TRIAL)])
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("subject", ESCAPING_SUBJECTS)
+def test_read_refuses_a_subject_id_with_a_slash_or_nul(tmp_path, subject):
+    _write_demo(tmp_path)
+    _corrupt_manifest(tmp_path, lambda m: m["trials"][1].update(subject_id=subject))
+    with pytest.raises(DataError, match="trial 't001': subject id .* may not contain"):
+        container.read_container(tmp_path)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("manifest", "name", 5),
+    ("manifest", "sample_rate_hz", "128"),
+    ("manifest", "sample_rate_hz", True),
+    ("manifest", "channel_names", "ab"),
+    ("manifest", "channel_names", ["a", 2]),
+    ("manifest", "trials", {"t000": {}}),
+    ("trial", "trial_id", 7),
+    ("trial", "subject_id", 0),
+    ("trial", "prompt", ["/uw/"]),
+    ("trial", "offset", 0.0),
+    ("trial", "offset", "0"),
+    ("trial", "offset", False),
+    ("trial", "length", 64.0),
+])
+def test_read_refuses_a_field_of_another_json_type(tmp_path, where, key, value):
+    _write_demo(tmp_path)
+
+    def retype(manifest):
+        (manifest if where == "manifest" else manifest["trials"][0])[key] = value
+
+    _corrupt_manifest(tmp_path, retype)
+    with pytest.raises(DataError) as err:
+        container.read_container(tmp_path)
+    message = str(err.value)
+    assert message.startswith(f"manifest {tmp_path / 'manifest.json'}: ")
+    assert f"field {key!r} must be a JSON " in message
+
+
+def test_a_rate_written_as_a_json_integer_reads_as_a_float(tmp_path):
+    _write_demo(tmp_path)
+    _corrupt_manifest(tmp_path, lambda m: m.update(sample_rate_hz=128))
+    loaded = container.read_container(tmp_path)
+    assert loaded.sample_rate_hz == 128.0 and type(loaded.sample_rate_hz) is float
+    assert all(type(r.offset) is int and type(r.length) is int for r in loaded.trials)
+
+
+def test_an_integer_rate_too_large_for_a_float_is_a_data_error(tmp_path):
+    _write_demo(tmp_path)
+    _corrupt_manifest(tmp_path, lambda m: m.update(sample_rate_hz=10**400))
+    with pytest.raises(DataError, match="int too large to convert to float"):
+        container.read_container(tmp_path)

@@ -10,7 +10,8 @@ import pytest
 
 from eegspeech.nn import ops
 from eegspeech.nn.gradcheck import gradient_check
-from eegspeech.nn.network import LayerSpec, build_network
+from eegspeech.nn.layers import Layer
+from eegspeech.nn.network import KINDS, LayerSpec, build_network
 from eegspeech.nn.tensor import Tensor
 
 TOL = 1e-4
@@ -199,21 +200,15 @@ def test_small_conv_stack_gradients(seed):
         LayerSpec("dense", units=3),
         LayerSpec("activation", fn="tanh"),
         LayerSpec("dense", units=2),
-        LayerSpec("softmax"),
     ]
-
-    def loss_pair(probs):
-        return ops.bce_loss_batch(probs, targets), None
-
     net = build_network(specs, (1, 5, 5), np.random.default_rng(seed))
 
     def loss():
-        return loss_pair(net.forward(x))[0]
+        return ops.bce_loss_batch(ops.softmax(net.forward(x)), targets)
 
     net.zero_grad()
-    probs = net.forward(x)
-    # backpropagate through the dense stack from the logits, skipping softmax
-    net.backward(ops.cross_entropy_logit_grad(probs, targets), start=len(net.layers) - 2)
+    # the softmax belongs to the loss, so the whole stack backpropagates
+    net.backward(ops.cross_entropy_logit_grad(ops.softmax(net.forward(x)), targets))
     assert gradient_check(loss, [t for _, t in net.parameters()]) < TOL
 
 
@@ -248,6 +243,49 @@ def test_small_autoencoder_stack_gradients(seed):
     ]
     _check_stack(specs, (6,), x,
                  lambda out: (ops.mse_loss(out, x), ops.mse_grad(out, x)), seed)
+
+
+# ---------------------------------------------------------------------------
+# the layer contract: every kind has a backward, and a network backpropagates
+# from its top layer
+# ---------------------------------------------------------------------------
+
+#: Per layer kind: an input shape, and a small stack that ends in that kind
+#: and has parameters below or in it.  Dropout runs at rate 0, so train mode
+#: draws no mask and the check is deterministic.
+TOP_STACKS = {
+    "conv2d": ((1, 4, 4), [LayerSpec("conv2d", filters=2, kernel=3)]),
+    "dense": ((3,), [LayerSpec("dense", units=2)]),
+    "lstm": ((3, 2), [LayerSpec("lstm", units=2)]),
+    "last_step": ((3, 2), [LayerSpec("lstm", units=2), LayerSpec("last_step")]),
+    "dropout": ((3,), [LayerSpec("dense", units=2), LayerSpec("dropout", rate=0.0)]),
+    "activation": ((3,), [LayerSpec("dense", units=2), LayerSpec("activation", fn="tanh")]),
+    "flatten": ((1, 4, 4), [LayerSpec("conv2d", filters=2, kernel=3), LayerSpec("flatten")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_layer_kind_has_a_backward(kind):
+    assert KINDS[kind].backward is not Layer.backward
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_network_topped_by_each_kind_backpropagates_from_the_top(kind):
+    input_shape, specs = TOP_STACKS[kind]
+    assert specs[-1].kind == kind
+    rng = np.random.default_rng(12_000)
+    x = Tensor(rng.normal(size=(2, *input_shape)))
+    net = build_network(specs, input_shape, np.random.default_rng(7))
+    target = rng.normal(size=net.forward(x.data, train=False).shape)
+
+    def loss():
+        return ops.mse_loss(net.forward(x.data), target)
+
+    out = net.forward(x.data)
+    x.grad = net.backward(ops.mse_grad(out, target))
+    tensors = [t for _, t in net.parameters()]
+    assert tensors, "stack under test has no parameters"
+    assert gradient_check(loss, [x, *tensors]) < TOL
 
 
 def test_gradient_check_flags_a_wrong_gradient():

