@@ -8,25 +8,28 @@ kernels on random inputs with the built network's own weights, then Adam
 steps over every CNN parameter (the first step on fresh moments apart from
 the warm steps), then boosted trees: three trees fitted with
 the default ``GbtConfig`` on 1500 x 32 random rows, and each of them
-predicting those rows.  Then a fresh child process runs one CNN train step
-(forward, backward, Adam) and reports its wall time, user and kernel time,
-minor page faults, peak resident set size, the arrays the trained layers
-still hold and the gradients its parameters still hold, both of which
-should be none; it runs twice, once pinned to one CPU (so ``parallel.split``
-runs everything inline) and once on every CPU the script may use.  Then
-another fresh child loads an untrained bundle (the three networks at
-``--size``, no trees) saved by ``pipeline.save_bundle`` and scores one input
-with it, and reports ``pipeline.load_bundle``'s first and warm times, the
-time of the first forward after each load (a mapped archive's pages are
+predicting those rows.  The rest runs in fresh interpreters, each one
+``child_*`` function of this script behind the hidden ``--child NAME
+ARGS...`` entry, measured through ``measure.py``.  `child_cnn_step` runs one
+CNN train step (forward, backward, Adam) and reports its wall time, user and
+kernel time, minor page faults, peak resident set size, the arrays the
+trained layers still hold and the gradients its parameters still hold, both
+of which should be none; it runs twice, once pinned to one CPU (so
+``parallel.split`` runs everything inline) and once on every CPU the script
+may use.  `child_bundle_load` loads an untrained bundle (the three networks
+at ``--size``, no trees) saved by ``pipeline.save_bundle`` and scores one
+input with it, and reports ``pipeline.load_bundle``'s first and warm times,
+the time of the first forward after each load (a mapped archive's pages are
 mapped as that forward reads them), each load's and forward's user and
 kernel time and minor page faults, and its peak resident set size.  Last,
-the feature pass: a fresh child preprocesses random trials
+the feature pass: `child_feature_pass` preprocesses random trials
 (``pipeline.preprocess``, the bandpass and the mean removal) and computes
 each one's covariance matrix (``covariance.ccv_matrix``), and reports the
 wall time and minor page faults of its first trial, which makes the one
-cached filter design (``recording.bandpass_design``), and of ``FEATURE_TRIALS`` x ``--repeats`` warm trials, at the
-reference trial (``--size`` channels x 5000 samples at 1 kHz) and at a short
-one (8 x 256 samples at 128 Hz).  Each time is the median of ``--repeats``
+cached filter design (``recording.bandpass_design``), and of
+``FEATURE_TRIALS`` x ``--repeats`` warm trials, at the reference trial
+(``--size`` channels x 5000 samples at 1 kHz) and at a short one (8 x 256
+samples at 128 Hz).  Each time is the median of ``--repeats``
 runs (a warm feature-pass figure is the median over its warm trials), and
 the runs are kept beside it.
 
@@ -38,10 +41,10 @@ defaults needs about 2 GB of memory.
 """
 
 import argparse
+import inspect
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -49,121 +52,14 @@ from pathlib import Path
 
 import numpy as np
 
-import eegspeech
-from eegspeech import gbt, networks, parallel, pipeline
+from eegspeech import covariance, gbt, networks, parallel, pipeline
+from eegspeech.config import RunConfig
 from eegspeech.nn import Adam, infer_shapes
 from eegspeech.nn import ops
-
-#: The child scripts' own peak RSS in MB, Linux's VmHWM: a child's
-#: ``ru_maxrss`` would start at the peak of the process that started it.
-_PEAK_MB = """
-with open("/proc/self/status") as f:
-    peak_mb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
-"""
-
-#: One CNN train step in a fresh interpreter, on one CPU when its fourth
-#: argument is "one" (set before the package reads its worker count); prints
-#: the step's wall time, user and kernel time and minor page faults, the
-#: worker count, its peak RSS (``_PEAK_MB``), the MB of arrays the trained
-#: model's layers still hold (caches a backward should have released) and the
-#: MB of gradients its parameters still hold (gradients Adam should have
-#: released).
-_CNN_STEP = """
-import json, os, resource, sys, time
-if sys.argv[4] == "one":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import numpy as np
-sys.path.insert(0, sys.argv[1])
-from eegspeech import networks, parallel
-size, batch = int(sys.argv[2]), int(sys.argv[3])
-rng = np.random.default_rng(0)
-x = rng.normal(size=(batch, size, size))
-y = np.arange(batch) % 2
-before = resource.getrusage(resource.RUSAGE_SELF)
-start = time.perf_counter()
-model = networks.train_cnn(x, y, networks.NetworkHyper(epochs=1, batch_size=batch), seed=0)
-s = time.perf_counter() - start
-after = resource.getrusage(resource.RUSAGE_SELF)
-
-def held(value):
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    if isinstance(value, dict):
-        value = list(value.values())
-    return sum(map(held, value)) if isinstance(value, (list, tuple)) else 0
-
-""" + _PEAK_MB + """
-print(json.dumps({"s": s,
-                  "utime_s": after.ru_utime - before.ru_utime,
-                  "stime_s": after.ru_stime - before.ru_stime,
-                  "minflt": after.ru_minflt - before.ru_minflt,
-                  "workers": parallel.WORKERS,
-                  "peak_rss_mb": peak_mb,
-                  "held_mb": sum(held(vars(layer)) for layer in model.net.layers) / 2**20,
-                  "grad_mb": sum(held(t.grad) for _, t in model.net.parameters()) / 2**20}))
-"""
-
-#: Loads one saved bundle in a fresh interpreter, once and then ``repeats``
-#: more times, and scores one input of ``size`` x ``size`` with each loaded
-#: bundle before dropping it: a mapped archive's pages are mapped when first
-#: read, so the first forward pays for what the load deferred.  Prints each
-#: load's and each forward's wall time, user and kernel time and minor page
-#: faults, and the peak RSS (``_PEAK_MB``).
-_BUNDLE_LOAD = """
-import json, resource, sys, time
-import numpy as np
-sys.path.insert(0, sys.argv[1])
-from eegspeech import pipeline
-inputs = np.zeros((1, int(sys.argv[4]), int(sys.argv[4])))
-runs = []
-
-def timed(key, fn, run):
-    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-    result = fn()
-    run[key + "_s"] = time.perf_counter() - start
-    after = resource.getrusage(resource.RUSAGE_SELF)
-    run[key + "_utime_s"] = after.ru_utime - before.ru_utime
-    run[key + "_stime_s"] = after.ru_stime - before.ru_stime
-    run[key + "_minflt"] = after.ru_minflt - before.ru_minflt
-    return result
-
-for _ in range(int(sys.argv[3]) + 1):
-    run = {}
-    bundle = timed("load", lambda: pipeline.load_bundle(sys.argv[2]), run)
-    timed("forward", lambda: bundle.predict_proba(inputs), run)
-    runs.append(run)
-    del bundle
-""" + _PEAK_MB + """
-print(json.dumps({"runs": runs, "peak_rss_mb": peak_mb}))
-"""
-
-
-#: Preprocesses and reduces ``1 + trials`` random trials of the given shape
-#: and rate in a fresh interpreter, one at a time as the feature pass does;
-#: prints each trial's wall time and minor page faults.
-_FEATURE_PASS = """
-import json, resource, sys, time
-import numpy as np
-sys.path.insert(0, sys.argv[1])
-from eegspeech import covariance, pipeline
-from eegspeech.config import RunConfig
 from eegspeech.recording import Recording
-channels, times, trials = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[5])
-rate = float(sys.argv[4])
-cfg = RunConfig(seed=0, tasks=("uw",))
-rng = np.random.default_rng(4)
-names = tuple(f"c{c}" for c in range(channels))
-runs, minflt = [], []
-for _ in range(1 + trials):
-    rec = Recording("s00", "/uw/", rng.normal(size=(channels, times)), rate, names)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    start = time.perf_counter()
-    covariance.ccv_matrix(pipeline.preprocess(rec, cfg))
-    runs.append(time.perf_counter() - start)
-    minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    del rec
-print(json.dumps({"runs": runs, "minflt": minflt}))
-"""
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from measure import in_fresh_process, measured, peak_rss_mb  # noqa: E402
 
 #: Warm trials per ``--repeats`` in the feature pass: a short trial takes
 #: under a millisecond, so one trial per repeat would time mostly noise.
@@ -261,13 +157,74 @@ def bench_trees(repeats: int, n_trees: int = 3) -> dict:
             "fit_runs": fit_runs, "predict_runs": predict_runs}
 
 
+def _held_bytes(value) -> int:
+    """Bytes of the arrays in ``value``, a layer's attributes or a gradient."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        value = list(value.values())
+    return sum(map(_held_bytes, value)) if isinstance(value, (list, tuple)) else 0
+
+
+def child_cnn_step(size: int, batch: int) -> dict:
+    """One CNN train step: its wall time, user and kernel time and minor page
+    faults, the worker count, the peak RSS, the MB of arrays the trained
+    model's layers still hold (caches a backward should have released) and
+    the MB of gradients its parameters still hold (gradients Adam should have
+    released)."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(batch, size, size))
+    y = np.arange(batch) % 2
+    model, figures = measured(lambda: networks.train_cnn(
+        x, y, networks.NetworkHyper(epochs=1, batch_size=batch), seed=0))
+    return {**figures, "workers": parallel.WORKERS, "peak_rss_mb": peak_rss_mb(),
+            "held_mb": sum(_held_bytes(vars(layer)) for layer in model.net.layers) / 2**20,
+            "grad_mb": sum(_held_bytes(t.grad) for _, t in model.net.parameters()) / 2**20}
+
+
+def child_bundle_load(root: str, repeats: int, size: int) -> dict:
+    """Loads the bundle saved under ``root`` once and then ``repeats`` more
+    times, and scores one input of ``size`` x ``size`` with each loaded
+    bundle before dropping it: a mapped archive's pages are mapped when first
+    read, so the first forward pays for what the load deferred.  Each load's
+    and each forward's figures (`measured`), and the peak RSS."""
+    inputs = np.zeros((1, size, size))
+    runs = []
+    for _ in range(repeats + 1):
+        bundle, load = measured(lambda: pipeline.load_bundle(root), prefix="load_")
+        _, forward = measured(lambda: bundle.predict_proba(inputs), prefix="forward_")
+        runs.append({**load, **forward})
+        del bundle
+    return {"runs": runs, "peak_rss_mb": peak_rss_mb()}
+
+
+def child_feature_pass(channels: int, times: int, rate: float, trials: int) -> dict:
+    """Preprocesses and reduces ``1 + trials`` random trials of the given
+    shape and rate, one at a time as the feature pass does: each trial's wall
+    time and minor page faults."""
+    cfg = RunConfig(seed=0, tasks=("uw",))
+    rng = np.random.default_rng(4)
+    names = tuple(f"c{c}" for c in range(channels))
+    runs, minflt = [], []
+    for _ in range(1 + trials):
+        rec = Recording("s00", "/uw/", rng.normal(size=(channels, times)), rate, names)
+        _, figures = measured(lambda: covariance.ccv_matrix(pipeline.preprocess(rec, cfg)))
+        runs.append(figures["s"])
+        minflt.append(figures["minflt"])
+        del rec
+    return {"runs": runs, "minflt": minflt}
+
+
+#: The functions ``--child NAME ARGS...`` runs in a fresh interpreter; each
+#: argument is converted by its parameter's annotation.
+CHILDREN = {"cnn_step": child_cnn_step, "bundle_load": child_bundle_load,
+            "feature_pass": child_feature_pass}
+
+
 def bench_cnn_step(size: int, batch: int) -> dict:
-    package_root = str(Path(eegspeech.__file__).resolve().parents[1])
     result = {"batch": batch}
-    for key, cpus in (("one_cpu", "one"), ("all_cpus", "all")):
-        done = subprocess.run([sys.executable, "-c", _CNN_STEP, package_root, str(size),
-                               str(batch), cpus], capture_output=True, text=True, check=True)
-        result[key] = json.loads(done.stdout.strip().splitlines()[-1])
+    for key, one_cpu in (("one_cpu", True), ("all_cpus", False)):
+        result[key] = in_fresh_process(__file__, "cnn_step", size, batch, one_cpu=one_cpu)
     return result
 
 
@@ -281,14 +238,10 @@ def bench_bundle_load(size: int, repeats: int) -> dict:
         ensemble=gbt.Ensemble(config=gbt.GbtConfig(n_estimators=0), base_score=0.0),
         test_trial_ids=(), dev_accuracy=0.5)
     params = sum(t.size for model in (cnn, lstm, dae) for _, t in model.net.parameters())
-    package_root = str(Path(eegspeech.__file__).resolve().parents[1])
     with tempfile.TemporaryDirectory() as tmp:
         pipeline.save_bundle(bundle, tmp)
         archive_mb = (Path(tmp) / pipeline.BUNDLE_ARCHIVE).stat().st_size / 2**20
-        done = subprocess.run([sys.executable, "-c", _BUNDLE_LOAD, package_root, tmp,
-                               str(repeats), str(size)],
-                              capture_output=True, text=True, check=True)
-    timed = json.loads(done.stdout.strip().splitlines()[-1])
+        timed = in_fresh_process(__file__, "bundle_load", tmp, repeats, size)
     runs = timed["runs"]
     warm_runs = [run["load_s"] for run in runs[1:]]
     return {"params": params, "archive_mb": archive_mb, "first_s": runs[0]["load_s"],
@@ -299,15 +252,11 @@ def bench_bundle_load(size: int, repeats: int) -> dict:
 
 
 def bench_feature_pass(size: int, repeats: int) -> dict:
-    package_root = str(Path(eegspeech.__file__).resolve().parents[1])
     result = {}
     for key, channels, times, rate in (("reference", size, 5000, 1000.0),
                                        ("short", 8, 256, 128.0)):
-        done = subprocess.run([sys.executable, "-c", _FEATURE_PASS, package_root,
-                               str(channels), str(times), str(rate),
-                               str(FEATURE_TRIALS * repeats)],
-                              capture_output=True, text=True, check=True)
-        timed = json.loads(done.stdout.strip().splitlines()[-1])
+        timed = in_fresh_process(__file__, "feature_pass", channels, times, rate,
+                                 FEATURE_TRIALS * repeats)
         runs, minflt = timed["runs"], timed["minflt"]
         result[key] = {"channels": channels, "times": times, "rate_hz": rate,
                        "first_s": runs[0], "first_minflt": minflt[0],
@@ -320,11 +269,20 @@ def bench_feature_pass(size: int, repeats: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--out", help="JSON file to write (required)")
     parser.add_argument("--size", type=int, default=62, help="input matrix side")
     parser.add_argument("--batch", type=int, default=64, help="rows per batch (at least 4)")
     parser.add_argument("--repeats", type=int, default=3, help="timed runs per kernel")
+    parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)  # NAME ARGS...
     args = parser.parse_args()
+    if args.child:
+        name, *values = args.child
+        fn = CHILDREN[name]
+        params = inspect.signature(fn).parameters.values()
+        print(json.dumps(fn(*(param.annotation(v) for param, v in zip(params, values)))))
+        return 0
+    if args.out is None:
+        parser.error("the following arguments are required: --out")
     if args.batch < 4 or args.repeats < 1:
         parser.error("--batch must be at least 4 and --repeats at least 1")
     result = {

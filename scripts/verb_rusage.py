@@ -2,15 +2,17 @@
 """Wall time, user and kernel time, minor page faults and peak memory of
 each CLI verb of one benchmark workload.
 
-Each run is a fresh child process that calls ``eegspeech.cli.main``
-in-process as a benchmark repetition does: synth, then the workload's
-train or crossval, then evaluate on the saved bundles.  The figures of a
-verb are ``getrusage(RUSAGE_SELF)`` differences around its call, so they
-cover every thread of the process, and its peak is the process's VmHWM
-(Linux) when the verb has returned.  The ``children_*`` figures are the
-``getrusage(RUSAGE_CHILDREN)`` differences of the same call, which cover
-the (task, fold) units a verb trains in forked children, and
-``children_peak_rss_mb`` is the peak of the largest child reaped so far.
+Each run is `run_verbs` in a fresh interpreter, through the hidden
+``--child WORKDIR`` entry (``measure.in_fresh_process``), which calls
+``eegspeech.cli.main`` in-process as a benchmark repetition does: synth,
+then the workload's train or crossval, then evaluate on the saved bundles.
+The figures of a verb are ``measure.measured``'s ``getrusage(RUSAGE_SELF)``
+differences around its call, so they cover every thread of the process, and
+its peak is the process's VmHWM (``measure.peak_rss_mb``) when the verb has
+returned.  The ``children_*`` figures are the ``getrusage(RUSAGE_CHILDREN)``
+differences of the same call, which cover the (task, fold) units a verb
+trains in forked children, and ``children_peak_rss_mb`` is the peak of the
+largest child reaped so far.
 The workloads are the benchmark's own
 (``perfbench/workloads.py``).  The script prints each run and the medians
 as JSON; with ``--merge`` it adds them to a JSON file, such as a
@@ -25,26 +27,17 @@ import json
 import os
 import resource
 import statistics
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from measure import in_fresh_process, measured, peak_rss_mb  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 FIELDS = ("wall_s", "utime_s", "stime_s", "minflt", "peak_rss_mb",
           "children_utime_s", "children_stime_s", "children_minflt", "children_peak_rss_mb")
-
-
-def _peak_mb() -> float:
-    with open("/proc/self/status") as f:
-        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
-
-
-def _usage() -> list:
-    return [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
 
 
 def run_verbs(workload, seed: int, work: Path) -> dict:
@@ -60,18 +53,14 @@ def run_verbs(workload, seed: int, work: Path) -> dict:
                           "--models", str(out), "--out", str(replay)]}
     result = {}
     for verb, argv in verbs.items():
-        before, start = _usage(), time.perf_counter()
-        code = cli(argv)
-        wall, after = time.perf_counter() - start, _usage()
+        # the children's figures around this process's, whose wall time is cli's alone
+        (code, own), children = measured(lambda: measured(lambda: cli(argv)),
+                                         resource.RUSAGE_CHILDREN, "children_")
         if code != 0:
             raise SystemExit(f"{verb} exited with {code}")
-        figures = {"wall_s": wall}
-        for prefix, b, a in zip(("", "children_"), before, after):
-            figures.update({f"{prefix}utime_s": a.ru_utime - b.ru_utime,
-                            f"{prefix}stime_s": a.ru_stime - b.ru_stime,
-                            f"{prefix}minflt": a.ru_minflt - b.ru_minflt})
-        figures["peak_rss_mb"] = _peak_mb()
-        figures["children_peak_rss_mb"] = after[1].ru_maxrss / 1024  # KiB on Linux
+        figures = {**own, **children, "wall_s": own["s"], "peak_rss_mb": peak_rss_mb(),
+                   "children_peak_rss_mb":  # KiB on Linux
+                       resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}
         result[verb] = {key: figures[key] for key in FIELDS}
     return result
 
@@ -92,13 +81,8 @@ def main() -> int:
     runs = []
     for _ in range(args.runs):
         with tempfile.TemporaryDirectory() as work:
-            child = subprocess.run([sys.executable, __file__, "--workload", args.workload,
-                                    "--seed", str(args.seed), "--child", work],
-                                   capture_output=True, text=True)
-        if child.returncode != 0:
-            print(child.stderr, file=sys.stderr)
-            return 1
-        runs.append(json.loads(child.stdout.splitlines()[-1]))
+            runs.append(in_fresh_process(__file__, work, "--workload", args.workload,
+                                         "--seed", args.seed))
     medians = {verb: {key: statistics.median(run[verb][key] for run in runs)
                       for key in FIELDS} for verb in runs[0]}
     record = {"workload": args.workload, "seed": args.seed,

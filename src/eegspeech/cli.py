@@ -227,11 +227,6 @@ def cmd_featurize(args) -> int:
     return EXIT_OK
 
 
-def _metrics_row(task: str, accuracy: float, kappa: float) -> plotting.TaskMetrics:
-    # (po - pe) / (1 - pe) can leave [-1, 1] by float rounding; TaskMetrics refuses that
-    return plotting.TaskMetrics(task=task, accuracy=accuracy, kappa=max(-1.0, min(1.0, kappa)))
-
-
 def _score_tasks(verb: str, cfg: RunConfig, n_trials: int, score_task,
                  record_config: bool) -> list[pipeline.EvalReport]:
     """The per-task loop of train, crossval and evaluate, once the feature
@@ -252,7 +247,7 @@ def _score_tasks(verb: str, cfg: RunConfig, n_trials: int, score_task,
         _progress(f"{verb}: task {task_id} accuracy {report.accuracy:.4f} "
                   f"kappa {report.kappa:.4f}")
         reports.append(report)
-    plotting.write_metric_table_csv([_metrics_row(r.task_id, r.accuracy, r.kappa)
+    plotting.write_metric_table_csv([plotting.TaskMetrics(r.task_id, r.accuracy, r.kappa)
                                      for r in reports], out / "summary.csv")
     return reports
 
@@ -419,8 +414,8 @@ def cmd_plot(args) -> int:
         try:
             payload = json.loads(path.read_text())
             field = functools.partial(container_mod.json_field, payload)
-            entries.append(_metrics_row(field("task", "string"), field("accuracy", "number"),
-                                        field("kappa", "number")))
+            entries.append(plotting.TaskMetrics(
+                field("task", "string"), field("accuracy", "number"), field("kappa", "number")))
         except (TypeError, ValueError) as exc:
             raise DataError(f"bad report file {path}: {exc}") from exc
     out = _output_dir(args.out if args.out is not None else ".")

@@ -4,9 +4,9 @@ The manifest lists the dataset name, sampling rate, channel names, and one
 record per trial (id, subject, prompt, byte offset/length into the data
 file).  The data file holds each trial's samples as contiguous little-endian
 float32, channel-major.  A manifest field of another JSON type (nothing is
-coerced), a subject id that `check_subject` refuses and an out-of-range slice
-raise DataError naming the manifest or the offending trial.  `digest`
-identifies a container by the bytes of both files.
+coerced), a duplicate or over-long trial id, a subject id that `check_subject`
+refuses and an out-of-range slice raise DataError naming the manifest or the
+offending trial.  `digest` identifies a container by the bytes of both files.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .nn.checkpoint import write_bytes_atomic, write_json_atomic
+from .nn.checkpoint import MAX_NAME_BYTES, write_bytes_atomic, write_json_atomic
 from .recording import Recording, check_prompt, check_sample_rate, check_subject
 
 MANIFEST_NAME = "manifest.json"
@@ -32,6 +32,16 @@ _DIGEST_CHUNK = 1 << 20
 _JSON_KINDS = {"string": lambda v: type(v) is str, "integer": lambda v: type(v) is int,
                "number": lambda v: type(v) in (int, float), "array": lambda v: type(v) is list,
                "array of strings": lambda v: type(v) is list and all(type(s) is str for s in v)}
+
+
+def _check_ids(trial_id: str, subject_id: str, seen: set) -> None:
+    """A ValueError for a trial id in ``seen`` or too long for a tensor name
+    (features.tensors is keyed by trial id), or a subject id `check_subject` refuses."""
+    if trial_id in seen:
+        raise ValueError("duplicate trial id")
+    if len(trial_id.encode("utf-8")) > MAX_NAME_BYTES:
+        raise ValueError(f"trial id is longer than {MAX_NAME_BYTES} UTF-8 bytes")
+    check_subject(subject_id)
 
 
 @dataclass(frozen=True)
@@ -70,8 +80,8 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
 
     `trials` is an iterable of (trial_id, subject_id, prompt, samples) where
     samples is a channels x times float array; storage is float32.  A rate,
-    a prompt or a subject id that the readers refuse is a DataError, and
-    then no file or directory is written.
+    a prompt, a subject id or a trial id that the readers refuse is a
+    DataError, and then no file or directory is written.
     """
     root = Path(root)
     try:
@@ -88,10 +98,8 @@ def write_container(root: str | os.PathLike, name: str, sample_rate_hz: float,
     for trial_id, subject_id, prompt, samples in trials:
         trial_id = str(trial_id)
         try:
-            if trial_id in seen:
-                raise ValueError("duplicate trial id")
+            _check_ids(trial_id, str(subject_id), seen)
             check_prompt(prompt)
-            check_subject(str(subject_id))
             # float32 samples are written from the caller's array, without a copy
             arr = np.ascontiguousarray(samples, dtype="<f4")
             if arr.ndim != 2 or arr.shape[0] != n_channels:
@@ -172,9 +180,7 @@ def read_container(root: str | os.PathLike) -> TrialContainer:
             raise DataError(f"manifest {manifest_path}: bad trial record {entry!r}: "
                             f"{exc}") from exc
         try:
-            check_subject(record.subject_id)
-            if record.trial_id in seen:
-                raise ValueError("duplicate trial id")
+            _check_ids(record.trial_id, record.subject_id, seen)
             end = record.offset + record.length
             if not 0 <= record.offset < end <= data_size:
                 raise ValueError(f"slice [{record.offset}, {end}) outside data file of "

@@ -68,14 +68,15 @@ class KappaResult:
 
 
 def cohen_kappa(counts: np.ndarray) -> KappaResult:
-    """Chance-corrected agreement; degenerate marginals (expected agreement
-    of exactly 1) yield value 0 with the flag set."""
+    """Chance-corrected agreement, clamped to [-1, 1], which (po - pe) / (1 - pe)
+    can leave by float rounding; degenerate marginals (expected agreement of
+    exactly 1) yield value 0 with the flag set."""
     po = accuracy(counts)
     pe = chance_agreement(counts)
     if pe >= 1.0:
         return KappaResult(value=0.0, observed=po, expected=pe, degenerate=True)
-    return KappaResult(value=(po - pe) / (1.0 - pe), observed=po, expected=pe,
-                       degenerate=False)
+    return KappaResult(value=max(-1.0, min(1.0, (po - pe) / (1.0 - pe))), observed=po,
+                       expected=pe, degenerate=False)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ MAGIC = b"NTAR"
 VERSION = 2
 #: Each tensor's data starts at a file offset that is a multiple of this.
 ALIGN = 64
+#: The longest tensor name in UTF-8 bytes: its length is written as a u16.
+MAX_NAME_BYTES = 0xFFFF
 
 
 def _chunks(named: dict[str, np.ndarray]):
@@ -43,6 +45,8 @@ def _chunks(named: dict[str, np.ndarray]):
     for name in named:
         arr = np.asarray(named[name], dtype=np.float64)
         encoded = name.encode("utf-8")
+        if len(encoded) > MAX_NAME_BYTES:
+            raise ValueError(f"tensor name {name!r} is longer than {MAX_NAME_BYTES} UTF-8 bytes")
         header = struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
                              arr.ndim, *arr.shape)
         pad = -(at + len(header)) % ALIGN
@@ -117,6 +121,7 @@ def write_csv_atomic(path: str | os.PathLike, rows) -> None:
 
 
 def save_tensors(path: str | os.PathLike, named: dict[str, np.ndarray]) -> None:
+    """Write ``named``; a name over `MAX_NAME_BYTES` is a ValueError, and no file is written."""
     write_bytes_atomic(path, *_chunks(named))
 
 

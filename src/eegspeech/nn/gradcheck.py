@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .tensor import Tensor
 
 

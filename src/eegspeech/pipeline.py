@@ -472,28 +472,19 @@ def fold_plan(trials, labels, plan: SplitPlan) -> list[tuple[Fold, str]]:
             for fold in make_splits(trials, plan)]
 
 
-def _prepare(trials, task: Task, cfg: RunConfig, covs):
-    """Trials as a list, CCV matrices (computed when not given) and task labels."""
-    trials = list(trials)
-    if covs is None:
-        covs = ccv_features(trials, cfg)
-    return trials, covs, task_labels(trials, task)
-
-
-def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids, covs=None):
+def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids):
     """Train and score every fold of one task, one fold at a time, in this
     process, keeping every bundle.
 
-    ``trials`` carry each trial's ``subject_id`` and ``prompt``: the
-    container's TrialRecords, or Recordings.  ``covs`` are the trials' CCV
-    matrices from `ccv_features`, computed here from the trials, which must
-    then be Recordings, when not given.  `evaluate_bundles`' fold loop calls
-    the training function with each fold in turn, and the fold is trained
-    and scored then.  Returns (bundles by fold name, EvalReport).  Folds
-    that `fold_plan` does not train are not trained; `evaluate_bundles`
-    flags them as skipped, and raises TrainingError when every fold is.
+    ``trials`` are Recordings, whose CCV matrices `ccv_features` computes
+    once.  `evaluate_bundles`' fold loop calls the training function with
+    each fold in turn, and the fold is trained and scored then.  Returns
+    (bundles by fold name, EvalReport).  Folds that `fold_plan` does not
+    train are not trained; `evaluate_bundles` flags them as skipped, and
+    raises TrainingError when every fold is.
     """
-    trials, covs, labels = _prepare(trials, task, cfg, covs)
+    covs = ccv_features(trials, cfg)
+    labels = task_labels(trials, task)
     fingerprint = cfg.fingerprint()
     kept = {}
 
@@ -506,14 +497,16 @@ def run_task(trials, task: Task, plan: SplitPlan, cfg: RunConfig, trial_ids, cov
 
 
 def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
-                     bundle_for, trial_ids, covs=None) -> EvalReport:
+                     bundle_for, trial_ids, covs) -> EvalReport:
     """Score held-out trials with trained fold bundles and pool the folds.
 
-    The split is recomputed from the plan seed.  ``bundle_for(fold)`` is
-    called with each `Fold` that can be scored, once and in fold order, and
-    returns its bundle, trained or loaded then, or None when there is none;
-    the bundle is dropped before the next call.  ``trials`` and ``covs`` are
-    as for `run_task`.  DataError is raised for a bundle trained for another
+    ``trials`` carry each trial's ``subject_id`` and ``prompt`` (the
+    container's TrialRecords, or Recordings), and ``covs`` are their CCV
+    matrices from `ccv_features`.  The split is recomputed from the plan
+    seed.  ``bundle_for(fold)`` is called with each `Fold` that can be
+    scored, once and in fold order, and returns its bundle, trained or
+    loaded then, or None when there is none; the bundle is dropped before
+    the next call.  DataError is raised for a bundle trained for another
     task or fold, for one whose stored test trials differ from its
     recomputed fold's (another seed or container), so no bundle ever scores
     a trial it was trained on, and for one that keeps channels the container
@@ -522,7 +515,7 @@ def evaluate_bundles(trials, task: Task, plan: SplitPlan, cfg: RunConfig,
     skipped, the former with its reason; if every fold is skipped the task
     cannot be scored and a TrainingError is raised.
     """
-    trials, covs, labels = _prepare(trials, task, cfg, covs)
+    labels = task_labels(trials, task)
     fingerprint = cfg.fingerprint()
     folds, predictions = [], []
     for fold, reason in fold_plan(trials, labels, plan):

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import v1_archive
 from eegspeech.nn.checkpoint import (
+    MAX_NAME_BYTES,
     load_tensors,
     save_tensors,
     write_bytes_atomic,
@@ -32,6 +33,16 @@ def test_round_trip_keeps_names_order_and_bits(tmp_path):
     for name, value in NAMED.items():
         assert loaded[name].shape == value.shape
         assert loaded[name].tobytes() == value.tobytes()
+
+
+def test_a_name_is_at_most_max_name_bytes_of_utf8(tmp_path):
+    longest = "x" * MAX_NAME_BYTES
+    save_tensors(tmp_path / "a.tensors", {longest: np.zeros(1)})
+    assert list(load_tensors(tmp_path / "a.tensors")) == [longest]
+    # the u16 length counts UTF-8 bytes: 32 768 two-byte characters are one too many
+    with pytest.raises(ValueError, match="tensor name 'é+' is longer than 65535 UTF-8 bytes"):
+        save_tensors(tmp_path / "b.tensors", {"é" * 32768: np.zeros(1)})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tensors"]
 
 
 def _archive(tmp_path, named) -> bytes:

@@ -20,6 +20,7 @@ from eegspeech import cli, config, container, covariance, networks, parallel, pi
 from eegspeech.cli import main
 from eegspeech.errors import DataError, LeakageError, TrainingError
 from eegspeech.nn import load_tensors
+from eegspeech.nn.checkpoint import MAX_NAME_BYTES
 
 from conftest import workers
 
@@ -311,6 +312,43 @@ def test_a_subject_id_that_leaves_its_fold_directory_exits_3(tmp_path, capsys, v
     err = capsys.readouterr().err
     assert f"subject id {subject!r} may not contain" in err and "Traceback" not in err
     assert _files(tmp_path) == before
+
+
+def _rename_first_trial(cont: Path, trial_id: str) -> None:
+    manifest = json.loads((cont / "manifest.json").read_text())
+    manifest["trials"][0]["trial_id"] = trial_id
+    (cont / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("verb", ["featurize", "train", "crossval", "evaluate"])
+def test_a_trial_id_longer_than_a_tensor_name_exits_3(tmp_path, capsys, verb):
+    # features.tensors is keyed by trial id, and a tensor name's length is a u16
+    cont = _make_container(tmp_path / "data", n_trials=12)
+    _rename_first_trial(cont, "x" * 70000)
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "run" / "out", sections=ZERO_SECTIONS)
+    (tmp_path / "models").mkdir()
+    argv = [verb, "--config", str(cfg), "--container", str(cont)]
+    if verb == "evaluate":
+        argv += ["--models", str(tmp_path / "models")]
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "trial id is longer than 65535 UTF-8 bytes" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+def test_a_trial_id_as_long_as_a_tensor_name_round_trips(tmp_path):
+    cont = _make_container(tmp_path / "data", n_trials=12)
+    longest = "x" * MAX_NAME_BYTES
+    _rename_first_trial(cont, longest)
+    out, replay = tmp_path / "out", tmp_path / "replay"
+    cfg = _write_config(tmp_path / "run.json", out, sections=ZERO_SECTIONS)
+    assert main(["train", "--config", str(cfg), "--container", str(cont)]) == 0
+    assert main(["evaluate", "--config", str(cfg), "--container", str(cont),
+                 "--models", str(out), "--out", str(replay)]) == 0
+    assert next(iter(load_tensors(out / cli.FEATURES_ARCHIVE))) == longest
+    assert (replay / "uw" / "predictions.csv").read_bytes() == \
+           (out / "uw" / "predictions.csv").read_bytes()
 
 
 @pytest.mark.parametrize("where, key, value", [
@@ -1041,13 +1079,13 @@ def test_plot_round_trips_metric_values(tmp_path, trained_run):
     kappa_values = [t.text for t in texts if t.get("class") == "value-kappa"]
     task_labels = [t.text for t in texts if t.get("class") == "task"]
     assert acc_values == [f"{report['accuracy']:.2f}"]
-    assert kappa_values == [f"{max(-1.0, min(1.0, report['kappa'])):.2f}"]
+    assert kappa_values == [f"{report['kappa']:.2f}"]
     assert task_labels == ["uw"]
 
     table = (plot_out / "metrics.csv").read_text().splitlines()
     assert table[0] == "metric,uw"
     assert table[1] == f"accuracy_pct,{report['accuracy'] * 100:.2f}"
-    assert table[2] == f"kappa,{max(-1.0, min(1.0, report['kappa'])):.2f}"
+    assert table[2] == f"kappa,{report['kappa']:.2f}"
 
 
 @pytest.mark.parametrize("key, value, kind", [
@@ -1063,6 +1101,26 @@ def test_a_report_field_of_another_json_type_exits_3(tmp_path, capsys, key, valu
     err = capsys.readouterr().err
     assert f"bad report file {report}: field {key!r} must be a JSON {kind}" in err
     assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("kappa", [7.5, -1.5, float("nan")])
+def test_a_report_kappa_outside_its_range_exits_3(tmp_path, capsys, kappa):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"task": "uw", "accuracy": 0.5, "kappa": kappa}))
+    capsys.readouterr()
+    assert main(["plot", str(report), "--out", str(tmp_path / "plots")]) == 3
+    assert f"bad report file {report}: kappa out of range" in capsys.readouterr().err
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0])
+def test_a_report_kappa_at_its_bounds_plots(tmp_path, kappa):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"task": "uw", "accuracy": 0.5, "kappa": kappa}))
+    assert main(["plot", str(report), "--out", str(tmp_path / "plots")]) == 0
+    assert (tmp_path / "plots" / "metrics.csv").read_text().splitlines()[2] == \
+           f"kappa,{kappa:.2f}"
+    assert (tmp_path / "plots" / "metrics.svg").is_file()
 
 
 def test_plot_missing_report_exits_3(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from eegspeech import container
 from eegspeech.errors import DataError
+from eegspeech.nn.checkpoint import MAX_NAME_BYTES
 
 
 def _write_demo(root, n_trials=3, n_channels=2, n_times=8, seed=0):
@@ -256,6 +257,17 @@ def test_write_refuses_a_subject_id_with_a_slash_or_nul(tmp_path, subject):
     with pytest.raises(DataError, match="trial 't0': subject id .* may not contain"):
         container.write_container(root, "demo", 128.0, ["a", "b"],
                                   [("t0", subject, "/uw/", _TRIAL)])
+    assert not root.exists()
+
+
+def test_write_refuses_a_trial_id_longer_than_a_tensor_name(tmp_path):
+    # features.tensors is keyed by trial id; 32 768 two-byte characters are
+    # one UTF-8 byte more than a tensor name may hold
+    root = tmp_path / "new"
+    long_id = "é" * (MAX_NAME_BYTES // 2 + 1)
+    with pytest.raises(DataError, match="trial 'é+': trial id is longer than 65535 UTF-8 bytes"):
+        container.write_container(root, "demo", 128.0, ["a", "b"],
+                                  [(long_id, "s00", "/uw/", _TRIAL)])
     assert not root.exists()
 
 

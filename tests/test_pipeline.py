@@ -274,7 +274,7 @@ def test_bundle_round_trip_reproduces_predictions(tmp_path, small_run):
     assert loaded.config_fingerprint == bundle.config_fingerprint
     replayed = pipeline.evaluate_bundles(recs, task, plan, cfg,
                                          lambda fold: {"holdout": loaded}.get(fold.name),
-                                         trial_ids=ids)
+                                         trial_ids=ids, covs=pipeline.ccv_features(recs, cfg))
     assert replayed.accuracy == report.accuracy
     assert [p.probability for p in replayed.predictions] == \
            [p.probability for p in report.predictions]
@@ -349,7 +349,8 @@ def test_evaluate_bundles_refuses_channels_the_container_lacks(tmp_path, small_r
     wide = dataclasses.replace(bundles["holdout"], kept_channels=(0, 6))
     with pytest.raises(DataError, match="keeps channels"):
         pipeline.evaluate_bundles(recs, task, plan, cfg,
-                                  lambda fold: {"holdout": wide}.get(fold.name), trial_ids=ids)
+                                  lambda fold: {"holdout": wide}.get(fold.name), trial_ids=ids,
+                                  covs=pipeline.ccv_features(recs, cfg))
 
 
 @pytest.mark.parametrize("key, value", [("task_id", "nasal"), ("fold_name", "subject-s01")])
@@ -359,21 +360,23 @@ def test_evaluate_bundles_refuses_another_tasks_or_folds_bundle(small_run, key, 
     other = dataclasses.replace(bundles["holdout"], **{key: value})
     with pytest.raises(DataError, match=value):
         pipeline.evaluate_bundles(recs, task, plan, cfg,
-                                  lambda fold: {"holdout": other}.get(fold.name), trial_ids=ids)
+                                  lambda fold: {"holdout": other}.get(fold.name), trial_ids=ids,
+                                  covs=pipeline.ccv_features(recs, cfg))
 
 
 def test_evaluate_bundles_refuses_another_config(small_run):
     recs, ids, cfg, task, plan, bundles, _ = small_run
     other = dataclasses.replace(cfg, gbt=dataclasses.replace(cfg.gbt, n_estimators=31))
     with pytest.raises(ConfigError, match="another config"):
-        pipeline.evaluate_bundles(recs, task, plan, other,
-                                  lambda fold: bundles.get(fold.name), trial_ids=ids)
+        pipeline.evaluate_bundles(recs, task, plan, other, lambda fold: bundles.get(fold.name),
+                                  trial_ids=ids, covs=pipeline.ccv_features(recs, cfg))
 
 
 def test_evaluate_bundles_without_bundles_cannot_score(small_run):
     recs, ids, cfg, task, plan, *_ = small_run
     with pytest.raises(TrainingError, match="no bundle"):
-        pipeline.evaluate_bundles(recs, task, plan, cfg, lambda fold: None, trial_ids=ids)
+        pipeline.evaluate_bundles(recs, task, plan, cfg, lambda fold: None, trial_ids=ids,
+                                  covs=pipeline.ccv_features(recs, cfg))
 
 
 def test_evaluate_replays_a_skipped_fold_with_its_reason():
@@ -396,7 +399,8 @@ def test_evaluate_replays_a_skipped_fold_with_its_reason():
         asked.append(fold.name)
         return bundles.get(fold.name)
 
-    replayed = pipeline.evaluate_bundles(recs, task, plan, cfg, bundle_for, trial_ids=ids)
+    replayed = pipeline.evaluate_bundles(recs, task, plan, cfg, bundle_for, trial_ids=ids,
+                                         covs=pipeline.ccv_features(recs, cfg))
     assert pipeline.report_to_dict(replayed) == pipeline.report_to_dict(report)
     # each scorable fold is asked for once, in fold order, by training and replay alike
     scorable = [f.name for f in report.folds if not f.skipped]

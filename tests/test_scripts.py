@@ -4,7 +4,9 @@ train, evaluate and plot through the public CLI), and the per-layer benchmark
 `bench_layers.py` at a small input size, with its boosted trees at their
 reference shape and its bundle load and feature pass at that small size (the
 feature pass's short trial is always 8 x 256 samples), and the per-verb
-figures of `verb_rusage.py` on a small copy of a benchmark workload."""
+figures of `verb_rusage.py` on a small copy of a benchmark workload and, in
+fresh processes, on a benchmark workload itself.  `measure.py`, the one
+measuring path of the bench scripts, is checked on its own too."""
 
 import dataclasses
 import json
@@ -12,6 +14,8 @@ import os
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
 
 from eegspeech import networks
 
@@ -139,3 +143,53 @@ def test_verb_rusage_reports_each_verb(tmp_path):
         assert result[verb]["children_utime_s"] == result[verb]["children_minflt"] == 0
     assert (tmp_path / "replay" / "uw" / "predictions.csv").read_bytes() == \
            (tmp_path / "out" / "uw" / "predictions.csv").read_bytes()
+
+
+def test_verb_rusage_main_merges_the_medians_of_fresh_processes(tmp_path, monkeypatch):
+    script = runpy.run_path(str(VERB_RUSAGE))
+    record = tmp_path / "BENCH_x.json"
+    record.write_text(json.dumps({"wall_s": 1.0}))
+    monkeypatch.setattr(sys, "argv", [str(VERB_RUSAGE), "--workload", "noise_trees",
+                                      "--seed", "1", "--runs", "1", "--merge", str(record)])
+    assert script["main"]() == 0
+    merged = json.loads(record.read_text())
+    assert merged["wall_s"] == 1.0
+    rusage = merged["rusage"]
+    assert (rusage["workload"], rusage["seed"], len(rusage["runs"])) == ("noise_trees", 1, 1)
+    assert list(rusage["medians"]) == ["synth", "crossval", "evaluate"]
+    for figures in rusage["medians"].values():
+        assert set(figures) == set(script["FIELDS"])
+        assert figures["wall_s"] > 0 and figures["peak_rss_mb"] > 0
+
+
+def test_verb_rusage_main_reports_a_failing_child(monkeypatch, capsys):
+    script = runpy.run_path(str(VERB_RUSAGE))
+    monkeypatch.setattr(sys, "argv", [str(VERB_RUSAGE), "--workload", "noise_trees",
+                                      "--seed", "-1", "--runs", "1"])
+    with pytest.raises(SystemExit) as exit_:
+        script["main"]()
+    assert exit_.value.code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+MEASURE = Path(__file__).resolve().parents[1] / "scripts" / "measure.py"
+
+
+def test_measured_returns_the_value_and_four_figures_under_a_prefix():
+    measure = runpy.run_path(str(MEASURE))
+    value, figures = measure["measured"](lambda: sum(range(10**5)), prefix="load_")
+    assert value == sum(range(10**5))
+    assert set(figures) == {"load_s", "load_utime_s", "load_stime_s", "load_minflt"}
+    assert figures["load_s"] > 0 and min(figures.values()) >= 0
+
+
+def test_a_failing_fresh_process_prints_its_stderr_and_exits_1(tmp_path, capsys):
+    measure = runpy.run_path(str(MEASURE))
+    child = tmp_path / "child.py"
+    child.write_text("import sys\n"
+                     "if sys.argv[1] == '--child':\n"
+                     "    raise ValueError('child failed on ' + sys.argv[2])\n")
+    with pytest.raises(SystemExit) as exit_:
+        measure["in_fresh_process"](child, "its argument")
+    assert exit_.value.code == 1
+    assert "ValueError: child failed on its argument" in capsys.readouterr().err
